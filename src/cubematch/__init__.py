@@ -30,7 +30,6 @@ from .terms import (
     TYPE,
     App,
     Lam,
-    NameHints,
     Pi,
     Sort,
     Term,

@@ -63,6 +63,13 @@ class Verdict:
         return _EXIT[self.outcome]
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cubematch",
@@ -74,7 +81,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--calculus", help="override the file's calculus header")
         p.add_argument(
-            "--fuel", type=int, default=None, help="max reduction steps (default 100000)"
+            "--fuel", type=_positive, default=None, help="max reduction steps (default 100000)"
         )
         p.add_argument(
             "--format",
@@ -114,9 +121,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="bounded brute-force solution search")
     p.add_argument("file")
-    p.add_argument("--size", type=int, default=6, help="max candidate term size")
+    p.add_argument("--size", type=_positive, default=6, help="max candidate term size")
     p.add_argument(
-        "--max-solutions", type=int, default=16, help="stop after this many solutions"
+        "--max-solutions", type=_positive, default=16, help="stop after this many solutions"
     )
     common(p)
     return ap
@@ -237,15 +244,16 @@ def _cmd_build(args: argparse.Namespace) -> Verdict:
 
 def _cmd_solve(args: argparse.Namespace) -> Verdict:
     spec, problem, fuel = _load(args)
-    budget = SearchBudget(max_term_size=args.size, max_solutions=args.max_solutions)
+    k = args.max_solutions
+    # One solution past the limit tells whether the limit cut the list.
+    budget = SearchBudget(max_term_size=args.size, max_solutions=k + 1)
     found = solve_bounded(problem, budget, spec, fuel)
-    rendered = [print_substitution(s) for s in found]
-    truncated = len(found) >= args.max_solutions
+    shown = found[:k]
     details = {
-        "solutions": rendered,
-        "count": len(found),
+        "solutions": [print_substitution(s) for s in shown],
+        "count": len(shown),
         "max_term_size": args.size,
-        "exhaustive_within_budget": not truncated,
+        "exhaustive_within_budget": len(found) <= k,
     }
     return Verdict("solve", "yes" if found else "no", details)
 
@@ -291,6 +299,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         verdict = Verdict(
             args.command, "error", {"error": {"kind": "OSError", "message": str(e)}}
+        )
+    except Exception as e:  # a defect or a resource limit, never a "no"
+        message = f"{type(e).__name__}: {e}"
+        verdict = Verdict(
+            args.command, "error", {"error": {"kind": "internal", "message": message}}
         )
     if args.format == "json":
         print(json.dumps({"command": verdict.command, "outcome": verdict.outcome, "details": verdict.details}))

@@ -399,7 +399,7 @@ def make_problem(
     wf_context(qctx.plain(), spec, fuel)
     ta = _infer_side(qctx, a, spec, fuel, "left")
     tb = _infer_side(qctx, b, spec, fuel, "right")
-    if not equivalent(ta, tb, fuel):
+    if ta != tb:
         raise ProblemError(
             f"sides have different types: {describe(ta)} vs {describe(tb)}"
         )

@@ -21,7 +21,6 @@ __all__ = [
     "Pi",
     "PROP",
     "TYPE",
-    "NameHints",
     "shift",
     "subst",
     "free_indices",
@@ -85,9 +84,6 @@ Term = Sort | Var | App | Lam | Pi
 
 PROP = Sort("Prop")
 TYPE = Sort("Type")
-
-# Display names for context slots, outermost first.  Purely cosmetic.
-NameHints = tuple[str | None, ...]
 
 
 def shift(t: Term, d: int, cutoff: int = 0) -> Term:

@@ -19,8 +19,8 @@ from .errors import (
     TypeHasNoType,
     TypingError,
 )
-from .reduction import Fuel, beta_eta_normalize, equivalent
-from .terms import TYPE, App, Lam, Pi, Sort, Term, Var, describe, shift, subst
+from .reduction import Fuel, beta_eta_normalize
+from .terms import TYPE, App, Lam, Pi, Sort, Term, Var, describe, free_indices, shift, subst
 
 __all__ = [
     "SortPair",
@@ -139,17 +139,15 @@ class Context:
 
 def sort_of(ctx: Context, T: Term, spec: CubeSpec, fuel: Fuel | None = None) -> Sort:
     """The sort of T (Prop or Type); errors when T is not a type."""
-    ty = infer_type(ctx, T, spec, fuel)
-    if not isinstance(ty, Sort):
-        raise NotAType(f"{describe(T)} has type {describe(ty)}, not a sort")
-    return ty
+    return _sort_of(_Scope(ctx.decls, spec, fuel), T)
 
 
 def wf_context(ctx: Context, spec: CubeSpec, fuel: Fuel | None = None) -> None:
     """Every declared type must be well-sorted in its prefix."""
+    scope = _Scope((), spec, fuel)
     for q, d in enumerate(ctx.decls):
         try:
-            sort_of(ctx.prefix(q), d.ty, spec, fuel)
+            _sort_of(scope, d.ty)
         except TypingError as e:
             label = d.name or f"#{q}"
             pair = e.pair if isinstance(e, SortPairMissing) else None
@@ -159,66 +157,152 @@ def wf_context(ctx: Context, spec: CubeSpec, fuel: Fuel | None = None) -> None:
                 name=d.name,
                 pair=pair,
             ) from e
+        scope.push(beta_eta_normalize(d.ty, fuel))
 
 
 def infer_type(ctx: Context, t: Term, spec: CubeSpec, fuel: Fuel | None = None) -> Term:
     """Synthesize the normal-form type of t; the context is trusted.
 
     Both judgements of the calculus are covered: wf_context for contexts,
-    this function for terms.  Conversion happens only at application
-    arguments; every returned type is beta-eta normal.
+    this function for terms.  Every returned type is beta-eta normal, and
+    the synthesis relies on that: conversion at application arguments is
+    `==` on two normal forms.  Each declared type of ctx is normalized at
+    most once per call, on its first use, and a binder's domain once,
+    after it has been found well-sorted.
     """
-    match t:
-        case Sort("Prop"):
-            return TYPE
-        case Sort(_):
-            raise TypeHasNoType("the sort Type has no type")
-        case Var(k):
-            return beta_eta_normalize(ctx.lookup(k), fuel)
-        case Pi(dom, cod, hint):
-            s1 = sort_of(ctx, dom, spec, fuel)
-            s2 = sort_of(ctx.extended(dom, hint), cod, spec, fuel)
-            pair = (s1.tag, s2.tag)
-            if not spec.allows(pair):
-                raise SortPairMissing(
-                    pair,
-                    f"product {describe(t)} needs the sort pair {pair_text(pair)},"
-                    f" which {spec.label()} lacks",
-                )
-            return s2
-        case Lam(dom, body, hint):
-            s1 = sort_of(ctx, dom, spec, fuel)
-            inner = ctx.extended(dom, hint)
-            body_ty = infer_type(inner, body, spec, fuel)
-            s2 = sort_of(inner, body_ty, spec, fuel)
-            pair = (s1.tag, s2.tag)
-            if not spec.allows(pair):
-                raise SortPairMissing(
-                    pair,
-                    f"abstraction {describe(t)} would live in a product needing"
-                    f" the sort pair {pair_text(pair)}, which {spec.label()} lacks",
-                )
-            return beta_eta_normalize(Pi(dom, body_ty, hint), fuel)
-        case App(fn, arg):
-            fn_ty = infer_type(ctx, fn, spec, fuel)
-            if not isinstance(fn_ty, Pi):
-                raise NoRuleApplies(
-                    f"cannot apply {describe(fn)}: its type {describe(fn_ty)}"
-                    " is not a product"
-                )
-            arg_ty = infer_type(ctx, arg, spec, fuel)
-            if not equivalent(arg_ty, fn_ty.dom, fuel):
-                raise NoRuleApplies(
-                    f"argument {describe(arg)} has type {describe(arg_ty)},"
-                    f" but {describe(fn_ty.dom)} is expected"
-                )
-            return beta_eta_normalize(subst(fn_ty.cod, 0, arg), fuel)
-    raise AssertionError("unreachable")
+    return _infer(_Scope(ctx.decls, spec, fuel), t)
 
 
 def check_type(
     ctx: Context, t: Term, T: Term, spec: CubeSpec, fuel: Fuel | None = None
 ) -> bool:
-    """True iff the synthesized type converts to T (T itself is trusted)."""
-    actual = infer_type(ctx, t, spec, fuel)
-    return equivalent(actual, T, fuel)
+    """True iff the synthesized type converts to T (T itself is trusted).
+
+    T is normalized once and compared with `==` to the synthesized type,
+    which is already normal.
+    """
+    return infer_type(ctx, t, spec, fuel) == beta_eta_normalize(T, fuel)
+
+
+class _Scope:
+    """The context of one synthesis, with binders pushed and popped as it walks.
+
+    Slots below `declared` hold the caller's declared types, normalized in
+    place on first lookup; pushed binder types arrive normal.  Each slot
+    memoises the shifted copies lookup hands out, keyed by distance, and
+    lower memoises lowered codomains.  A typing error abandons the scope,
+    so pushes need no matching pop then.
+    """
+
+    __slots__ = ("tys", "shifted", "lowered", "declared", "spec", "fuel")
+
+    def __init__(self, decls: tuple[Decl, ...], spec: CubeSpec, fuel: Fuel | None):
+        self.tys: list[Term] = [d.ty for d in decls]
+        self.declared = len(decls)
+        self.shifted: list[dict[int, Term] | None] = [None] * self.declared
+        self.lowered: dict[int, tuple[Pi, Term | None]] = {}
+        self.spec = spec
+        self.fuel = fuel
+
+    def push(self, nf: Term) -> None:
+        self.tys.append(nf)
+        self.shifted.append(None)
+
+    def pop(self) -> None:
+        self.tys.pop()
+        self.shifted.pop()
+
+    def lookup(self, k: int) -> Term:
+        """Normal type of Var(k), shifted into the whole scope."""
+        pos = len(self.tys) - 1 - k
+        if pos < 0:
+            raise NoRuleApplies(f"unbound de Bruijn index {k}")
+        memo = self.shifted[pos]
+        if memo is None:
+            if pos < self.declared:
+                self.tys[pos] = beta_eta_normalize(self.tys[pos], self.fuel)
+            memo = self.shifted[pos] = {}
+        else:
+            ty = memo.get(k)
+            if ty is not None:
+                return ty
+        ty = memo[k] = shift(self.tys[pos], k + 1, 0)
+        return ty
+
+    def lower(self, pi: Pi) -> Term | None:
+        """pi's codomain moved out from under its binder; None when it uses it.
+
+        A normal codomain that ignores its binder stays normal when lowered.
+        Memoised by identity, since lookup and lower hand out the same
+        objects again along a spine such as (g a b); each entry keeps pi
+        alive, so its id cannot be reused while the scope lives.
+        """
+        hit = self.lowered.get(id(pi))
+        if hit is None:
+            cod = pi.cod
+            low = None if 0 in free_indices(cod) else shift(cod, -1, 0)
+            hit = self.lowered[id(pi)] = (pi, low)
+        return hit[1]
+
+
+def _sort_of(scope: _Scope, T: Term) -> Sort:
+    ty = _infer(scope, T)
+    if not isinstance(ty, Sort):
+        raise NotAType(f"{describe(T)} has type {describe(ty)}, not a sort")
+    return ty
+
+
+def _infer(scope: _Scope, t: Term) -> Term:
+    match t:
+        case Var(k):
+            return scope.lookup(k)
+        case App(fn, arg):
+            fn_ty = _infer(scope, fn)
+            if not isinstance(fn_ty, Pi):
+                raise NoRuleApplies(
+                    f"cannot apply {describe(fn)}: its type {describe(fn_ty)}"
+                    " is not a product"
+                )
+            arg_ty = _infer(scope, arg)
+            if arg_ty != fn_ty.dom:
+                raise NoRuleApplies(
+                    f"argument {describe(arg)} has type {describe(arg_ty)},"
+                    f" but {describe(fn_ty.dom)} is expected"
+                )
+            lowered = scope.lower(fn_ty)
+            if lowered is None:
+                return beta_eta_normalize(subst(fn_ty.cod, 0, arg), scope.fuel)
+            return lowered
+        case Lam(dom, body, hint):
+            s1 = _sort_of(scope, dom)
+            nf_dom = beta_eta_normalize(dom, scope.fuel)
+            scope.push(nf_dom)
+            body_ty = _infer(scope, body)
+            s2 = _sort_of(scope, body_ty)
+            scope.pop()
+            pair = (s1.tag, s2.tag)
+            if not scope.spec.allows(pair):
+                raise SortPairMissing(
+                    pair,
+                    f"abstraction {describe(t)} would live in a product needing"
+                    f" the sort pair {pair_text(pair)}, which {scope.spec.label()} lacks",
+                )
+            return Pi(nf_dom, body_ty, hint)
+        case Pi(dom, cod, hint):
+            s1 = _sort_of(scope, dom)
+            scope.push(beta_eta_normalize(dom, scope.fuel))
+            s2 = _sort_of(scope, cod)
+            scope.pop()
+            pair = (s1.tag, s2.tag)
+            if not scope.spec.allows(pair):
+                raise SortPairMissing(
+                    pair,
+                    f"product {describe(t)} needs the sort pair {pair_text(pair)},"
+                    f" which {scope.spec.label()} lacks",
+                )
+            return s2
+        case Sort("Prop"):
+            return TYPE
+        case Sort(_):
+            raise TypeHasNoType("the sort Type has no type")
+    raise AssertionError("unreachable")

@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from conftest import FIXTURES
 from cubematch.cli import main
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -219,6 +227,50 @@ def test_solve_negative_answer_is_exit_1(capsys, tmp_path) -> None:
     )
     code, payload = jrun(capsys, "solve", str(clash), "--size", "5")
     assert code == 1 and payload["details"]["count"] == 0
+
+
+def test_solve_flags_truncation_only_when_more_solutions_exist(capsys) -> None:
+    # Within size 6 the thm1 target has exactly two solutions.
+    argv = ("solve", fx("thm1_target.prob"), "--size", "6", "--max-solutions")
+    code, payload = jrun(capsys, *argv, "2")
+    assert code == 0
+    assert payload["details"]["count"] == 2
+    assert payload["details"]["exhaustive_within_budget"] is True
+    code, payload = jrun(capsys, *argv, "1")
+    assert code == 0
+    assert payload["details"]["count"] == 1
+    assert len(payload["details"]["solutions"]) == 1
+    assert payload["details"]["exhaustive_within_budget"] is False
+
+
+@pytest.mark.parametrize("flag", ["--size", "--max-solutions", "--fuel"])
+def test_non_positive_budgets_are_usage_errors(flag) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", fx("term_source.prob"), flag, "0"])
+    assert exc.value.code == 2
+
+
+def test_unexpected_failure_is_an_internal_error_not_a_no(tmp_path) -> None:
+    # Deep enough to exhaust the interpreter's stack in the recursive walks.
+    deep = tmp_path / "deep.prob"
+    chain = " -> ".join(["U"] * 1001)
+    deep.write_text(
+        f"calculus lP\nforall U : Prop\nforall a : U\nexists F : {chain}\nunify a = a\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubematch.cli", "check", str(deep), "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    payload = json.loads(proc.stdout)
+    assert payload["outcome"] == "error"
+    assert payload["details"]["error"]["kind"] == "internal"
+    assert "RecursionError" in payload["details"]["error"]["message"]
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_file_is_exit_2(capsys) -> None:
