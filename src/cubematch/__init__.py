@@ -41,7 +41,6 @@ from .terms import (
     pick_fresh,
     shift,
     spine,
-    structural_eq,
     subst,
 )
 from .reduction import (

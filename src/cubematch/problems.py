@@ -42,9 +42,8 @@ from .typecheck import (
     Context,
     CubeSpec,
     Decl,
-    check_type,
+    Scope,
     infer_type,
-    sort_of,
     wf_context,
 )
 
@@ -243,18 +242,20 @@ def subst_well_typed(
     existential slots) keep their declaration with the type instantiated
     and re-sorted; a bound existential slot is replaced by its local
     context, and its replacement must check against the instantiated type
-    over the image so far plus that local context.
+    over the image so far plus that local context.  One typing scope
+    follows the image as it grows, so each image type is sorted and
+    normalized once.
     """
     if s.qctx != qctx:
         raise ValueError("substitution was built for a different context")
+    scope = Scope((), spec, fuel)
     image: list[QDecl] = []
     for q, d in enumerate(qctx.decls):
         ty_img = apply_subst_in_prefix(s, d.ty, q)
-        here = QContext(tuple(image))
         tr = s.triple_at(q)
         if tr is None:
             try:
-                sort_of(here.plain(), ty_img, spec, fuel)
+                scope.declare(ty_img)
             except TypingError as e:
                 raise SubstitutionError(
                     f"declaration {q}: instantiated type is ill-sorted: {e.message}",
@@ -262,36 +263,34 @@ def subst_well_typed(
                     check="sort",
                 ) from e
             image.append(QDecl(d.quant, ty_img, d.name))
-        else:
-            ext = list(image)
-            for gd in tr.local:
-                try:
-                    sort_of(QContext(tuple(ext)).plain(), gd.ty, spec, fuel)
-                except TypingError as e:
-                    raise SubstitutionError(
-                        f"declaration {q}: local context entry is ill-sorted:"
-                        f" {e.message}",
-                        position=q,
-                        check="sort",
-                    ) from e
-                ext.append(QDecl(Quant.EXISTS, gd.ty, gd.name))
-            target = shift(ty_img, len(tr.local), 0)
+            continue
+        for gd in tr.local:
             try:
-                ok = check_type(QContext(tuple(ext)).plain(), tr.term, target, spec, fuel)
+                scope.declare(gd.ty)
             except TypingError as e:
                 raise SubstitutionError(
-                    f"declaration {q}: replacement is ill-typed: {e.message}",
+                    f"declaration {q}: local context entry is ill-sorted:"
+                    f" {e.message}",
                     position=q,
-                    check="instantiation",
+                    check="sort",
                 ) from e
-            if not ok:
-                raise SubstitutionError(
-                    f"declaration {q}: replacement {describe(tr.term)} does not"
-                    " have the instantiated declared type",
-                    position=q,
-                    check="instantiation",
-                )
-            image = ext
+            image.append(QDecl(Quant.EXISTS, gd.ty, gd.name))
+        target = beta_eta_normalize(shift(ty_img, len(tr.local), 0), fuel)
+        try:
+            ok = scope.check(tr.term, target)
+        except TypingError as e:
+            raise SubstitutionError(
+                f"declaration {q}: replacement is ill-typed: {e.message}",
+                position=q,
+                check="instantiation",
+            ) from e
+        if not ok:
+            raise SubstitutionError(
+                f"declaration {q}: replacement {describe(tr.term)} does not"
+                " have the instantiated declared type",
+                position=q,
+                check="instantiation",
+            )
     return QContext(tuple(image))
 
 

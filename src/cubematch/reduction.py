@@ -46,7 +46,7 @@ class _Tank:
     __slots__ = ("left",)
 
     def __init__(self, fuel: Fuel | None):
-        self.left = (fuel or Fuel()).max_steps
+        self.left = DEFAULT_MAX_STEPS if fuel is None else fuel.max_steps
 
     def spend(self) -> None:
         self.left -= 1

@@ -23,12 +23,13 @@ from .problems import (
     Quant,
     SubstTriple,
     Substitution,
+    apply_subst,
     apply_subst_in_prefix,
     is_solution,
 )
-from .reduction import Fuel, beta_eta_normalize
+from .reduction import Fuel, beta_eta_normalize, equivalent
 from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, shift, subst
-from .typecheck import CubeSpec, check_type
+from .typecheck import CubeSpec, Scope
 
 __all__ = ["SearchBudget", "decision_size", "enumerate_candidates", "solve_bounded"]
 
@@ -68,17 +69,25 @@ def enumerate_candidates(
     fuel: Fuel | None = None,
 ) -> list[Term]:
     """All eta-long beta-normal inhabitants of T over the universal slots,
-    within the size budget, deduplicated, verified, in deterministic order."""
-    env = [d.ty for d in qctx.decls]
+    within the size budget, deduplicated, verified, in deterministic order.
+
+    The declared types and T are normalized once on entry, and generation
+    trusts every target and head type it derives from them to be normal.
+    A generated product domain is the exception: an eta-long domain such
+    as (P [x:U](h x)) holds an eta redex, so it is normalized before it
+    enters the context.  Every distinct candidate is then typechecked
+    against T in one typing scope over qctx, shared by all candidates.
+    """
+    env = [beta_eta_normalize(d.ty, fuel) for d in qctx.decls]
     usable = [d.quant is Quant.FORALL for d in qctx.decls]
+    target = beta_eta_normalize(T, fuel)
 
     def var_type(env: list[Term], pos: int) -> Term:
         return shift(env[pos], len(env) - pos, 0)
 
-    def gen(env: list[Term], usable: list[bool], target: Term, size: int) -> Iterator[Term]:
+    def gen(env: list[Term], usable: list[bool], tn: Term, size: int) -> Iterator[Term]:
         if size <= 0:
             return
-        tn = beta_eta_normalize(target, fuel)
         if isinstance(tn, Pi):
             for body in gen(env + [tn.dom], usable + [True], tn.cod, size - 1):
                 yield Lam(tn.dom, body, tn.hint)
@@ -86,7 +95,7 @@ def enumerate_candidates(
         for pos in range(len(env)):
             if not usable[pos]:
                 continue
-            head_ty = beta_eta_normalize(var_type(env, pos), fuel)
+            head_ty = var_type(env, pos)
             yield from spines(Var(len(env) - 1 - pos), head_ty, tn, env, usable, size - 1)
         if isinstance(tn, Sort):
             if tn == TYPE:
@@ -96,8 +105,9 @@ def enumerate_candidates(
                     continue
                 for dom_size in range(1, size - 1):
                     for dom in gen(env, usable, Sort(s1), dom_size):
+                        nf_dom = beta_eta_normalize(dom, fuel)
                         for cod in gen(
-                            env + [dom], usable + [True], tn, size - 1 - dom_size
+                            env + [nf_dom], usable + [True], tn, size - 1 - dom_size
                         ):
                             yield Pi(dom, cod)
 
@@ -121,13 +131,16 @@ def enumerate_candidates(
                     App(head, arg), rest, target, env, usable, size - 1 - arg_size
                 )
 
+    scope = Scope((), spec, fuel)
+    for ty in env:
+        scope.push(ty)
     seen: set[Term] = set()
     out: list[Term] = []
-    for cand in gen(env, usable, T, budget.max_term_size):
+    for cand in gen(env, usable, target, budget.max_term_size):
         if cand in seen:
             continue
         seen.add(cand)
-        if check_type(qctx.plain(), cand, T, spec, fuel):
+        if scope.check(cand, target):
             out.append(cand)
     out.sort(key=_candidate_key)
     return out
@@ -138,6 +151,12 @@ def solve_bounded(
 ) -> list[Substitution]:
     """Assign enumerated candidates to the unknowns in declaration order
     and keep the assignments that verify as solutions.
+
+    Each full assignment is first tested for conversion of the two sides;
+    only one that converts is verified in full with is_solution, so every
+    returned solution is re-verified.  Testing conversion first drops no
+    solution: each candidate was checked against its slot's image type,
+    so every assignment is a well-typed substitution.
 
     Sound but deliberately incomplete beyond the budget.  The result order
     sorts by largest component first, so enlarging the size budget only
@@ -159,7 +178,9 @@ def solve_bounded(
     def dfs(i: int, triples: tuple[SubstTriple, ...]) -> None:
         if i == len(ex_positions):
             s = Substitution(p.qctx, triples)
-            if is_solution(s, p, spec, fuel):
+            if equivalent(
+                apply_subst(s, p.lhs), apply_subst(s, p.rhs), fuel
+            ) and is_solution(s, p, spec, fuel):
                 found.append(s)
             return
         q = ex_positions[i]

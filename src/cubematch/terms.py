@@ -24,7 +24,6 @@ __all__ = [
     "shift",
     "subst",
     "free_indices",
-    "structural_eq",
     "arrow",
     "app",
     "spine",
@@ -153,11 +152,6 @@ def free_indices(t: Term) -> set[int]:
 
     walk(t, 0)
     return out
-
-
-def structural_eq(t1: Term, t2: Term) -> bool:
-    """Alpha-equivalence is plain tree equality under de Bruijn."""
-    return t1 == t2
 
 
 def arrow(dom: Term, cod: Term, hint: str | None = None) -> Pi:

@@ -139,15 +139,15 @@ class Context:
 
 def sort_of(ctx: Context, T: Term, spec: CubeSpec, fuel: Fuel | None = None) -> Sort:
     """The sort of T (Prop or Type); errors when T is not a type."""
-    return _sort_of(_Scope(ctx.decls, spec, fuel), T)
+    return Scope(ctx.decls, spec, fuel).sort(T)
 
 
 def wf_context(ctx: Context, spec: CubeSpec, fuel: Fuel | None = None) -> None:
     """Every declared type must be well-sorted in its prefix."""
-    scope = _Scope((), spec, fuel)
+    scope = Scope((), spec, fuel)
     for q, d in enumerate(ctx.decls):
         try:
-            _sort_of(scope, d.ty)
+            scope.declare(d.ty)
         except TypingError as e:
             label = d.name or f"#{q}"
             pair = e.pair if isinstance(e, SortPairMissing) else None
@@ -157,7 +157,6 @@ def wf_context(ctx: Context, spec: CubeSpec, fuel: Fuel | None = None) -> None:
                 name=d.name,
                 pair=pair,
             ) from e
-        scope.push(beta_eta_normalize(d.ty, fuel))
 
 
 def infer_type(ctx: Context, t: Term, spec: CubeSpec, fuel: Fuel | None = None) -> Term:
@@ -170,7 +169,7 @@ def infer_type(ctx: Context, t: Term, spec: CubeSpec, fuel: Fuel | None = None) 
     most once per call, on its first use, and a binder's domain once,
     after it has been found well-sorted.
     """
-    return _infer(_Scope(ctx.decls, spec, fuel), t)
+    return Scope(ctx.decls, spec, fuel).infer(t)
 
 
 def check_type(
@@ -181,14 +180,21 @@ def check_type(
     T is normalized once and compared with `==` to the synthesized type,
     which is already normal.
     """
-    return infer_type(ctx, t, spec, fuel) == beta_eta_normalize(T, fuel)
+    return Scope(ctx.decls, spec, fuel).check(t, beta_eta_normalize(T, fuel))
 
 
-class _Scope:
-    """The context of one synthesis, with binders pushed and popped as it walks.
+class Scope:
+    """One typing context, grown by declaring types, and the queries on it.
 
-    Slots below `declared` hold the caller's declared types, normalized in
-    place on first lookup; pushed binder types arrive normal.  Each slot
+    The package does its typing in these.  `sort_of`, `infer_type` and
+    `check_type` use one per call; `wf_context`, `subst_well_typed` and
+    `enumerate_candidates` keep one for a whole walk over many declarations
+    or candidates, so each declared type is normalized once however often
+    it is looked up.  The operations are `declare` (sort check, then push
+    the normal form), `infer` and `check`.
+
+    Slots below `declared` hold the caller's trusted types, normalized in
+    place on first lookup; every other slot arrives normal.  Each slot
     memoises the shifted copies lookup hands out, keyed by distance, and
     lower memoises lowered codomains.  A typing error abandons the scope,
     so pushes need no matching pop then.
@@ -204,7 +210,29 @@ class _Scope:
         self.spec = spec
         self.fuel = fuel
 
+    def declare(self, ty: Term) -> Sort:
+        """Check that ty is a type here, then push its normal form; its sort."""
+        s = self.sort(ty)
+        self.push(beta_eta_normalize(ty, self.fuel))
+        return s
+
+    def infer(self, t: Term) -> Term:
+        """The normal-form type of t."""
+        return _infer(self, t)
+
+    def check(self, t: Term, nf: Term) -> bool:
+        """True iff t's type is nf, which must be normal."""
+        return _infer(self, t) == nf
+
+    def sort(self, T: Term) -> Sort:
+        """The sort of T; errors when T is not a type."""
+        ty = _infer(self, T)
+        if not isinstance(ty, Sort):
+            raise NotAType(f"{describe(T)} has type {describe(ty)}, not a sort")
+        return ty
+
     def push(self, nf: Term) -> None:
+        """Enter a binder or declaration whose type nf is already normal."""
         self.tys.append(nf)
         self.shifted.append(None)
 
@@ -245,14 +273,7 @@ class _Scope:
         return hit[1]
 
 
-def _sort_of(scope: _Scope, T: Term) -> Sort:
-    ty = _infer(scope, T)
-    if not isinstance(ty, Sort):
-        raise NotAType(f"{describe(T)} has type {describe(ty)}, not a sort")
-    return ty
-
-
-def _infer(scope: _Scope, t: Term) -> Term:
+def _infer(scope: Scope, t: Term) -> Term:
     match t:
         case Var(k):
             return scope.lookup(k)
@@ -274,11 +295,10 @@ def _infer(scope: _Scope, t: Term) -> Term:
                 return beta_eta_normalize(subst(fn_ty.cod, 0, arg), scope.fuel)
             return lowered
         case Lam(dom, body, hint):
-            s1 = _sort_of(scope, dom)
-            nf_dom = beta_eta_normalize(dom, scope.fuel)
-            scope.push(nf_dom)
+            s1 = scope.declare(dom)
+            nf_dom = scope.tys[-1]
             body_ty = _infer(scope, body)
-            s2 = _sort_of(scope, body_ty)
+            s2 = scope.sort(body_ty)
             scope.pop()
             pair = (s1.tag, s2.tag)
             if not scope.spec.allows(pair):
@@ -289,9 +309,8 @@ def _infer(scope: _Scope, t: Term) -> Term:
                 )
             return Pi(nf_dom, body_ty, hint)
         case Pi(dom, cod, hint):
-            s1 = _sort_of(scope, dom)
-            scope.push(beta_eta_normalize(dom, scope.fuel))
-            s2 = _sort_of(scope, cod)
+            s1 = scope.declare(dom)
+            s2 = scope.sort(cod)
             scope.pop()
             pair = (s1.tag, s2.tag)
             if not scope.spec.allows(pair):

@@ -24,6 +24,7 @@ from cubematch.problems import (
     subst_well_typed,
 )
 from cubematch.terms import PROP, TYPE, App, Lam, Pi, Var, arrow, shift
+from cubematch.typecheck import cube_spec
 
 
 def _q(*decls: tuple[Quant, object, str]) -> QContext:
@@ -116,6 +117,59 @@ def test_subst_well_typed_rejects_wrong_type(lp) -> None:
         subst_well_typed(s, q, lp)
     assert exc.value.position == 2
     assert exc.value.check == "instantiation"
+
+
+def _stlc_goal_with_predicate() -> QContext:
+    # goal_ctx plus forall P : U -> Prop, which needs Prop-Type
+    return goal_ctx().extended(Quant.FORALL, arrow(Var(2), PROP), "P")
+
+
+@pytest.mark.parametrize(
+    "spec_name, qctx, triple, position, check, prefix",
+    [
+        (  # P's instantiated type U -> Prop has no sort pair in stlc
+            "stlc",
+            _stlc_goal_with_predicate(),
+            SubstTriple(2, QContext(), Lam(Var(1), Var(0), "x")),
+            3,
+            "sort",
+            "declaration 3: instantiated type is ill-sorted: ",
+        ),
+        (  # the local entry G0 : a declares a term, not a type
+            "lP",
+            goal_ctx(),
+            SubstTriple(2, QContext((QDecl(Quant.EXISTS, Var(0), "G0"),)), Var(0)),
+            2,
+            "sort",
+            "declaration 2: local context entry is ill-sorted: ",
+        ),
+        (  # (a a) applies a non-function
+            "lP",
+            goal_ctx(),
+            SubstTriple(2, QContext(), App(Var(0), Var(0))),
+            2,
+            "instantiation",
+            "declaration 2: replacement is ill-typed: ",
+        ),
+        (  # [x:U]x is well typed, but U -> U -> U is not U -> U
+            "lP",
+            goal_ctx(),
+            SubstTriple(2, QContext(), Lam(Var(1), Lam(Var(2), Var(0)))),
+            2,
+            "instantiation",
+            "declaration 2: replacement [",
+        ),
+    ],
+    ids=["instantiated-type", "local-entry", "ill-typed-replacement", "wrong-type"],
+)
+def test_subst_well_typed_error_branches(
+    spec_name, qctx, triple, position, check, prefix
+) -> None:
+    with pytest.raises(SubstitutionError) as exc:
+        subst_well_typed(Substitution(qctx, (triple,)), qctx, cube_spec(spec_name))
+    assert exc.value.position == position
+    assert exc.value.check == check
+    assert exc.value.message.startswith(prefix), exc.value.message
 
 
 def test_subst_well_typed_accepts_the_identity_binding(lp, term_source) -> None:

@@ -5,15 +5,19 @@ from __future__ import annotations
 from random import Random
 
 from cubematch.problems import (
+    Problem,
     ProblemKind,
     QContext,
     QDecl,
     Quant,
+    SubstTriple,
+    Substitution,
+    apply_subst_in_prefix,
     is_solution,
     make_problem,
 )
 from cubematch.search import SearchBudget, decision_size, enumerate_candidates, solve_bounded
-from cubematch.terms import PROP, App, Lam, Var, arrow
+from cubematch.terms import PROP, App, Lam, Pi, Var, arrow, describe
 from cubematch.typecheck import check_type, cube_spec
 from termgen import random_elementary_problem
 
@@ -82,6 +86,23 @@ def test_budget_growth_only_appends(lp) -> None:
     assert large[: len(small)] == small
 
 
+def test_generated_product_domains_are_normalized_before_use() -> None:
+    # [U:Prop, h:U->U, P:(U->U)->Prop, Q:(P h)->Prop]: the eta-long domain
+    # (P [x:U](h x)) must count as (P h) for Q to accept its binder
+    q = QContext(
+        (
+            QDecl(Quant.FORALL, PROP, "U"),
+            QDecl(Quant.FORALL, arrow(Var(0), Var(0)), "h"),
+            QDecl(Quant.FORALL, arrow(arrow(Var(1), Var(1)), PROP), "P"),
+            QDecl(Quant.FORALL, arrow(App(Var(0), Var(1)), PROP), "Q"),
+        )
+    )
+    got = enumerate_candidates(q, PROP, SearchBudget(10, 8), cube_spec("coc"))
+    assert len(got) == 1255
+    eta_long_dom = App(Var(1), Lam(Var(3), App(Var(3), Var(0))))
+    assert Pi(eta_long_dom, App(Var(1), Var(0))) in got  # (y : P [x:U](h x)) -> Q y
+
+
 # ------------- solve_bounded -------------
 
 
@@ -145,6 +166,48 @@ def test_every_returned_solution_reverifies_on_random_problems() -> None:
         p = random_elementary_problem(rng)
         for s in solve_bounded(p, SearchBudget(5, 8), lp):
             assert is_solution(s, p, lp)
+
+
+def _solve_by_full_verification(p: Problem, budget: SearchBudget, spec) -> list[Substitution]:
+    """is_solution on every leaf of the candidate product, then solve_bounded's
+    sort and cut."""
+    found: list[Substitution] = []
+
+    def dfs(triples: tuple[SubstTriple, ...]) -> None:
+        partial = Substitution(p.qctx, triples)
+        todo = [q for q in p.qctx.existential_positions() if partial.triple_at(q) is None]
+        if not todo:
+            if is_solution(partial, p, spec):
+                found.append(partial)
+            return
+        q = todo[0]
+        ictx = QContext(
+            tuple(
+                QDecl(d.quant, apply_subst_in_prefix(partial, d.ty, r), d.name)
+                for r, d in enumerate(p.qctx.decls[:q])
+                if partial.triple_at(r) is None
+            )
+        )
+        ty = apply_subst_in_prefix(partial, p.qctx.decls[q].ty, q)
+        for cand in enumerate_candidates(ictx, ty, budget, spec):
+            dfs(triples + (SubstTriple(q, QContext(), cand),))
+
+    def key(s: Substitution) -> tuple[int, int, tuple[str, ...]]:
+        sizes = [decision_size(tr.term) for tr in s.triples] or [0]
+        return max(sizes), sum(sizes), tuple(describe(tr.term) for tr in s.triples)
+
+    dfs(())
+    found.sort(key=key)
+    return found[: budget.max_solutions]
+
+
+def test_conversion_first_search_matches_full_verification_on_random_problems() -> None:
+    lp = cube_spec("lP")
+    rng = Random(13)
+    for _ in range(10):
+        p = random_elementary_problem(rng)
+        for budget in (SearchBudget(5, 8), SearchBudget(5, 1000)):
+            assert solve_bounded(p, budget, lp) == _solve_by_full_verification(p, budget, lp)
 
 
 def test_oracle_coherence_source_solvable_implies_target_solvable() -> None:
