@@ -50,7 +50,6 @@ from .reduction import (
     NormalClass,
     Product,
     beta_eta_normalize,
-    beta_eta_normalize_innermost,
     classify_normal,
     equivalent,
     is_normal,

@@ -185,30 +185,44 @@ def apply_subst_in_prefix(s: Substitution, t: Term, length: int) -> Term:
     """Apply s to a term expressed over the first `length` declarations."""
     lim = length
     img = s.slots_before(lim)
+    by_pos, cum = s._by_pos, s._cum
 
     def go(t: Term, depth: int) -> Term:
-        match t:
-            case Var(k):
-                if k < depth:
-                    return t
-                pos = lim - 1 - (k - depth)
-                if pos < 0:
-                    raise ValueError(
-                        f"index {k} escapes the quantified context ({lim} slots)"
-                    )
-                tr = s.triple_at(pos)
-                if tr is None:
-                    return Var(img - 1 - s.slots_before(pos) + depth)
-                inner = s.slots_before(pos) + len(tr.local)
-                return shift(tr.term, img - inner + depth, 0)
-            case App(fn, arg):
-                return App(go(fn, depth), go(arg, depth))
-            case Lam(dom, body, hint):
-                return Lam(go(dom, depth), go(body, depth + 1), hint)
-            case Pi(dom, cod, hint):
-                return Pi(go(dom, depth), go(cod, depth + 1), hint)
-            case _:
+        tt = type(t)
+        if tt is Var:
+            k = t.index
+            if k < depth:
                 return t
+            pos = lim - 1 - (k - depth)
+            if pos < 0:
+                raise ValueError(
+                    f"index {k} escapes the quantified context ({lim} slots)"
+                )
+            tr = by_pos.get(pos)
+            if tr is None:
+                k_img = img - 1 - cum[pos] + depth
+                return t if k_img == k else Var(k_img)
+            inner = cum[pos] + len(tr.local)
+            return shift(tr.term, img - inner + depth, 0)
+        if tt is App:
+            fn = go(t.fn, depth)
+            arg = go(t.arg, depth)
+            if fn is t.fn and arg is t.arg:
+                return t
+            return App(fn, arg)
+        if tt is Lam:
+            dom = go(t.dom, depth)
+            body = go(t.body, depth + 1)
+            if dom is t.dom and body is t.body:
+                return t
+            return Lam(dom, body, t.hint)
+        if tt is Pi:
+            dom = go(t.dom, depth)
+            cod = go(t.cod, depth + 1)
+            if dom is t.dom and cod is t.cod:
+                return t
+            return Pi(dom, cod, t.hint)
+        return t
 
     return go(t, 0)
 
@@ -343,30 +357,27 @@ def order(T: Term, qctx: QContext, fuel: Fuel | None = None) -> OrderValue:
 
 
 def _order(tn: Term, qctx: QContext) -> OrderValue:
-    match tn:
-        case Lam():
-            raise NotAType("an abstraction has no order")
-        case Pi(dom, cod, hint):
-            u = _order(dom, qctx)
-            v = _order(cod, qctx.extended(Quant.EXISTS, dom, hint))
-            return OrderValue.max(u.plus(1), v)
-        case _:
-            head, _ = spine(tn)
-            match head:
-                case Sort("Prop"):
-                    return OrderValue.finite(2)
-                case Sort(_):
-                    raise OrderUndefined(
-                        "no order clause for an atom headed by the sort Type"
-                    )
-                case Var(k):
-                    pos = len(qctx) - 1 - k
-                    if pos < 0:
-                        raise ValueError(f"index {k} escapes the quantified context")
-                    if qctx.decls[pos].quant is Quant.FORALL:
-                        return OrderValue.finite(1)
-                    return INFINITE
-            raise NotNormal("atom head is reducible")
+    tt = type(tn)
+    if tt is Lam:
+        raise NotAType("an abstraction has no order")
+    if tt is Pi:
+        u = _order(tn.dom, qctx)
+        v = _order(tn.cod, qctx.extended(Quant.EXISTS, tn.dom, tn.hint))
+        return OrderValue.max(u.plus(1), v)
+    head, _ = spine(tn)
+    th = type(head)
+    if th is Sort:
+        if head.tag == "Prop":
+            return OrderValue.finite(2)
+        raise OrderUndefined("no order clause for an atom headed by the sort Type")
+    if th is Var:
+        pos = len(qctx) - 1 - head.index
+        if pos < 0:
+            raise ValueError(f"index {head.index} escapes the quantified context")
+        if qctx.decls[pos].quant is Quant.FORALL:
+            return OrderValue.finite(1)
+        return INFINITE
+    raise NotNormal("atom head is reducible")
 
 
 class ProblemKind(Enum):

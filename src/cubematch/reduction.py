@@ -20,7 +20,6 @@ __all__ = [
     "Product",
     "Atomic",
     "beta_eta_normalize",
-    "beta_eta_normalize_innermost",
     "equivalent",
     "is_normal",
     "classify_normal",
@@ -79,81 +78,100 @@ def _whnf(t: Term, tank: _Tank) -> tuple[Term, list[Term]]:
     """Contract head redexes only; returns the rigid head and pending args."""
     args: list[Term] = []
     while True:
-        match t:
-            case App(fn, arg):
-                args.append(arg)
-                t = fn
-            case Lam(_, body) if args:
-                tank.spend()
-                t = subst(body, 0, args.pop())
-            case _:
-                return t, list(reversed(args))
+        tt = type(t)
+        if tt is App:
+            args.append(t.arg)
+            t = t.fn
+        elif tt is Lam and args:
+            tank.spend()
+            t = subst(t.body, 0, args.pop())
+        else:
+            args.reverse()
+            return t, args
 
 
 def _beta(t: Term, tank: _Tank) -> Term:
-    """Full beta-normal form, normal order (leftmost-outermost)."""
-    head, args = _whnf(t, tank)
-    match head:
-        case Lam(dom, body, hint):
-            head = Lam(_beta(dom, tank), _beta(body, tank), hint)
-        case Pi(dom, cod, hint):
-            head = Pi(_beta(dom, tank), _beta(cod, tank), hint)
-        case _:
-            pass
-    out = head
-    for a in args:
-        out = App(out, _beta(a, tank))
-    return out
+    """Full beta-normal form, normal order (leftmost-outermost).
+
+    A subterm without a beta redex comes back as the same object.
+    """
+    tt = type(t)
+    if tt is App:
+        nodes: list[App] = []
+        head = t
+        while type(head) is App:
+            nodes.append(head)
+            head = head.fn
+        if type(head) is Lam:
+            head, args = _whnf(t, tank)
+            out = _beta(head, tank)
+            for a in args:
+                out = App(out, _beta(a, tank))
+            return out
+        out = _beta(head, tank)
+        for node in reversed(nodes):
+            arg = _beta(node.arg, tank)
+            out = node if out is node.fn and arg is node.arg else App(out, arg)
+        return out
+    if tt is Lam:
+        dom = _beta(t.dom, tank)
+        body = _beta(t.body, tank)
+        if dom is t.dom and body is t.body:
+            return t
+        return Lam(dom, body, t.hint)
+    if tt is Pi:
+        dom = _beta(t.dom, tank)
+        cod = _beta(t.cod, tank)
+        if dom is t.dom and cod is t.cod:
+            return t
+        return Pi(dom, cod, t.hint)
+    return t
 
 
-def _inner(t: Term, tank: _Tank) -> Term:
-    """Full beta-normal form, arguments first (rightmost-innermost)."""
-    while True:
-        match t:
-            case App(fn, arg):
-                arg_n = _inner(arg, tank)
-                fn_n = _inner(fn, tank)
-                if isinstance(fn_n, Lam):
-                    tank.spend()
-                    t = subst(fn_n.body, 0, arg_n)
-                    continue
-                return App(fn_n, arg_n)
-            case Lam(dom, body, hint):
-                return Lam(_inner(dom, tank), _inner(body, tank), hint)
-            case Pi(dom, cod, hint):
-                return Pi(_inner(dom, tank), _inner(cod, tank), hint)
-            case _:
-                return t
+def _eta_redex(body: Term) -> bool:
+    """body is (g #0) with #0 not free in g, so [x:T]body contracts to g."""
+    if type(body) is not App:
+        return False
+    arg = body.arg
+    return type(arg) is Var and arg.index == 0 and 0 not in free_indices(body.fn)
 
 
-def _eta_pass(t: Term, tank: _Tank) -> tuple[Term, bool]:
-    """One bottom-up sweep collapsing [x:T](t x) to t when x is not free in t."""
-    match t:
-        case App(fn, arg):
-            fn2, c1 = _eta_pass(fn, tank)
-            arg2, c2 = _eta_pass(arg, tank)
-            return (App(fn2, arg2), True) if c1 or c2 else (t, False)
-        case Pi(dom, cod, hint):
-            dom2, c1 = _eta_pass(dom, tank)
-            cod2, c2 = _eta_pass(cod, tank)
-            return (Pi(dom2, cod2, hint), True) if c1 or c2 else (t, False)
-        case Lam(dom, body, hint):
-            dom2, c1 = _eta_pass(dom, tank)
-            body2, c2 = _eta_pass(body, tank)
-            match body2:
-                case App(g, Var(0)) if 0 not in free_indices(g):
-                    tank.spend()
-                    return shift(g, -1, 0), True
-            return (Lam(dom2, body2, hint), True) if c1 or c2 else (t, False)
-        case _:
-            return t, False
+def _eta_pass(t: Term, tank: _Tank) -> Term:
+    """One bottom-up sweep collapsing [x:T](t x) to t when x is not free in t.
+
+    Returns t itself when the sweep contracts nothing.
+    """
+    tt = type(t)
+    if tt is App:
+        fn = _eta_pass(t.fn, tank)
+        arg = _eta_pass(t.arg, tank)
+        if fn is t.fn and arg is t.arg:
+            return t
+        return App(fn, arg)
+    if tt is Pi:
+        dom = _eta_pass(t.dom, tank)
+        cod = _eta_pass(t.cod, tank)
+        if dom is t.dom and cod is t.cod:
+            return t
+        return Pi(dom, cod, t.hint)
+    if tt is Lam:
+        dom = _eta_pass(t.dom, tank)
+        body = _eta_pass(t.body, tank)
+        if _eta_redex(body):
+            tank.spend()
+            return shift(body.fn, -1, 0)
+        if dom is t.dom and body is t.body:
+            return t
+        return Lam(dom, body, t.hint)
+    return t
 
 
 def _eta_fixpoint(t: Term, tank: _Tank) -> Term:
-    changed = True
-    while changed:
-        t, changed = _eta_pass(t, tank)
-    return t
+    while True:
+        t2 = _eta_pass(t, tank)
+        if t2 is t:
+            return t
+        t = t2
 
 
 def beta_eta_normalize(t: Term, fuel: Fuel | None = None) -> Term:
@@ -170,19 +188,6 @@ def beta_eta_normalize(t: Term, fuel: Fuel | None = None) -> Term:
         raise FuelExhausted("term nests too deeply to normalize") from None
 
 
-def beta_eta_normalize_innermost(t: Term, fuel: Fuel | None = None) -> Term:
-    """Arguments-first route to the same normal form.
-
-    Exists as an independent path for confluence smoke checks; callers
-    wanting the contractual normalizer use beta_eta_normalize.
-    """
-    tank = _Tank(fuel)
-    try:
-        return _eta_fixpoint(_inner(t, tank), tank)
-    except RecursionError:
-        raise FuelExhausted("term nests too deeply to normalize") from None
-
-
 def equivalent(t1: Term, t2: Term, fuel: Fuel | None = None) -> bool:
     """Beta-eta conversion: same normal form."""
     return beta_eta_normalize(t1, fuel) == beta_eta_normalize(t2, fuel)
@@ -190,20 +195,14 @@ def equivalent(t1: Term, t2: Term, fuel: Fuel | None = None) -> bool:
 
 def is_normal(t: Term) -> bool:
     """No beta redex and no eta redex anywhere."""
-    match t:
-        case App(Lam(), _):
-            return False
-        case App(fn, arg):
-            return is_normal(fn) and is_normal(arg)
-        case Lam(dom, body):
-            match body:
-                case App(g, Var(0)) if 0 not in free_indices(g):
-                    return False
-            return is_normal(dom) and is_normal(body)
-        case Pi(dom, cod):
-            return is_normal(dom) and is_normal(cod)
-        case _:
-            return True
+    tt = type(t)
+    if tt is App:
+        return type(t.fn) is not Lam and is_normal(t.fn) and is_normal(t.arg)
+    if tt is Lam:
+        return not _eta_redex(t.body) and is_normal(t.dom) and is_normal(t.body)
+    if tt is Pi:
+        return is_normal(t.dom) and is_normal(t.cod)
+    return True
 
 
 def classify_normal(t: Term) -> NormalClass:

@@ -46,15 +46,14 @@ class SearchBudget:
 
 def decision_size(t: Term) -> int:
     """Node count with forced abstraction domains excluded."""
-    match t:
-        case App(fn, arg):
-            return 1 + decision_size(fn) + decision_size(arg)
-        case Lam(_, body):
-            return 1 + decision_size(body)
-        case Pi(dom, cod):
-            return 1 + decision_size(dom) + decision_size(cod)
-        case _:
-            return 1
+    tt = type(t)
+    if tt is App:
+        return 1 + decision_size(t.fn) + decision_size(t.arg)
+    if tt is Lam:
+        return 1 + decision_size(t.body)
+    if tt is Pi:
+        return 1 + decision_size(t.dom) + decision_size(t.cod)
+    return 1
 
 
 def _candidate_key(t: Term) -> tuple[int, str]:
@@ -75,12 +74,18 @@ def enumerate_candidates(
     trusts every target and head type it derives from them to be normal.
     A generated product domain is the exception: an eta-long domain such
     as (P [x:U](h x)) holds an eta redex, so it is normalized before it
-    enters the context.  Every distinct candidate is then typechecked
-    against T in one typing scope over qctx, shared by all candidates.
+    enters the context.  Past an argument, a codomain that ignores its
+    binder is lowered, which keeps it normal; only a dependent one is
+    instantiated and normalized.  Every distinct candidate is then
+    typechecked against T in one typing scope over qctx, shared by all
+    candidates.
     """
     env = [beta_eta_normalize(d.ty, fuel) for d in qctx.decls]
     usable = [d.quant is Quant.FORALL for d in qctx.decls]
     target = beta_eta_normalize(T, fuel)
+    scope = Scope((), spec, fuel)
+    for ty in env:
+        scope.push(ty)
 
     def var_type(env: list[Term], pos: int) -> Term:
         return shift(env[pos], len(env) - pos, 0)
@@ -124,16 +129,16 @@ def enumerate_candidates(
             return
         if not isinstance(head_ty, Pi):
             return
+        lowered = scope.lower(head_ty)
         for arg_size in range(1, size):
             for arg in gen(env, usable, head_ty.dom, arg_size):
-                rest = beta_eta_normalize(subst(head_ty.cod, 0, arg), fuel)
+                rest = lowered
+                if rest is None:
+                    rest = beta_eta_normalize(subst(head_ty.cod, 0, arg), fuel)
                 yield from spines(
                     App(head, arg), rest, target, env, usable, size - 1 - arg_size
                 )
 
-    scope = Scope((), spec, fuel)
-    for ty in env:
-        scope.push(ty)
     seen: set[Term] = set()
     out: list[Term] = []
     for cand in gen(env, usable, target, budget.max_term_size):

@@ -5,6 +5,14 @@ abstraction and products.  An index n occurring under k binders with
 n >= k points at the enclosing context slot n - k, counting inward from
 the innermost declaration.  Terms are immutable and hashable; binder
 display hints never take part in equality or hashing.
+
+The kernel's recursive walks (here, in `reduction`, `typecheck`,
+`problems` and `search`) dispatch on `type(t) is Var/App/Lam/Pi` and read
+fields directly rather than using structural `match`, which costs an
+isinstance check and a field unpacking per node.  A walk that rebuilds
+terms hands back its input object when it changes nothing, so unchanged
+subterms stay physically shared: `shift(t, 0, c) is t`, and normalizing
+a normal term allocates nothing.
 """
 
 from __future__ import annotations
@@ -91,21 +99,39 @@ def shift(t: Term, d: int, cutoff: int = 0) -> Term:
     Ending up below zero means a still-referenced binder was dropped,
     which is a defect in the caller, not a property of the input.
     """
-    match t:
-        case Var(k):
-            if k < cutoff:
-                return t
-            if k + d < 0:
-                raise ValueError(f"shift would make index {k} negative (d={d})")
-            return Var(k + d)
-        case App(fn, arg):
-            return App(shift(fn, d, cutoff), shift(arg, d, cutoff))
-        case Lam(dom, body, hint):
-            return Lam(shift(dom, d, cutoff), shift(body, d, cutoff + 1), hint)
-        case Pi(dom, cod, hint):
-            return Pi(shift(dom, d, cutoff), shift(cod, d, cutoff + 1), hint)
-        case _:
+    if d == 0:
+        return t
+    return _shift(t, d, cutoff)
+
+
+def _shift(t: Term, d: int, cutoff: int) -> Term:
+    tt = type(t)
+    if tt is Var:
+        k = t.index
+        if k < cutoff:
             return t
+        if k + d < 0:
+            raise ValueError(f"shift would make index {k} negative (d={d})")
+        return Var(k + d)
+    if tt is App:
+        fn = _shift(t.fn, d, cutoff)
+        arg = _shift(t.arg, d, cutoff)
+        if fn is t.fn and arg is t.arg:
+            return t
+        return App(fn, arg)
+    if tt is Lam:
+        dom = _shift(t.dom, d, cutoff)
+        body = _shift(t.body, d, cutoff + 1)
+        if dom is t.dom and body is t.body:
+            return t
+        return Lam(dom, body, t.hint)
+    if tt is Pi:
+        dom = _shift(t.dom, d, cutoff)
+        cod = _shift(t.cod, d, cutoff + 1)
+        if dom is t.dom and cod is t.cod:
+            return t
+        return Pi(dom, cod, t.hint)
+    return t
 
 
 def subst(t: Term, j: int, s: Term) -> Term:
@@ -114,21 +140,42 @@ def subst(t: Term, j: int, s: Term) -> Term:
     The renormalization makes `subst(body, 0, arg)` exactly the beta step
     for a consumed binder, and `subst(shift(t, 1, 0), 0, s) == t`.
     """
-    match t:
-        case Var(k):
-            if k == j:
-                return s
+    # s is shifted under binders only where j occurs, once per depth
+    lifted: dict[int, Term] = {0: s}
+
+    def go(t: Term, depth: int) -> Term:
+        tt = type(t)
+        if tt is Var:
+            k = t.index - depth
+            if k < j:
+                return t
             if k > j:
-                return Var(k - 1)
-            return t
-        case App(fn, arg):
-            return App(subst(fn, j, s), subst(arg, j, s))
-        case Lam(dom, body, hint):
-            return Lam(subst(dom, j, s), subst(body, j + 1, shift(s, 1, 0)), hint)
-        case Pi(dom, cod, hint):
-            return Pi(subst(dom, j, s), subst(cod, j + 1, shift(s, 1, 0)), hint)
-        case _:
-            return t
+                return Var(t.index - 1)
+            r = lifted.get(depth)
+            if r is None:
+                r = lifted[depth] = _shift(s, depth, 0)
+            return r
+        if tt is App:
+            fn = go(t.fn, depth)
+            arg = go(t.arg, depth)
+            if fn is t.fn and arg is t.arg:
+                return t
+            return App(fn, arg)
+        if tt is Lam:
+            dom = go(t.dom, depth)
+            body = go(t.body, depth + 1)
+            if dom is t.dom and body is t.body:
+                return t
+            return Lam(dom, body, t.hint)
+        if tt is Pi:
+            dom = go(t.dom, depth)
+            cod = go(t.cod, depth + 1)
+            if dom is t.dom and cod is t.cod:
+                return t
+            return Pi(dom, cod, t.hint)
+        return t
+
+    return go(t, 0)
 
 
 def free_indices(t: Term) -> set[int]:
@@ -136,19 +183,19 @@ def free_indices(t: Term) -> set[int]:
     out: set[int] = set()
 
     def walk(t: Term, depth: int) -> None:
-        match t:
-            case Var(k):
-                if k >= depth:
-                    out.add(k - depth)
-            case App(fn, arg):
-                walk(fn, depth)
-                walk(arg, depth)
-            case Lam(dom, body):
-                walk(dom, depth)
-                walk(body, depth + 1)
-            case Pi(dom, cod):
-                walk(dom, depth)
-                walk(cod, depth + 1)
+        tt = type(t)
+        if tt is Var:
+            if t.index >= depth:
+                out.add(t.index - depth)
+        elif tt is App:
+            walk(t.fn, depth)
+            walk(t.arg, depth)
+        elif tt is Lam:
+            walk(t.dom, depth)
+            walk(t.body, depth + 1)
+        elif tt is Pi:
+            walk(t.dom, depth)
+            walk(t.cod, depth + 1)
 
     walk(t, 0)
     return out
@@ -177,15 +224,14 @@ def spine(t: Term) -> tuple[Term, tuple[Term, ...]]:
 
 
 def node_count(t: Term) -> int:
-    match t:
-        case App(fn, arg):
-            return 1 + node_count(fn) + node_count(arg)
-        case Lam(dom, body):
-            return 1 + node_count(dom) + node_count(body)
-        case Pi(dom, cod):
-            return 1 + node_count(dom) + node_count(cod)
-        case _:
-            return 1
+    tt = type(t)
+    if tt is App:
+        return 1 + node_count(t.fn) + node_count(t.arg)
+    if tt is Lam:
+        return 1 + node_count(t.dom) + node_count(t.body)
+    if tt is Pi:
+        return 1 + node_count(t.dom) + node_count(t.cod)
+    return 1
 
 
 def describe(t: Term) -> str:

@@ -274,54 +274,55 @@ class Scope:
 
 
 def _infer(scope: Scope, t: Term) -> Term:
-    match t:
-        case Var(k):
-            return scope.lookup(k)
-        case App(fn, arg):
-            fn_ty = _infer(scope, fn)
-            if not isinstance(fn_ty, Pi):
-                raise NoRuleApplies(
-                    f"cannot apply {describe(fn)}: its type {describe(fn_ty)}"
-                    " is not a product"
-                )
-            arg_ty = _infer(scope, arg)
-            if arg_ty != fn_ty.dom:
-                raise NoRuleApplies(
-                    f"argument {describe(arg)} has type {describe(arg_ty)},"
-                    f" but {describe(fn_ty.dom)} is expected"
-                )
-            lowered = scope.lower(fn_ty)
-            if lowered is None:
-                return beta_eta_normalize(subst(fn_ty.cod, 0, arg), scope.fuel)
-            return lowered
-        case Lam(dom, body, hint):
-            s1 = scope.declare(dom)
-            nf_dom = scope.tys[-1]
-            body_ty = _infer(scope, body)
-            s2 = scope.sort(body_ty)
-            scope.pop()
-            pair = (s1.tag, s2.tag)
-            if not scope.spec.allows(pair):
-                raise SortPairMissing(
-                    pair,
-                    f"abstraction {describe(t)} would live in a product needing"
-                    f" the sort pair {pair_text(pair)}, which {scope.spec.label()} lacks",
-                )
-            return Pi(nf_dom, body_ty, hint)
-        case Pi(dom, cod, hint):
-            s1 = scope.declare(dom)
-            s2 = scope.sort(cod)
-            scope.pop()
-            pair = (s1.tag, s2.tag)
-            if not scope.spec.allows(pair):
-                raise SortPairMissing(
-                    pair,
-                    f"product {describe(t)} needs the sort pair {pair_text(pair)},"
-                    f" which {scope.spec.label()} lacks",
-                )
-            return s2
-        case Sort("Prop"):
+    tt = type(t)
+    if tt is Var:
+        return scope.lookup(t.index)
+    if tt is App:
+        fn_ty = _infer(scope, t.fn)
+        if type(fn_ty) is not Pi:
+            raise NoRuleApplies(
+                f"cannot apply {describe(t.fn)}: its type {describe(fn_ty)}"
+                " is not a product"
+            )
+        arg = t.arg
+        arg_ty = _infer(scope, arg)
+        if arg_ty != fn_ty.dom:
+            raise NoRuleApplies(
+                f"argument {describe(arg)} has type {describe(arg_ty)},"
+                f" but {describe(fn_ty.dom)} is expected"
+            )
+        lowered = scope.lower(fn_ty)
+        if lowered is None:
+            return beta_eta_normalize(subst(fn_ty.cod, 0, arg), scope.fuel)
+        return lowered
+    if tt is Lam:
+        s1 = scope.declare(t.dom)
+        nf_dom = scope.tys[-1]
+        body_ty = _infer(scope, t.body)
+        s2 = scope.sort(body_ty)
+        scope.pop()
+        pair = (s1.tag, s2.tag)
+        if not scope.spec.allows(pair):
+            raise SortPairMissing(
+                pair,
+                f"abstraction {describe(t)} would live in a product needing"
+                f" the sort pair {pair_text(pair)}, which {scope.spec.label()} lacks",
+            )
+        return Pi(nf_dom, body_ty, t.hint)
+    if tt is Pi:
+        s1 = scope.declare(t.dom)
+        s2 = scope.sort(t.cod)
+        scope.pop()
+        pair = (s1.tag, s2.tag)
+        if not scope.spec.allows(pair):
+            raise SortPairMissing(
+                pair,
+                f"product {describe(t)} needs the sort pair {pair_text(pair)},"
+                f" which {scope.spec.label()} lacks",
+            )
+        return s2
+    if tt is Sort:
+        if t.tag == "Prop":
             return TYPE
-        case Sort(_):
-            raise TypeHasNoType("the sort Type has no type")
+        raise TypeHasNoType("the sort Type has no type")
     raise AssertionError("unreachable")

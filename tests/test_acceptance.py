@@ -31,7 +31,6 @@ from cubematch.problems import (
 )
 from cubematch.reduction import (
     beta_eta_normalize,
-    beta_eta_normalize_innermost,
     classify_normal,
     is_normal,
 )
@@ -50,6 +49,7 @@ from cubematch.typecheck import (
     infer_type,
 )
 from cubematch.encodings import GoldfarbShapes, goldfarb_numeral, goldfarb_solution_shapes, goldfarb_tpl
+from innermost import beta_eta_normalize_innermost
 from termgen import random_elementary_problem, random_well_typed
 
 

@@ -13,12 +13,12 @@ from cubematch.reduction import (
     Fuel,
     Product,
     beta_eta_normalize,
-    beta_eta_normalize_innermost,
     classify_normal,
     equivalent,
     is_normal,
 )
 from cubematch.terms import PROP, App, Lam, Pi, Var, app
+from innermost import beta_eta_normalize_innermost
 from named_ref import from_debruijn, to_debruijn
 from smallstep import normalize_steps
 from termgen import base_context, random_well_typed

@@ -16,8 +16,9 @@ from cubematch.problems import (
     is_solution,
     make_problem,
 )
+from cubematch.reduction import beta_eta_normalize
 from cubematch.search import SearchBudget, decision_size, enumerate_candidates, solve_bounded
-from cubematch.terms import PROP, App, Lam, Pi, Var, arrow, describe
+from cubematch.terms import PROP, TYPE, App, Lam, Pi, Sort, Var, arrow, describe, shift, subst
 from cubematch.typecheck import check_type, cube_spec
 from termgen import random_elementary_problem
 
@@ -101,6 +102,84 @@ def test_generated_product_domains_are_normalized_before_use() -> None:
     assert len(got) == 1255
     eta_long_dom = App(Var(1), Lam(Var(3), App(Var(3), Var(0))))
     assert Pi(eta_long_dom, App(Var(1), Var(0))) in got  # (y : P [x:U](h x)) -> Q y
+
+
+def _enumerate_normalizing_every_codomain(
+    qctx: QContext, T, budget: SearchBudget, spec
+) -> list:
+    """enumerate_candidates with every codomain past an argument instantiated
+    and normalized, dependent or not, and candidates checked by check_type."""
+    env0 = [beta_eta_normalize(d.ty) for d in qctx.decls]
+    usable0 = [d.quant is Quant.FORALL for d in qctx.decls]
+    target = beta_eta_normalize(T)
+
+    def gen(env, usable, tn, size):
+        if size <= 0:
+            return
+        if isinstance(tn, Pi):
+            for body in gen(env + [tn.dom], usable + [True], tn.cod, size - 1):
+                yield Lam(tn.dom, body, tn.hint)
+            return
+        for pos in range(len(env)):
+            if usable[pos]:
+                head_ty = shift(env[pos], len(env) - pos, 0)
+                yield from spines(Var(len(env) - 1 - pos), head_ty, tn, env, usable, size - 1)
+        if isinstance(tn, Sort):
+            if tn == TYPE:
+                yield PROP
+            for s1, s2 in spec.rules:
+                if Sort(s2) != tn:
+                    continue
+                for dom_size in range(1, size - 1):
+                    for dom in gen(env, usable, Sort(s1), dom_size):
+                        nf_dom = beta_eta_normalize(dom)
+                        for cod in gen(env + [nf_dom], usable + [True], tn, size - 1 - dom_size):
+                            yield Pi(dom, cod)
+
+    def spines(head, head_ty, tn, env, usable, size):
+        if head_ty == tn:
+            yield head
+            return
+        if not isinstance(head_ty, Pi):
+            return
+        for arg_size in range(1, size):
+            for arg in gen(env, usable, head_ty.dom, arg_size):
+                rest = beta_eta_normalize(subst(head_ty.cod, 0, arg))
+                yield from spines(App(head, arg), rest, tn, env, usable, size - 1 - arg_size)
+
+    ctx = qctx.plain()
+    out = []
+    for cand in gen(env0, usable0, target, budget.max_term_size):
+        if cand not in out and check_type(ctx, cand, target, spec):
+            out.append(cand)
+    out.sort(key=lambda t: (decision_size(t), describe(t)))
+    return out
+
+
+def test_dependent_head_codomains_match_normalizing_every_codomain(lp) -> None:
+    # [U:Prop, a:U, f:U->U, P:U->Prop, p:(x:U)->P x]: past its argument p's
+    # codomain depends on the binder, f's does not
+    q = QContext(
+        (
+            QDecl(Quant.FORALL, PROP, "U"),
+            QDecl(Quant.FORALL, Var(0), "a"),
+            QDecl(Quant.FORALL, arrow(Var(1), Var(1)), "f"),
+            QDecl(Quant.FORALL, arrow(Var(2), PROP), "P"),
+            QDecl(Quant.FORALL, Pi(Var(3), App(Var(1), Var(0)), "x"), "p"),
+        )
+    )
+    u, a, f, P, p = Var(4), Var(3), Var(2), Var(1), Var(0)
+    targets = [
+        App(P, a),
+        App(P, App(f, a)),
+        Pi(u, App(Var(2), App(Var(3), Var(0))), "x"),  # (x:U) -> P (f x)
+        arrow(u, u),
+    ]
+    budget = SearchBudget(7, 8)
+    for T in targets:
+        got = enumerate_candidates(q, T, budget, lp)
+        assert got == _enumerate_normalizing_every_codomain(q, T, budget, lp)
+    assert App(p, App(f, a)) in enumerate_candidates(q, App(P, App(f, a)), budget, lp)
 
 
 # ------------- solve_bounded -------------
