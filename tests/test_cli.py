@@ -167,10 +167,15 @@ def test_build_thm1_output_reparses_and_checks(capsys, tmp_path) -> None:
 def test_build_matches_the_fixture_transcriptions(capsys, tmp_path) -> None:
     from cubematch.syntax import parse_problem
 
-    for kind, source, fixture in [
-        ("thm1", "term_source.prob", "thm1_target.prob"),
-        ("erratum", "type_source.prob", "erratum_target.prob"),
-        ("thm2-invalid", "type_source.prob", "thm2_invalid_target.prob"),
+    for kind, source, fixture, golden in [
+        ("thm1", "term_source.prob", "thm1_target.prob", "thm1_built.prob"),
+        ("erratum", "type_source.prob", "erratum_target.prob", "erratum_built.prob"),
+        (
+            "thm2-invalid",
+            "type_source.prob",
+            "thm2_invalid_target.prob",
+            "thm2_invalid_built.prob",
+        ),
     ]:
         out = tmp_path / f"{kind}.prob"
         code, _ = run(capsys, "build", kind, fx(source), "-o", str(out))
@@ -178,6 +183,9 @@ def test_build_matches_the_fixture_transcriptions(capsys, tmp_path) -> None:
         _, built = parse_problem(out.read_text())
         _, expected = parse_problem((FIXTURES / fixture).read_text())
         assert built == expected, kind
+        # `==` on terms ignores binder hints and display names; the golden
+        # files pin the emitted text itself, metadata comments included.
+        assert out.read_text() == (FIXTURES / golden).read_text(), kind
 
 
 def test_build_capability_failure(capsys, tmp_path) -> None:
