@@ -32,14 +32,12 @@ from .reduction import Fuel, beta_eta_normalize
 from .search import SearchBudget, solve_bounded
 from .syntax import (
     parse_problem,
-    parse_problem_file,
     parse_substitution,
     parse_term,
     print_problem,
     print_substitution,
     print_term,
     scope_names,
-    spec_text,
 )
 from .typecheck import TT, CubeSpec, cube_spec, pair_text
 
@@ -146,7 +144,7 @@ def _cmd_check(args: argparse.Namespace) -> Verdict:
         "check",
         "yes",
         {
-            "calculus": spec_text(spec),
+            "calculus": spec.label(),
             "kind": problem.kind.value,
             "lhs_type": print_term(problem.common_type, scope),
             "rhs_type": print_term(problem.common_type, scope),
@@ -155,16 +153,14 @@ def _cmd_check(args: argparse.Namespace) -> Verdict:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> Verdict:
-    fuel = Fuel(args.fuel) if args.fuel is not None else None
-    text = Path(args.file).read_text()
-    raw = parse_problem_file(text)
-    scope = scope_names(raw.qctx)
+    _, problem, fuel = _load(args)
+    scope = scope_names(problem.qctx)
     if args.term is not None:
         t = parse_term(args.term, scope)
         nf = beta_eta_normalize(t, fuel)
         return Verdict("normalize", "yes", {"term": print_term(nf, scope)})
-    lhs = beta_eta_normalize(raw.lhs, fuel)
-    rhs = beta_eta_normalize(raw.rhs, fuel)
+    lhs = beta_eta_normalize(problem.lhs, fuel)
+    rhs = beta_eta_normalize(problem.rhs, fuel)
     return Verdict(
         "normalize",
         "yes",
@@ -196,7 +192,7 @@ def _cmd_classify(args: argparse.Namespace) -> Verdict:
     if TT not in spec.rules:
         details["type_elementary_note"] = (
             f"type constructors ({pair_text(TT)}) are not available in "
-            f"{spec_text(spec)}, so the type-level fragment does not apply"
+            f"{spec.label()}, so the type-level fragment does not apply"
         )
     mo = problem.max_existential_order
     details["max_existential_order"] = (

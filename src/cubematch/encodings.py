@@ -1,19 +1,28 @@
 """Executable encodings of elementary unification into low-order matching.
 
-Each builder wraps an elementary problem (gamma, u1, u2) in a fixed block
-of fresh declarations and emits the matching problem
+Each builder wraps an elementary problem (gamma, u1, u2) in one shared
+block of fresh declarations over a base type B,
 
-    t1 = (G (f L c) (f L d))        t2 = (G c d)
+    z : B   [P : B -> Prop]   c, d : A   G : A -> A -> A
+    f : (h:B->B) A[h u1] -> A[h u2]        with A = (P z), or z without P
 
-where L is a constant function returning the base point and f is the one
-new unknown.  Three variants exist:
+and emits the matching problem
 
-* build_thm1: needs dependent types; f gets a third-order type.
-* build_erratum: needs polymorphism and type constructors; f gets a
-  fourth-order type.
-* build_thm2_invalid: the superseded variant kept as a regression; it
-  needs the same capabilities as build_erratum and f's type has infinite
-  order, which is exactly why it is flagged invalid.
+    t1 = (G (f [x:B]z c) (f [x:B]z d))        t2 = (G c d)
+
+where f is the one new unknown.  One private _build does the work; a
+three-row table keyed by ArtifactKind fixes what differs:
+
+* build_thm1: roles (z, P), B is the source's slot 0 (term-elementary
+  source); needs dependent types; f gets a third-order type.
+* build_erratum: roles (P, Z), B = Prop (type-elementary source); needs
+  polymorphism and type constructors; f gets a fourth-order type.
+* build_thm2_invalid: roles (Z,), B = Prop, no predicate; the superseded
+  variant kept as a regression.  It needs the same capabilities as
+  build_erratum and f's type has infinite order, which is exactly why it
+  is flagged invalid.
+
+Every block index is computed from a role's position in its row.
 
 Witness transport in both directions is kernel-verified, never assumed.
 The Goldfarb-style numeral and solution-shape builders live here too, as
@@ -85,6 +94,60 @@ class ReductionArtifact:
     invalid_per_erratum: bool
 
 
+@dataclass(frozen=True)
+class _Variant:
+    """One row of the encoding table.
+
+    roles are the leading block declarations in order: the point z/Z of
+    the base type B and, where present, the predicate P : B -> Prop.
+    term_level picks B: the source's slot 0 for a term-elementary source,
+    Prop for a type-elementary one (and the binder hint of [x:B]z).
+    """
+
+    roles: tuple[str, ...]
+    term_level: bool
+    required: frozenset[SortPair]
+    purpose: str
+    f_order: OrderValue
+
+
+_VARIANTS = {
+    ArtifactKind.THM1: _Variant(
+        ("z", "P"),
+        True,
+        frozenset({PT}),
+        "the predicate declaration over the base type",
+        OrderValue.finite(3),
+    ),
+    ArtifactKind.ERRATUM_THM2: _Variant(
+        ("P", "Z"),
+        False,
+        frozenset({TP, TT}),
+        "the polymorphic predicate block",
+        OrderValue.finite(4),
+    ),
+    ArtifactKind.INVALID_THM2: _Variant(
+        ("Z",), False, frozenset({TP, TT}), "the polymorphic block", INFINITE
+    ),
+}
+
+
+def _base(row: _Variant, n: int) -> Term:
+    """The base type B seen from a context of length n."""
+    return Var(n - 1) if row.term_level else PROP
+
+
+def _point_type(roles: tuple[str, ...], j: int, point: Term) -> Term:
+    """A = (P point), or just point without P, seen j slots into the block."""
+    return App(Var(j - 1 - roles.index("P")), point) if "P" in roles else point
+
+
+def _hooked(roles: tuple[str, ...], u: Term) -> Term:
+    """A[h u] under the binder h one slot past G; u is lifted past both."""
+    j = len(roles) + 4
+    return _point_type(roles, j, App(Var(0), shift(u, j, 0)))
+
+
 def _fresh_names(source: Problem, roles: tuple[str, ...]) -> dict[str, str]:
     taken = {d.name for d in source.qctx.decls if d.name}
     out: dict[str, str] = {}
@@ -104,27 +167,54 @@ def _require(spec: CubeSpec, required: frozenset[SortPair], purpose: str) -> Non
         )
 
 
-def _finish(
-    kind: ArtifactKind,
-    source: Problem,
-    block: tuple[QDecl, ...],
-    t1: Term,
-    t2: Term,
-    spec: CubeSpec,
-    names: dict[str, str],
-    expected_order: OrderValue,
-    required: frozenset[SortPair],
-    fuel: Fuel | None,
+def _build(
+    kind: ArtifactKind, source: Problem, spec: CubeSpec, fuel: Fuel | None
 ) -> ReductionArtifact:
+    """Append the block roles + [c:A, d:A, G:A->A->A, f] and emit the goal.
+
+    Block slot j sits at context position g + j; role i seen from slot j
+    is Var(j - 1 - i).  f : (h:B->B) A[h u1] -> A[h u2] is the last slot.
+    """
+    row = _VARIANTS[kind]
+    _require(spec, row.required, row.purpose)
+    if row.term_level:
+        if not is_term_elementary(source, fuel):
+            raise ElementarityError("source problem is not term-elementary")
+    elif not is_type_elementary(source, spec, fuel):
+        raise ElementarityError("source problem is not type-elementary")
+    roles, g = row.roles, len(source.qctx)
+    k = len(roles)
+    z = roles.index("z" if row.term_level else "Z")
+    names = _fresh_names(source, roles + ("c", "d", "G", "f"))
+
+    types: list[Term] = []
+    for j in range(k):
+        b = _base(row, g + j)
+        types.append(b if j == z else arrow(b, PROP))
+    a = [_point_type(roles, j, Var(j - 1 - z)) for j in range(k, k + 3)]
+    types += [a[0], a[1], arrow(a[2], arrow(a[2], a[2]))]
+    bb = _base(row, g + k + 3)
+    hooked = arrow(_hooked(roles, source.lhs), _hooked(roles, source.rhs))
+    types.append(Pi(arrow(bb, bb), hooked, "h"))
+    block = tuple(
+        QDecl(Quant.EXISTS if role == "f" else Quant.FORALL, ty, names[role])
+        for role, ty in zip(names, types)
+    )
     qctx = QContext(source.qctx.decls + block)
+
+    m = len(qctx)
+    # [x:B]z: z seen from slot k + 4, one binder deep
+    lam_z = Lam(_base(row, m), Var(k + 4 - z), "x" if row.term_level else "X")
+    t1 = app(Var(1), app(Var(0), lam_z, Var(3)), app(Var(0), lam_z, Var(2)))
+    t2 = app(Var(1), Var(3), Var(2))
     target = make_problem(qctx, t1, t2, spec, fuel)
     if target.kind is not ProblemKind.MATCHING:
         raise CubeError("internal: constructed target is not a matching problem")
-    f_pos = len(qctx) - 1
+    f_pos = m - 1
     f_order = order(qctx.decls[f_pos].ty, qctx.prefix(f_pos), fuel)
-    if f_order != expected_order:
+    if f_order != row.f_order:
         raise CubeError(
-            f"internal: unknown's type has order {f_order}, expected {expected_order}"
+            f"internal: unknown's type has order {f_order}, expected {row.f_order}"
         )
     return ReductionArtifact(
         kind=kind,
@@ -134,7 +224,7 @@ def _finish(
         names=names,
         f_position=f_pos,
         f_order=f_order,
-        required_pairs=required,
+        required_pairs=row.required,
         invalid_per_erratum=kind is ArtifactKind.INVALID_THM2,
     )
 
@@ -147,43 +237,7 @@ def build_thm1(
     Appends [z:U, P:U->Prop, c:(P z), d:(P z), G:(P z)->(P z)->(P z)] and
     the unknown f : (h:U->U)(P (h u1)) -> (P (h u2)) to the source context.
     """
-    required = frozenset({PT})
-    _require(spec, required, "the predicate declaration over the base type")
-    if not is_term_elementary(source, fuel):
-        raise ElementarityError("source problem is not term-elementary")
-    g = len(source.qctx)
-    names = _fresh_names(source, ("z", "P", "c", "d", "G", "f"))
-    u1, u2 = source.lhs, source.rhs
-
-    z = QDecl(Quant.FORALL, Var(g - 1), names["z"])
-    p = QDecl(Quant.FORALL, arrow(Var(g), PROP), names["P"])
-    c = QDecl(Quant.FORALL, App(Var(0), Var(1)), names["c"])
-    d = QDecl(Quant.FORALL, App(Var(1), Var(2)), names["d"])
-    pz = App(Var(2), Var(3))
-    gg = QDecl(Quant.FORALL, arrow(pz, arrow(pz, pz)), names["G"])
-    # f's type, over the g+5 declarations before it.
-    u_here = Var(g + 4)
-    lhs_atom = App(Var(4), App(Var(0), shift(u1, 6, 0)))  # (P (h u1)), under h
-    rhs_atom = App(Var(4), App(Var(0), shift(u2, 6, 0)))
-    f_ty = Pi(arrow(u_here, u_here), arrow(lhs_atom, rhs_atom), "h")
-    f = QDecl(Quant.EXISTS, f_ty, names["f"])
-
-    m = g + 6
-    lam_z = Lam(Var(m - 1), Var(6), "x")  # [x:U]z
-    t1 = app(Var(1), app(Var(0), lam_z, Var(3)), app(Var(0), lam_z, Var(2)))
-    t2 = app(Var(1), Var(3), Var(2))
-    return _finish(
-        ArtifactKind.THM1,
-        source,
-        (z, p, c, d, gg, f),
-        t1,
-        t2,
-        spec,
-        names,
-        OrderValue.finite(3),
-        required,
-        fuel,
-    )
+    return _build(ArtifactKind.THM1, source, spec, fuel)
 
 
 def build_erratum(
@@ -194,40 +248,7 @@ def build_erratum(
     Appends [P:Prop->Prop, Z:Prop, c:(P Z), d:(P Z), G:(P Z)->(P Z)->(P Z)]
     and f : (h:Prop->Prop)(P (h u1)) -> (P (h u2)) to the source context.
     """
-    required = frozenset({TP, TT})
-    _require(spec, required, "the polymorphic predicate block")
-    if not is_type_elementary(source, spec, fuel):
-        raise ElementarityError("source problem is not type-elementary")
-    g = len(source.qctx)
-    names = _fresh_names(source, ("P", "Z", "c", "d", "G", "f"))
-    u1, u2 = source.lhs, source.rhs
-
-    p = QDecl(Quant.FORALL, arrow(PROP, PROP), names["P"])
-    z = QDecl(Quant.FORALL, PROP, names["Z"])
-    c = QDecl(Quant.FORALL, App(Var(1), Var(0)), names["c"])
-    d = QDecl(Quant.FORALL, App(Var(2), Var(1)), names["d"])
-    pz = App(Var(3), Var(2))
-    gg = QDecl(Quant.FORALL, arrow(pz, arrow(pz, pz)), names["G"])
-    lhs_atom = App(Var(5), App(Var(0), shift(u1, 6, 0)))  # (P (h u1)), under h
-    rhs_atom = App(Var(5), App(Var(0), shift(u2, 6, 0)))
-    f_ty = Pi(arrow(PROP, PROP), arrow(lhs_atom, rhs_atom), "h")
-    f = QDecl(Quant.EXISTS, f_ty, names["f"])
-
-    lam_z = Lam(PROP, Var(5), "X")  # [X:Prop]Z
-    t1 = app(Var(1), app(Var(0), lam_z, Var(3)), app(Var(0), lam_z, Var(2)))
-    t2 = app(Var(1), Var(3), Var(2))
-    return _finish(
-        ArtifactKind.ERRATUM_THM2,
-        source,
-        (p, z, c, d, gg, f),
-        t1,
-        t2,
-        spec,
-        names,
-        OrderValue.finite(4),
-        required,
-        fuel,
-    )
+    return _build(ArtifactKind.ERRATUM_THM2, source, spec, fuel)
 
 
 def build_thm2_invalid(
@@ -239,56 +260,22 @@ def build_thm2_invalid(
     f : (h:Prop->Prop)(h u1) -> (h u2), whose type has infinite order; every
     serialization of the artifact carries the invalid flag.
     """
-    required = frozenset({TP, TT})
-    _require(spec, required, "the polymorphic block")
-    if not is_type_elementary(source, spec, fuel):
-        raise ElementarityError("source problem is not type-elementary")
-    g = len(source.qctx)
-    names = _fresh_names(source, ("Z", "c", "d", "G", "f"))
-    u1, u2 = source.lhs, source.rhs
-
-    z = QDecl(Quant.FORALL, PROP, names["Z"])
-    c = QDecl(Quant.FORALL, Var(0), names["c"])
-    d = QDecl(Quant.FORALL, Var(1), names["d"])
-    zr = Var(2)
-    gg = QDecl(Quant.FORALL, arrow(zr, arrow(zr, zr)), names["G"])
-    lhs_atom = App(Var(0), shift(u1, 5, 0))  # (h u1), under h
-    rhs_atom = App(Var(0), shift(u2, 5, 0))
-    f_ty = Pi(arrow(PROP, PROP), arrow(lhs_atom, rhs_atom), "h")
-    f = QDecl(Quant.EXISTS, f_ty, names["f"])
-
-    lam_z = Lam(PROP, Var(5), "X")  # [X:Prop]Z
-    t1 = app(Var(1), app(Var(0), lam_z, Var(3)), app(Var(0), lam_z, Var(2)))
-    t2 = app(Var(1), Var(3), Var(2))
-    return _finish(
-        ArtifactKind.INVALID_THM2,
-        source,
-        (z, c, d, gg, f),
-        t1,
-        t2,
-        spec,
-        names,
-        INFINITE,
-        required,
-        fuel,
-    )
+    return _build(ArtifactKind.INVALID_THM2, source, spec, fuel)
 
 
 def _transport_witness(
-    tau: Substitution,
-    art: ReductionArtifact,
-    dom1: Term,
-    pred_index: int,
-    fuel: Fuel | None,
+    tau: Substitution, art: ReductionArtifact, fuel: Fuel | None
 ) -> Substitution:
-    """sigma = tau + {f := [x1:dom1][x2:(P (x1 tau_u1))]x2}.
+    """sigma = tau + {f := [x1:B->B][x2:A[x1 tau_u1]]x2}; kernel-verified.
 
-    Indices are over the image of the block prefix: tau_u1 is hoisted past
-    the five block declarations and the x1 binder, and pred_index is the
-    predicate's index as seen under x1."""
-    tau_u1 = apply_subst(tau, art.source.lhs)
-    dom2 = App(Var(pred_index), App(Var(0), shift(tau_u1, 6, 0)))
-    tf = Lam(dom1, Lam(dom2, Var(0), "x2"), "x1")
+    Indices are over the image of the block prefix, so x1 sits where f's
+    binder h sat and A[x1 tau_u1] is built exactly like f's domain."""
+    if tau.qctx != art.source.qctx or not is_solution(tau, art.source, art.spec, fuel):
+        raise WitnessError("tau does not solve the source problem")
+    row = _VARIANTS[art.kind]
+    b = _base(row, tau.image_len + len(row.roles) + 3)
+    dom2 = _hooked(row.roles, apply_subst(tau, art.source.lhs))
+    tf = Lam(arrow(b, b), Lam(dom2, Var(0), "x2"), "x1")
     sigma = Substitution(
         art.target.qctx,
         tau.triples + (SubstTriple(art.f_position, QContext(), tf),),
@@ -304,13 +291,7 @@ def thm1_witness(
     """Extend a source solution to a target solution; kernel-verified."""
     if art.kind is not ArtifactKind.THM1:
         raise ValueError("artifact was not built by build_thm1")
-    if tau.qctx != art.source.qctx or not is_solution(tau, art.source, art.spec, fuel):
-        raise WitnessError("tau does not solve the source problem")
-    il = tau.image_len
-    n = il + 5
-    u_here = Var(n - 1)
-    # image block slots: z=il, P=il+1, c, d, G; P seen under one binder is Var(4)
-    return _transport_witness(tau, art, arrow(u_here, u_here), 4, fuel)
+    return _transport_witness(tau, art, fuel)
 
 
 def erratum_witness(
@@ -319,10 +300,7 @@ def erratum_witness(
     """Same transport for the corrected polymorphic encoding."""
     if art.kind is not ArtifactKind.ERRATUM_THM2:
         raise ValueError("artifact was not built by build_erratum")
-    if tau.qctx != art.source.qctx or not is_solution(tau, art.source, art.spec, fuel):
-        raise WitnessError("tau does not solve the source problem")
-    # image block slots: P=il, Z, c, d, G; P seen under one binder is Var(5)
-    return _transport_witness(tau, art, arrow(PROP, PROP), 5, fuel)
+    return _transport_witness(tau, art, fuel)
 
 
 def thm1_extract(

@@ -166,24 +166,20 @@ def _eta_pass(t: Term, tank: _Tank) -> Term:
     return t
 
 
-def _eta_fixpoint(t: Term, tank: _Tank) -> Term:
-    while True:
-        t2 = _eta_pass(t, tank)
-        if t2 is t:
-            return t
-        t = t2
-
-
 def beta_eta_normalize(t: Term, fuel: Fuel | None = None) -> Term:
     """The beta-normal, maximally eta-contracted form of t.
 
-    Contraction order is beta first (normal order), then eta to a fixed
-    point; on beta-normal input eta cannot re-create a beta redex, so the
+    Contraction order is beta first (normal order), then one bottom-up eta
+    pass; on beta-normal input eta cannot re-create a beta redex, so the
     result has neither kind of redex.
     """
     tank = _Tank(fuel)
     try:
-        return _eta_fixpoint(_beta(t, tank), tank)
+        # One eta pass is the fixed point: on beta-normal input, a
+        # bottom-up contraction creates no redex the same pass has not
+        # already visited (it only changes the subtree it sits in, whose
+        # ancestors are tested after it, and keeps the free variables).
+        return _eta_pass(_beta(t, tank), tank)
     except RecursionError:
         raise FuelExhausted("term nests too deeply to normalize") from None
 

@@ -43,7 +43,7 @@ from .terms import (
     pick_fresh,
     shift,
 )
-from .typecheck import PRESETS, CubeSpec, SortPair, cube_spec
+from .typecheck import CubeSpec, SortPair, cube_spec
 
 __all__ = [
     "SourceSpan",
@@ -260,8 +260,12 @@ class _Parser:
                 raise ParseError(str(e), span=tok.span) from None
         if tok.kind == "ident":
             self.advance()
+            name = tok.text
+            while self.at("punct", "-") and self.peek(1).kind == "ident":
+                self.advance()
+                name += "-" + self.advance().text  # lw-weak, lPw-weak
             try:
-                return cube_spec(tok.text)
+                return cube_spec(name)
             except Exception as e:
                 raise ParseError(str(e), span=tok.span) from None
         raise ParseError("expected a calculus name or custom (...)", span=tok.span)
@@ -503,16 +507,9 @@ def scope_names(qctx: QContext) -> list[str]:
     return names
 
 
-def spec_text(spec: CubeSpec) -> str:
-    if spec.name and spec.name in PRESETS and PRESETS[spec.name].rules == spec.rules:
-        return spec.name
-    ordered = [p for p in (("Prop", "Prop"), ("Prop", "Type"), ("Type", "Prop"), ("Type", "Type")) if p in spec.rules]
-    return "custom (" + ", ".join(f"{a}-{b}" for a, b in ordered) + ")"
-
-
 def print_problem(spec: CubeSpec, p: Problem) -> str:
     names = scope_names(p.qctx)
-    lines = [f"calculus {spec_text(spec)}"]
+    lines = [f"calculus {spec.label()}"]
     scope: list[str] = []
     for d, n in zip(p.qctx.decls, names):
         lines.append(f"{d.quant.value} {n} : {print_term(d.ty, scope)}")

@@ -73,7 +73,9 @@ class CubeSpec:
         return frozenset(required) - self.rules
 
     def label(self) -> str:
-        if self.name:
+        """The calculus as a file header names it; the name is used only
+        when it is the preset with these rules, so the header re-parses."""
+        if self.name in PRESETS and PRESETS[self.name].rules == self.rules:
             return self.name
         pairs = ", ".join(pair_text(p) for p in sorted(self.rules))
         return f"custom ({pairs})"
@@ -123,18 +125,12 @@ class Context:
     def extended(self, ty: Term, name: str | None = None) -> Context:
         return Context(self.decls + (Decl(ty, name),))
 
-    def prefix(self, length: int) -> Context:
-        return Context(self.decls[:length])
-
     def lookup(self, index: int) -> Term:
         """Type of Var(index), shifted into the full context."""
         pos = len(self.decls) - 1 - index
         if pos < 0:
             raise NoRuleApplies(f"unbound de Bruijn index {index}")
         return shift(self.decls[pos].ty, index + 1, 0)
-
-    def names(self) -> list[str | None]:
-        return [d.name for d in self.decls]
 
 
 def sort_of(ctx: Context, T: Term, spec: CubeSpec, fuel: Fuel | None = None) -> Sort:

@@ -97,6 +97,23 @@ def test_normalize_fuel_exhaustion_is_exit_2(capsys) -> None:
     assert code == 2 and payload["details"]["error"]["kind"] == "FuelExhausted"
 
 
+def test_normalize_rejects_an_ill_typed_goal(capsys, tmp_path) -> None:
+    bad = tmp_path / "bad.prob"
+    bad.write_text("calculus stlc\nforall U : Prop\nforall a : U\nmatch a a = a\n")
+    code, payload = jrun(capsys, "normalize", str(bad))
+    assert code == 2 and payload["outcome"] == "error"
+
+
+def test_normalize_honours_the_calculus_override(capsys) -> None:
+    argv = ("normalize", fx("thm1_target.prob"), "--calculus", "stlc")
+    code, payload = jrun(capsys, *argv)
+    assert code == 2
+    assert payload["details"]["error"]["kind"] == "ContextError"
+    code, payload = jrun(capsys, *argv, "--term", "G c d")
+    assert code == 2
+    assert payload["details"]["error"]["kind"] == "ContextError"
+
+
 # ------------- order / classify -------------
 
 

@@ -19,7 +19,7 @@ from cubematch.syntax import (
     print_term,
 )
 from cubematch.terms import PROP, TYPE, App, Lam, Pi, Var, app, arrow
-from cubematch.typecheck import PP, PT
+from cubematch.typecheck import ALL_PAIRS, PP, PRESETS, PT, CubeSpec
 from termgen import base_context, random_well_typed
 
 
@@ -196,6 +196,22 @@ def test_problem_print_parse_round_trip() -> None:
         spec2, p2 = parse_problem(text)
         assert spec2 == spec and p2 == p, name
         assert print_problem(spec2, p2) == text  # fixed point after one cycle
+
+
+def test_calculus_header_round_trip_over_all_rule_sets() -> None:
+    text = "calculus stlc\nforall U : Prop\nforall a : U\nmatch a = a\n"
+    _, p = parse_problem(text)
+    for name, preset in PRESETS.items():
+        for spec in (preset, CubeSpec(preset.rules)):
+            printed = print_problem(spec, p)
+            header = printed.splitlines()[0]
+            assert header == f"calculus {spec.label()}"
+            assert (name in header) == (spec.name is not None)
+            spec2, p2 = parse_problem(printed)
+            assert spec2.rules == spec.rules and spec2.name == spec.name
+            assert p2 == p and print_problem(spec2, p2) == printed
+    # a preset name on other rules would re-parse as the wrong calculus
+    assert CubeSpec(ALL_PAIRS, name="lP").label().startswith("custom (")
 
 
 # ------------- substitution files -------------
