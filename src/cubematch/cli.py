@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -170,10 +171,10 @@ def _cmd_normalize(args: argparse.Namespace) -> Verdict:
 
 def _cmd_order(args: argparse.Namespace) -> Verdict:
     _, problem, fuel = _load(args)
-    try:
-        pos = problem.qctx.position_of(args.var)
-    except KeyError:
-        raise CubeError(f"{args.var!r} is not declared in the context") from None
+    names = scope_names(problem.qctx)
+    if args.var not in names:
+        raise CubeError(f"{args.var!r} is not declared in the context")
+    pos = names.index(args.var)
     o = order(problem.qctx.decls[pos].ty, problem.qctx.prefix(pos), fuel)
     return Verdict(
         "order",
@@ -302,9 +303,18 @@ def main(argv: list[str] | None = None) -> int:
             args.command, "error", {"error": {"kind": "internal", "message": message}}
         )
     if args.format == "json":
-        print(json.dumps({"command": verdict.command, "outcome": verdict.outcome, "details": verdict.details}))
+        text = json.dumps(
+            {"command": verdict.command, "outcome": verdict.outcome, "details": verdict.details}
+        )
     else:
-        print(_render_text(verdict))
+        text = _render_text(verdict)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Nobody reads the verdict: an error, not a "no".  Standard output
+        # goes to devnull so the interpreter's flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT["error"]
     return verdict.exit_code
 
 

@@ -102,13 +102,6 @@ class QContext:
     def prefix(self, length: int) -> QContext:
         return QContext(self.decls[:length])
 
-    def position_of(self, name: str) -> int:
-        """Slot of the nearest declaration with this display name."""
-        for pos in range(len(self.decls) - 1, -1, -1):
-            if self.decls[pos].name == name:
-                return pos
-        raise KeyError(name)
-
     def existential_positions(self) -> list[int]:
         return [q for q, d in enumerate(self.decls) if d.quant is Quant.EXISTS]
 

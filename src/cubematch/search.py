@@ -3,9 +3,11 @@
 Candidates are generated type-directed in eta-long beta-normal form:
 product types force an abstraction, atomic types force a fully-applied
 head chosen among the universal declarations (and enclosing binders), and
-sort types additionally admit sorts and products as inhabitants.  Every
-result is re-verified with the typechecker before being returned, and the
-output order is deterministic: size first, then a structural key.
+sort types additionally admit sorts and products as inhabitants.  Sizes
+are enumerated in increasing order and each candidate is generated once,
+at its exact size.  Every result is re-verified with the typechecker
+before being returned, and the output order is deterministic: size first,
+then a structural key.
 
 Size here counts choice nodes: abstraction domains are dictated by the
 target type and cost nothing, everything else costs one node.
@@ -20,7 +22,6 @@ from .problems import (
     Problem,
     QContext,
     QDecl,
-    Quant,
     SubstTriple,
     Substitution,
     apply_subst,
@@ -28,7 +29,7 @@ from .problems import (
     is_solution,
 )
 from .reduction import Fuel, beta_eta_normalize, equivalent
-from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, shift, subst
+from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, subst
 from .typecheck import CubeSpec, Scope
 
 __all__ = ["SearchBudget", "decision_size", "enumerate_candidates", "solve_bounded"]
@@ -68,85 +69,78 @@ def enumerate_candidates(
     fuel: Fuel | None = None,
 ) -> list[Term]:
     """All eta-long beta-normal inhabitants of T over the universal slots,
-    within the size budget, deduplicated, verified, in deterministic order.
+    within the size budget, verified, in deterministic order.
 
-    The declared types and T are normalized once on entry, and generation
-    trusts every target and head type it derives from them to be normal.
-    A generated product domain is the exception: an eta-long domain such
-    as (P [x:U](h x)) holds an eta redex, so it is normalized before it
-    enters the context.  Past an argument, a codomain that ignores its
-    binder is lowered, which keeps it normal; only a dependent one is
-    instantiated and normalized.  Every distinct candidate is then
-    typechecked against T in one typing scope over qctx, shared by all
-    candidates.
+    Generation runs size by size and builds each candidate once, at its
+    exact size, in one typing scope over qctx that then typechecks every
+    candidate against T.  The scope hands out the declared types normalized
+    and shifted, T is normalized once on entry, and generation trusts every
+    target and head type derived from them to be normal.  A generated
+    product domain is the exception: an eta-long domain such as
+    (P [x:U](h x)) holds an eta redex, so it is normalized before it enters
+    the scope.  Past an argument, a codomain that ignores its binder is
+    lowered, which keeps it normal; only a dependent one is instantiated
+    and normalized.
     """
-    env = [beta_eta_normalize(d.ty, fuel) for d in qctx.decls]
-    usable = [d.quant is Quant.FORALL for d in qctx.decls]
     target = beta_eta_normalize(T, fuel)
-    scope = Scope((), spec, fuel)
-    for ty in env:
-        scope.push(ty)
+    scope = Scope(qctx.plain().decls, spec, fuel)
+    unknowns = set(qctx.existential_positions())
 
-    def var_type(env: list[Term], pos: int) -> Term:
-        return shift(env[pos], len(env) - pos, 0)
+    def under(dom: Term, tn: Term, size: int) -> list[Term]:
+        """gen under a binder of type dom, collected before the pop: a term
+        yielded while the binder is pushed would reach a caller that reads
+        the scope at its own depth."""
+        scope.push(dom)
+        found = list(gen(tn, size))
+        scope.pop()
+        return found
 
-    def gen(env: list[Term], usable: list[bool], tn: Term, size: int) -> Iterator[Term]:
+    def gen(tn: Term, size: int) -> Iterator[Term]:
+        """The inhabitants of tn of exactly this size."""
         if size <= 0:
             return
         if isinstance(tn, Pi):
-            for body in gen(env + [tn.dom], usable + [True], tn.cod, size - 1):
+            for body in under(tn.dom, tn.cod, size - 1):
                 yield Lam(tn.dom, body, tn.hint)
             return
-        for pos in range(len(env)):
-            if not usable[pos]:
-                continue
-            head_ty = var_type(env, pos)
-            yield from spines(Var(len(env) - 1 - pos), head_ty, tn, env, usable, size - 1)
+        depth = len(scope.tys)
+        for pos in range(depth):
+            if pos not in unknowns:
+                k = depth - 1 - pos
+                yield from spines(Var(k), scope.lookup(k), tn, size - 1)
         if isinstance(tn, Sort):
-            if tn == TYPE:
+            if tn == TYPE and size == 1:
                 yield PROP
             for s1, s2 in spec.rules:
                 if Sort(s2) != tn:
                     continue
                 for dom_size in range(1, size - 1):
-                    for dom in gen(env, usable, Sort(s1), dom_size):
+                    for dom in gen(Sort(s1), dom_size):
                         nf_dom = beta_eta_normalize(dom, fuel)
-                        for cod in gen(
-                            env + [nf_dom], usable + [True], tn, size - 1 - dom_size
-                        ):
+                        for cod in under(nf_dom, tn, size - 1 - dom_size):
                             yield Pi(dom, cod)
 
-    def spines(
-        head: Term,
-        head_ty: Term,
-        target: Term,
-        env: list[Term],
-        usable: list[bool],
-        size: int,
-    ) -> Iterator[Term]:
+    def spines(head: Term, head_ty: Term, target: Term, size: int) -> Iterator[Term]:
         if head_ty == target:
-            yield head
+            if size == 0:
+                yield head
             return
         if not isinstance(head_ty, Pi):
             return
         lowered = scope.lower(head_ty)
         for arg_size in range(1, size):
-            for arg in gen(env, usable, head_ty.dom, arg_size):
+            for arg in gen(head_ty.dom, arg_size):
                 rest = lowered
                 if rest is None:
                     rest = beta_eta_normalize(subst(head_ty.cod, 0, arg), fuel)
-                yield from spines(
-                    App(head, arg), rest, target, env, usable, size - 1 - arg_size
-                )
+                yield from spines(App(head, arg), rest, target, size - 1 - arg_size)
 
-    seen: set[Term] = set()
-    out: list[Term] = []
-    for cand in gen(env, usable, target, budget.max_term_size):
-        if cand in seen:
-            continue
-        seen.add(cand)
-        if scope.check(cand, target):
-            out.append(cand)
+    out = [
+        cand
+        for size in range(1, budget.max_term_size + 1)
+        for cand in gen(target, size)
+        if scope.check(cand, target)
+    ]
     out.sort(key=_candidate_key)
     return out
 

@@ -362,7 +362,9 @@ def parse_substitution(text: str, qctx: QContext) -> Substitution:
     Bindings are processed in declaration order regardless of line order;
     each replacement is scoped over the image of the slots before its own
     (universals and untouched unknowns keep their names, bound unknowns
-    contribute their local names instead).
+    contribute their local names instead).  NAME and the names in each
+    scope follow the printer's rule: the innermost declaration with a name
+    keeps it, a shadowed one answers to the fresh name printed for it.
     """
     toks = _tokenize(text)
     lines: dict[int, list[Token]] = {}
@@ -371,6 +373,7 @@ def parse_substitution(text: str, qctx: QContext) -> Substitution:
             continue
         lines.setdefault(tok.span.line, []).append(tok)
 
+    decl_names = scope_names(qctx)
     staged: dict[int, tuple[Token, list[Token], list[tuple[str, list[Token]]]]] = {}
     for _, ltoks in sorted(lines.items()):
         name_tok = ltoks[0]
@@ -407,12 +410,11 @@ def parse_substitution(text: str, qctx: QContext) -> Substitution:
                     k += 1
                     continue
                 break
-        try:
-            pos = qctx.position_of(name_tok.text)
-        except KeyError:
+        if name_tok.text not in decl_names:
             raise UnboundName(
                 f"{name_tok.text!r} is not declared in the context", span=name_tok.span
-            ) from None
+            )
+        pos = decl_names.index(name_tok.text)
         if qctx.decls[pos].quant is not Quant.EXISTS:
             raise ParseError(
                 f"{name_tok.text!r} is universal and cannot be bound",
@@ -424,18 +426,6 @@ def parse_substitution(text: str, qctx: QContext) -> Substitution:
             )
         staged[pos] = (name_tok, term_toks, local_specs)
 
-    triples: list[SubstTriple] = []
-    locals_by_pos: dict[int, list[str]] = {}
-
-    def image_names(upto: int) -> list[str]:
-        names: list[str] = []
-        for q in range(upto):
-            if q in staged:
-                names.extend(locals_by_pos[q])
-            else:
-                names.append(qctx.decls[q].name or f"?{q}")
-        return names
-
     def parse_toks(ts: list[Token], scope: list[str], at: Token) -> Term:
         if not ts:
             raise ParseError("missing term", span=at.span)
@@ -446,18 +436,20 @@ def parse_substitution(text: str, qctx: QContext) -> Substitution:
             raise ParseError(f"unexpected {tok.text!r} after the term", span=tok.span)
         return t
 
-    for pos in sorted(staged):
+    triples: list[SubstTriple] = []
+    image: list[str | None] = []
+    for pos, d in enumerate(qctx.decls):
+        if pos not in staged:
+            image.append(d.name)
+            continue
         name_tok, term_toks, local_specs = staged[pos]
-        base = image_names(pos)
         local_decls: list[QDecl] = []
-        local_names: list[str] = []
         for local_name, ty_toks in local_specs:
-            ty = parse_toks(ty_toks, base + local_names, name_tok)
+            ty = parse_toks(ty_toks, _distinct_names(image), name_tok)
             local_decls.append(QDecl(Quant.EXISTS, ty, local_name))
-            local_names.append(local_name)
-        term = parse_toks(term_toks, base + local_names, name_tok)
+            image.append(local_name)
+        term = parse_toks(term_toks, _distinct_names(image), name_tok)
         triples.append(SubstTriple(pos, QContext(tuple(local_decls)), term))
-        locals_by_pos[pos] = local_names
     return Substitution(qctx, tuple(triples))
 
 
@@ -496,15 +488,29 @@ def _pt(t: Term, scope: list[str], level: int) -> str:
     raise AssertionError("unreachable")
 
 
+def _distinct_names(names: Sequence[str | None]) -> list[str]:
+    """Display names for declarations listed outermost first.
+
+    The innermost declaration with a given name keeps it, so every name
+    resolves to the slot it resolves to as written; a shadowed or unnamed
+    declaration gets a fresh name that no declaration in the list has.
+    Names are assigned outer-first.  Files are printed and read with this
+    one rule, over the full context and over each binding's image scope.
+    """
+    innermost = {n: i for i, n in enumerate(names)}
+    taken = {n for n in names if n} | KEYWORDS
+    out: list[str] = []
+    for i, n in enumerate(names):
+        if n is None or n in KEYWORDS or innermost[n] != i:
+            n = pick_fresh(n, taken)
+            taken.add(n)
+        out.append(n)
+    return out
+
+
 def scope_names(qctx: QContext) -> list[str]:
-    """Freshened display names for every slot, as the printer would use."""
-    taken = set(KEYWORDS)
-    names: list[str] = []
-    for d in qctx.decls:
-        n = pick_fresh(d.name, taken)
-        taken.add(n)
-        names.append(n)
-    return names
+    """Distinct display names for every slot, as the printer uses them."""
+    return _distinct_names([d.name for d in qctx.decls])
 
 
 def print_problem(spec: CubeSpec, p: Problem) -> str:
@@ -523,24 +529,19 @@ def print_substitution(s: Substitution) -> str:
     """Render bindings in declaration order, scoped like parse_substitution."""
     decl_names = scope_names(s.qctx)
     lines: list[str] = []
-    image: list[str] = []
+    image: list[str | None] = []
     for q, d in enumerate(s.qctx.decls):
         tr = s.triple_at(q)
         if tr is None:
-            image.append(decl_names[q])
+            image.append(d.name)
             continue
-        taken = set(image) | KEYWORDS
-        local_names: list[str] = []
+        local_names = _distinct_names(image + [gd.name for gd in tr.local])[len(image):]
         clauses: list[str] = []
-        for gd in tr.local:
-            n = pick_fresh(gd.name, taken)
-            taken.add(n)
-            clauses.append(f"exists {n} : {print_term(gd.ty, image + local_names)}")
-            local_names.append(n)
-        body = print_term(tr.term, image + local_names)
-        line = f"{decl_names[q]} := {body}"
+        for n, gd in zip(local_names, tr.local):
+            clauses.append(f"exists {n} : {print_term(gd.ty, _distinct_names(image))}")
+            image.append(n)
+        line = f"{decl_names[q]} := {print_term(tr.term, _distinct_names(image))}"
         if clauses:
             line += " where " + ", ".join(clauses)
         lines.append(line)
-        image.extend(local_names)
     return "\n".join(lines) + ("\n" if lines else "")

@@ -268,6 +268,35 @@ def test_solve_flags_truncation_only_when_more_solutions_exist(capsys) -> None:
     assert payload["details"]["exhaustive_within_budget"] is False
 
 
+REPEATED_A = "calculus lP\nforall U : Prop\nforall a : U\nforall a : U\nexists F : U\n"
+
+
+@pytest.mark.parametrize("goal, count", [("match F = a", 1), ("unify F = F", 2)])
+def test_solutions_over_a_repeated_name_reverify(capsys, tmp_path, goal, count) -> None:
+    # the shadowed a prints as a0, and a0 reads back as that declaration
+    prob = tmp_path / "repeated.prob"
+    prob.write_text(REPEATED_A + goal + "\n")
+    code, payload = jrun(capsys, "solve", str(prob), "--size", "3")
+    assert code == 0 and payload["details"]["count"] == count
+    for i, block in enumerate(payload["details"]["solutions"]):
+        sf = tmp_path / f"s{i}.subst"
+        sf.write_text(block)
+        rc, _ = run(capsys, "verify", str(prob), str(sf))
+        assert rc == 0
+
+
+def test_a_repeated_name_resolves_to_the_nearest_declaration(capsys, tmp_path) -> None:
+    prob = tmp_path / "repeated.prob"
+    prob.write_text(REPEATED_A + "match F = a\n")
+    for text, expected in (("F := a", 0), ("F := a0", 1)):
+        sf = tmp_path / "hand.subst"
+        sf.write_text(text + "\n")
+        rc, _ = run(capsys, "verify", str(prob), str(sf))
+        assert rc == expected
+    code, payload = jrun(capsys, "order", str(prob), "a0")
+    assert code == 0 and payload["details"]["order"] == 1
+
+
 @pytest.mark.parametrize("flag", ["--size", "--max-solutions", "--fuel"])
 def test_non_positive_budgets_are_usage_errors(flag) -> None:
     with pytest.raises(SystemExit) as exc:
@@ -301,3 +330,23 @@ def test_unexpected_failure_is_an_internal_error_not_a_no(tmp_path) -> None:
 def test_missing_file_is_exit_2(capsys) -> None:
     code, _ = run(capsys, "check", "no-such-file.prob")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_closed_output_pipe_is_exit_2_without_a_traceback(command) -> None:
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubematch.cli", command, fx("thm1_target.prob")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from random import Random
 
+from hypothesis import assume, example, given, settings, strategies as st
+
+from cubematch.errors import CubeError
 from cubematch.problems import (
     Problem,
     ProblemKind,
@@ -19,7 +22,8 @@ from cubematch.problems import (
 from cubematch.reduction import beta_eta_normalize
 from cubematch.search import SearchBudget, decision_size, enumerate_candidates, solve_bounded
 from cubematch.terms import PROP, TYPE, App, Lam, Pi, Sort, Var, arrow, describe, shift, subst
-from cubematch.typecheck import check_type, cube_spec
+from cubematch.syntax import parse_term
+from cubematch.typecheck import check_type, cube_spec, sort_of, wf_context
 from termgen import random_elementary_problem
 
 
@@ -107,8 +111,9 @@ def test_generated_product_domains_are_normalized_before_use() -> None:
 def _enumerate_normalizing_every_codomain(
     qctx: QContext, T, budget: SearchBudget, spec
 ) -> list:
-    """enumerate_candidates with every codomain past an argument instantiated
-    and normalized, dependent or not, and candidates checked by check_type."""
+    """enumerate_candidates as every term of size <= n, repeats dropped, with
+    every codomain past an argument instantiated and normalized, dependent or
+    not, and candidates checked by check_type."""
     env0 = [beta_eta_normalize(d.ty) for d in qctx.decls]
     usable0 = [d.quant is Quant.FORALL for d in qctx.decls]
     target = beta_eta_normalize(T)
@@ -180,6 +185,68 @@ def test_dependent_head_codomains_match_normalizing_every_codomain(lp) -> None:
         got = enumerate_candidates(q, T, budget, lp)
         assert got == _enumerate_normalizing_every_codomain(q, T, budget, lp)
     assert App(p, App(f, a)) in enumerate_candidates(q, App(P, App(f, a)), budget, lp)
+
+
+# Optional declarations after U : Prop, in context order, in surface syntax.
+# F is an unknown and never a head; p is a dependent head; k takes a product
+# argument before another argument; in lw the declarations over P are
+# ill-formed and dropped.
+SIGNATURE_POOL = (
+    (Quant.FORALL, "a", "U"),
+    (Quant.EXISTS, "F", "U -> U"),
+    (Quant.FORALL, "f", "U -> U"),
+    (Quant.FORALL, "k", "(U -> U) -> U -> U"),
+    (Quant.FORALL, "A", "Prop"),
+    (Quant.FORALL, "P", "U -> Prop"),
+    (Quant.FORALL, "p", "(x:U) P x"),
+    (Quant.FORALL, "c", "P a"),
+)
+TARGETS = ("U", "U -> U", "(U -> U) -> U", "P a", "(x:U) P (f x)", "Prop", "Prop -> Prop")
+
+
+def _signature(picks: list[bool], spec) -> QContext:
+    """U : Prop and the picked declarations that are well-formed in spec."""
+    q = QContext((QDecl(Quant.FORALL, PROP, "U"),))
+    for pick, (quant, name, text) in zip(picks, SIGNATURE_POOL):
+        if not pick:
+            continue
+        try:
+            wider = q.extended(quant, parse_term(text, [d.name for d in q]), name)
+            wf_context(wider.plain(), spec)
+        except CubeError:
+            continue
+        q = wider
+    return q
+
+
+@settings(deadline=None)
+@given(
+    picks=st.lists(st.booleans(), min_size=len(SIGNATURE_POOL), max_size=len(SIGNATURE_POOL)),
+    calculus=st.sampled_from(("lP", "lw", "coc")),
+    target=st.sampled_from(TARGETS),
+    size=st.integers(1, 6),
+)
+@example(picks=[True, False, False, True, False, False, False, False], calculus="lP", target="U", size=6)
+@example(picks=[True] * len(SIGNATURE_POOL), calculus="lP", target="P a", size=5)
+@example(picks=[True] * len(SIGNATURE_POOL), calculus="coc", target="Prop", size=5)
+@example(picks=[True] * len(SIGNATURE_POOL), calculus="lw", target="Prop -> Prop", size=5)
+def test_exact_size_enumeration_matches_normalizing_every_codomain(
+    picks: list[bool], calculus: str, target: str, size: int
+) -> None:
+    """Generation by exact size gives the reference's list, order and hints
+    included.  The first example catches a term yielded while its binder is
+    still pushed: k's argument [x:U]... then reaches a caller that builds
+    k's next argument under x, and only a of the three candidates is left."""
+    spec = cube_spec(calculus)
+    q = _signature(picks, spec)
+    try:
+        T = parse_term(target, [d.name for d in q])
+        sort_of(q.plain(), T, spec)
+    except CubeError:
+        assume(False)
+    budget = SearchBudget(size, 8)
+    got = enumerate_candidates(q, T, budget, spec)
+    assert repr(got) == repr(_enumerate_normalizing_every_codomain(q, T, budget, spec))
 
 
 # ------------- solve_bounded -------------

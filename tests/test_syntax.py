@@ -8,7 +8,15 @@ import pytest
 
 from conftest import FIXTURES
 from cubematch.errors import ParseError, ProblemError, UnboundName
-from cubematch.problems import ProblemKind, Quant, is_solution
+from cubematch.problems import (
+    ProblemKind,
+    QContext,
+    QDecl,
+    Quant,
+    SubstTriple,
+    Substitution,
+    is_solution,
+)
 from cubematch.syntax import (
     SourceSpan,
     parse_problem,
@@ -256,6 +264,18 @@ def test_substitution_round_trip(lp) -> None:
     assert is_solution(s, p, lp)
     text = print_substitution(s)
     assert parse_substitution(text, p.qctx) == s
+
+
+def test_a_local_shadowing_the_image_keeps_its_name(lp) -> None:
+    # exists a : U shadows the universal a, which prints as the fresh a0
+    _, p = parse_problem((FIXTURES / "term_source.prob").read_text())
+    local = QContext((QDecl(Quant.EXISTS, Var(1), "a"),))
+    s = Substitution(p.qctx, (SubstTriple(2, local, Lam(Var(2), Var(2), "x")),))
+    text = print_substitution(s)
+    assert text == "F := [x:U]a0 where exists a : U\n"
+    assert repr(parse_substitution(text, p.qctx)) == repr(s)
+    written = parse_substitution("F := [x:U]a where exists a : U", p.qctx)
+    assert written.triples[0].term == Lam(Var(2), Var(1))  # the nearest a
 
 
 def test_spans_stay_within_input() -> None:
