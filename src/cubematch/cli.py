@@ -29,7 +29,7 @@ from .problems import (
     is_type_elementary,
     order,
 )
-from .reduction import Fuel, beta_eta_normalize
+from .reduction import DEFAULT_MAX_STEPS, Fuel, beta_eta_normalize
 from .search import SearchBudget, solve_bounded
 from .syntax import (
     parse_problem,
@@ -80,7 +80,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--calculus", help="override the file's calculus header")
         p.add_argument(
-            "--fuel", type=_positive, default=None, help="max reduction steps (default 100000)"
+            "--fuel",
+            type=_positive,
+            default=DEFAULT_MAX_STEPS,
+            help="max reduction steps of the whole command (default %(default)s)",
         )
         p.add_argument(
             "--format",
@@ -128,18 +131,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load(
-    args: argparse.Namespace, path: str | None = None
-) -> tuple[CubeSpec, Problem, Fuel | None]:
-    fuel = Fuel(args.fuel) if args.fuel is not None else None
+def _load(args: argparse.Namespace, path: str | None = None) -> tuple[CubeSpec, Problem]:
     override = cube_spec(args.calculus) if args.calculus else None
     text = Path(path if path is not None else args.file).read_text()
-    spec, problem = parse_problem(text, spec=override, fuel=fuel)
-    return spec, problem, fuel
+    return parse_problem(text, spec=override)
 
 
 def _cmd_check(args: argparse.Namespace) -> Verdict:
-    spec, problem, _ = _load(args)
+    spec, problem = _load(args)
     scope = scope_names(problem.qctx)
     return Verdict(
         "check",
@@ -154,14 +153,13 @@ def _cmd_check(args: argparse.Namespace) -> Verdict:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> Verdict:
-    _, problem, fuel = _load(args)
+    _, problem = _load(args)
     scope = scope_names(problem.qctx)
     if args.term is not None:
-        t = parse_term(args.term, scope)
-        nf = beta_eta_normalize(t, fuel)
+        nf = beta_eta_normalize(parse_term(args.term, scope))
         return Verdict("normalize", "yes", {"term": print_term(nf, scope)})
-    lhs = beta_eta_normalize(problem.lhs, fuel)
-    rhs = beta_eta_normalize(problem.rhs, fuel)
+    lhs = beta_eta_normalize(problem.lhs)
+    rhs = beta_eta_normalize(problem.rhs)
     return Verdict(
         "normalize",
         "yes",
@@ -170,12 +168,12 @@ def _cmd_normalize(args: argparse.Namespace) -> Verdict:
 
 
 def _cmd_order(args: argparse.Namespace) -> Verdict:
-    _, problem, fuel = _load(args)
+    _, problem = _load(args)
     names = scope_names(problem.qctx)
     if args.var not in names:
         raise CubeError(f"{args.var!r} is not declared in the context")
     pos = names.index(args.var)
-    o = order(problem.qctx.decls[pos].ty, problem.qctx.prefix(pos), fuel)
+    o = order(problem.qctx.decls[pos].ty, problem.qctx.prefix(pos))
     return Verdict(
         "order",
         "yes",
@@ -184,11 +182,11 @@ def _cmd_order(args: argparse.Namespace) -> Verdict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> Verdict:
-    spec, problem, fuel = _load(args)
+    spec, problem = _load(args)
     details: dict[str, Any] = {
         "kind": problem.kind.value,
-        "term_elementary": is_term_elementary(problem, fuel),
-        "type_elementary": is_type_elementary(problem, spec, fuel),
+        "term_elementary": is_term_elementary(problem),
+        "type_elementary": is_type_elementary(problem, spec),
     }
     if TT not in spec.rules:
         details["type_elementary_note"] = (
@@ -203,9 +201,9 @@ def _cmd_classify(args: argparse.Namespace) -> Verdict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Verdict:
-    spec, problem, fuel = _load(args)
+    spec, problem = _load(args)
     s = parse_substitution(Path(args.subst_file).read_text(), problem.qctx)
-    ok = is_solution(s, problem, spec, fuel)
+    ok = is_solution(s, problem, spec)
     return Verdict("verify", "yes" if ok else "no", {"solution": ok})
 
 
@@ -231,8 +229,8 @@ def artifact_file_text(art: ReductionArtifact) -> str:
 
 
 def _cmd_build(args: argparse.Namespace) -> Verdict:
-    spec, source, fuel = _load(args, path=args.source_file)
-    art = _BUILDERS[args.kind](source, spec, fuel)
+    spec, source = _load(args, path=args.source_file)
+    art = _BUILDERS[args.kind](source, spec)
     Path(args.out).write_text(artifact_file_text(art))
     details = _artifact_details(art)
     details["out"] = args.out
@@ -240,11 +238,11 @@ def _cmd_build(args: argparse.Namespace) -> Verdict:
 
 
 def _cmd_solve(args: argparse.Namespace) -> Verdict:
-    spec, problem, fuel = _load(args)
+    spec, problem = _load(args)
     k = args.max_solutions
     # One solution past the limit tells whether the limit cut the list.
     budget = SearchBudget(max_term_size=args.size, max_solutions=k + 1)
-    found = solve_bounded(problem, budget, spec, fuel)
+    found = solve_bounded(problem, budget, spec)
     shown = found[:k]
     details = {
         "solutions": [print_substitution(s) for s in shown],
@@ -287,7 +285,8 @@ def _render_text(v: Verdict) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        verdict = _DISPATCH[args.command](args)
+        with Fuel(args.fuel):
+            verdict = _DISPATCH[args.command](args)
     except CubeError as e:
         err: dict[str, Any] = {"kind": type(e).__name__, "message": e.message}
         if e.span is not None:

@@ -53,7 +53,6 @@ from .problems import (
     make_problem,
     order,
 )
-from .reduction import Fuel
 from .terms import PROP, App, Lam, Pi, Term, Var, app, arrow, pick_fresh, shift
 from .typecheck import PT, TP, TT, CubeSpec, SortPair, pair_text
 
@@ -167,9 +166,7 @@ def _require(spec: CubeSpec, required: frozenset[SortPair], purpose: str) -> Non
         )
 
 
-def _build(
-    kind: ArtifactKind, source: Problem, spec: CubeSpec, fuel: Fuel | None
-) -> ReductionArtifact:
+def _build(kind: ArtifactKind, source: Problem, spec: CubeSpec) -> ReductionArtifact:
     """Append the block roles + [c:A, d:A, G:A->A->A, f] and emit the goal.
 
     Block slot j sits at context position g + j; role i seen from slot j
@@ -178,9 +175,9 @@ def _build(
     row = _VARIANTS[kind]
     _require(spec, row.required, row.purpose)
     if row.term_level:
-        if not is_term_elementary(source, fuel):
+        if not is_term_elementary(source):
             raise ElementarityError("source problem is not term-elementary")
-    elif not is_type_elementary(source, spec, fuel):
+    elif not is_type_elementary(source, spec):
         raise ElementarityError("source problem is not type-elementary")
     roles, g = row.roles, len(source.qctx)
     k = len(roles)
@@ -207,11 +204,11 @@ def _build(
     lam_z = Lam(_base(row, m), Var(k + 4 - z), "x" if row.term_level else "X")
     t1 = app(Var(1), app(Var(0), lam_z, Var(3)), app(Var(0), lam_z, Var(2)))
     t2 = app(Var(1), Var(3), Var(2))
-    target = make_problem(qctx, t1, t2, spec, fuel)
+    target = make_problem(qctx, t1, t2, spec)
     if target.kind is not ProblemKind.MATCHING:
         raise CubeError("internal: constructed target is not a matching problem")
     f_pos = m - 1
-    f_order = order(qctx.decls[f_pos].ty, qctx.prefix(f_pos), fuel)
+    f_order = order(qctx.decls[f_pos].ty, qctx.prefix(f_pos))
     if f_order != row.f_order:
         raise CubeError(
             f"internal: unknown's type has order {f_order}, expected {row.f_order}"
@@ -229,48 +226,40 @@ def _build(
     )
 
 
-def build_thm1(
-    source: Problem, spec: CubeSpec, fuel: Fuel | None = None
-) -> ReductionArtifact:
+def build_thm1(source: Problem, spec: CubeSpec) -> ReductionArtifact:
     """Dependent-types encoding; the new unknown's type is third-order.
 
     Appends [z:U, P:U->Prop, c:(P z), d:(P z), G:(P z)->(P z)->(P z)] and
     the unknown f : (h:U->U)(P (h u1)) -> (P (h u2)) to the source context.
     """
-    return _build(ArtifactKind.THM1, source, spec, fuel)
+    return _build(ArtifactKind.THM1, source, spec)
 
 
-def build_erratum(
-    source: Problem, spec: CubeSpec, fuel: Fuel | None = None
-) -> ReductionArtifact:
+def build_erratum(source: Problem, spec: CubeSpec) -> ReductionArtifact:
     """Corrected polymorphic encoding; the unknown's type is fourth-order.
 
     Appends [P:Prop->Prop, Z:Prop, c:(P Z), d:(P Z), G:(P Z)->(P Z)->(P Z)]
     and f : (h:Prop->Prop)(P (h u1)) -> (P (h u2)) to the source context.
     """
-    return _build(ArtifactKind.ERRATUM_THM2, source, spec, fuel)
+    return _build(ArtifactKind.ERRATUM_THM2, source, spec)
 
 
-def build_thm2_invalid(
-    source: Problem, spec: CubeSpec, fuel: Fuel | None = None
-) -> ReductionArtifact:
+def build_thm2_invalid(source: Problem, spec: CubeSpec) -> ReductionArtifact:
     """The superseded polymorphic encoding, kept as a negative regression.
 
     Appends [Z:Prop, c:Z, d:Z, G:Z->Z->Z] and the unknown
     f : (h:Prop->Prop)(h u1) -> (h u2), whose type has infinite order; every
     serialization of the artifact carries the invalid flag.
     """
-    return _build(ArtifactKind.INVALID_THM2, source, spec, fuel)
+    return _build(ArtifactKind.INVALID_THM2, source, spec)
 
 
-def _transport_witness(
-    tau: Substitution, art: ReductionArtifact, fuel: Fuel | None
-) -> Substitution:
+def _transport_witness(tau: Substitution, art: ReductionArtifact) -> Substitution:
     """sigma = tau + {f := [x1:B->B][x2:A[x1 tau_u1]]x2}; kernel-verified.
 
     Indices are over the image of the block prefix, so x1 sits where f's
     binder h sat and A[x1 tau_u1] is built exactly like f's domain."""
-    if tau.qctx != art.source.qctx or not is_solution(tau, art.source, art.spec, fuel):
+    if tau.qctx != art.source.qctx or not is_solution(tau, art.source, art.spec):
         raise WitnessError("tau does not solve the source problem")
     row = _VARIANTS[art.kind]
     b = _base(row, tau.image_len + len(row.roles) + 3)
@@ -280,32 +269,26 @@ def _transport_witness(
         art.target.qctx,
         tau.triples + (SubstTriple(art.f_position, QContext(), tf),),
     )
-    if not is_solution(sigma, art.target, art.spec, fuel):
+    if not is_solution(sigma, art.target, art.spec):
         raise CubeError("internal: transported witness fails kernel verification")
     return sigma
 
 
-def thm1_witness(
-    tau: Substitution, art: ReductionArtifact, fuel: Fuel | None = None
-) -> Substitution:
+def thm1_witness(tau: Substitution, art: ReductionArtifact) -> Substitution:
     """Extend a source solution to a target solution; kernel-verified."""
     if art.kind is not ArtifactKind.THM1:
         raise ValueError("artifact was not built by build_thm1")
-    return _transport_witness(tau, art, fuel)
+    return _transport_witness(tau, art)
 
 
-def erratum_witness(
-    tau: Substitution, art: ReductionArtifact, fuel: Fuel | None = None
-) -> Substitution:
+def erratum_witness(tau: Substitution, art: ReductionArtifact) -> Substitution:
     """Same transport for the corrected polymorphic encoding."""
     if art.kind is not ArtifactKind.ERRATUM_THM2:
         raise ValueError("artifact was not built by build_erratum")
-    return _transport_witness(tau, art, fuel)
+    return _transport_witness(tau, art)
 
 
-def thm1_extract(
-    sigma: Substitution, art: ReductionArtifact, fuel: Fuel | None = None
-) -> Substitution:
+def thm1_extract(sigma: Substitution, art: ReductionArtifact) -> Substitution:
     """Restrict a target solution to the source unknowns; kernel-verified.
 
     The target forces the transported unknown to project its second
@@ -314,15 +297,13 @@ def thm1_extract(
     """
     if art.kind is not ArtifactKind.THM1:
         raise ValueError("artifact was not built by build_thm1")
-    if sigma.qctx != art.target.qctx or not is_solution(
-        sigma, art.target, art.spec, fuel
-    ):
+    if sigma.qctx != art.target.qctx or not is_solution(sigma, art.target, art.spec):
         raise WitnessError("sigma does not solve the constructed matching problem")
     g = len(art.source.qctx)
     tau = Substitution(
         art.source.qctx, tuple(tr for tr in sigma.triples if tr.pos < g)
     )
-    if not is_solution(tau, art.source, art.spec, fuel):
+    if not is_solution(tau, art.source, art.spec):
         raise CubeError("internal: restricted solution fails on the source")
     return tau
 

@@ -22,7 +22,7 @@ from .errors import (
     SubstitutionError,
     TypingError,
 )
-from .reduction import Fuel, beta_eta_normalize, equivalent
+from .reduction import beta_eta_normalize, equivalent
 from .terms import (
     PROP,
     App,
@@ -240,9 +240,7 @@ def is_closed(t: Term, qctx: QContext) -> bool:
     return all(closed_at(length - 1 - i) for i in free_indices(t))
 
 
-def subst_well_typed(
-    s: Substitution, qctx: QContext, spec: CubeSpec, fuel: Fuel | None = None
-) -> QContext:
+def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContext:
     """Decide well-typedness of s in qctx and return the image context.
 
     Walks the declarations in order.  Universal slots (and untouched
@@ -255,7 +253,7 @@ def subst_well_typed(
     """
     if s.qctx != qctx:
         raise ValueError("substitution was built for a different context")
-    scope = Scope((), spec, fuel)
+    scope = Scope((), spec)
     image: list[QDecl] = []
     for q, d in enumerate(qctx.decls):
         ty_img = apply_subst_in_prefix(s, d.ty, q)
@@ -282,7 +280,7 @@ def subst_well_typed(
                     check="sort",
                 ) from e
             image.append(QDecl(Quant.EXISTS, gd.ty, gd.name))
-        target = beta_eta_normalize(shift(ty_img, len(tr.local), 0), fuel)
+        target = beta_eta_normalize(shift(ty_img, len(tr.local), 0))
         try:
             ok = scope.check(tr.term, target)
         except TypingError as e:
@@ -337,7 +335,7 @@ class OrderValue:
 INFINITE = OrderValue(None)
 
 
-def order(T: Term, qctx: QContext, fuel: Fuel | None = None) -> OrderValue:
+def order(T: Term, qctx: QContext) -> OrderValue:
     """The order of the (normalized) type T in qctx.
 
     Universally-headed atoms have order 1, existentially-headed ones are
@@ -346,7 +344,7 @@ def order(T: Term, qctx: QContext, fuel: Fuel | None = None) -> OrderValue:
     counted existentially.  Type-headed atoms have no defining clause and
     raise instead of guessing.
     """
-    return _order(beta_eta_normalize(T, fuel), qctx)
+    return _order(beta_eta_normalize(T), qctx)
 
 
 def _order(tn: Term, qctx: QContext) -> OrderValue:
@@ -395,20 +393,18 @@ class Problem:
     max_existential_order: OrderValue | None
 
 
-def make_problem(
-    qctx: QContext, a: Term, b: Term, spec: CubeSpec, fuel: Fuel | None = None
-) -> Problem:
+def make_problem(qctx: QContext, a: Term, b: Term, spec: CubeSpec) -> Problem:
     """Validate and classify the triple (qctx, a, b)."""
-    wf_context(qctx.plain(), spec, fuel)
-    ta = _infer_side(qctx, a, spec, fuel, "left")
-    tb = _infer_side(qctx, b, spec, fuel, "right")
+    wf_context(qctx.plain(), spec)
+    ta = _infer_side(qctx, a, spec, "left")
+    tb = _infer_side(qctx, b, spec, "right")
     if ta != tb:
         raise ProblemError(
             f"sides have different types: {describe(ta)} vs {describe(tb)}"
         )
     kind = ProblemKind.MATCHING if is_closed(b, qctx) else ProblemKind.UNIFICATION
     orders = [
-        order(d.ty, qctx.prefix(q), fuel)
+        order(d.ty, qctx.prefix(q))
         for q, d in enumerate(qctx.decls)
         if d.quant is Quant.EXISTS
     ]
@@ -416,26 +412,22 @@ def make_problem(
     return Problem(qctx, a, b, kind, ta, max_order)
 
 
-def _infer_side(
-    qctx: QContext, t: Term, spec: CubeSpec, fuel: Fuel | None, side: str
-) -> Term:
+def _infer_side(qctx: QContext, t: Term, spec: CubeSpec, side: str) -> Term:
     try:
-        return infer_type(qctx.plain(), t, spec, fuel)
+        return infer_type(qctx.plain(), t, spec)
     except TypingError as e:
         raise ProblemError(f"{side}-hand side is ill-typed: {e.message}") from e
 
 
-def is_solution(
-    s: Substitution, p: Problem, spec: CubeSpec, fuel: Fuel | None = None
-) -> bool:
+def is_solution(s: Substitution, p: Problem, spec: CubeSpec) -> bool:
     """Well-typed for the problem's context, and the sides convert."""
     if s.qctx != p.qctx:
         raise ValueError("substitution was built for a different context")
     try:
-        subst_well_typed(s, p.qctx, spec, fuel)
+        subst_well_typed(s, p.qctx, spec)
     except SubstitutionError:
         return False
-    return equivalent(apply_subst(s, p.lhs), apply_subst(s, p.rhs), fuel)
+    return equivalent(apply_subst(s, p.lhs), apply_subst(s, p.rhs))
 
 
 def _base_chain(ctx_len: int, arity: int) -> Term:
@@ -447,7 +439,7 @@ def _base_chain(ctx_len: int, arity: int) -> Term:
     return out
 
 
-def is_term_elementary(p: Problem, fuel: Fuel | None = None) -> bool:
+def is_term_elementary(p: Problem) -> bool:
     """First slot declares a universal base type of sort Prop, every later
     type is one of its 0..3-fold arrows, and both sides inhabit it."""
     decls = p.qctx.decls
@@ -457,15 +449,13 @@ def is_term_elementary(p: Problem, fuel: Fuel | None = None) -> bool:
     if first.quant is not Quant.FORALL or first.ty != PROP:
         return False
     for q in range(1, len(decls)):
-        ty = beta_eta_normalize(decls[q].ty, fuel)
+        ty = beta_eta_normalize(decls[q].ty)
         if ty not in [_base_chain(q, k) for k in range(4)]:
             return False
     return p.common_type == Var(len(decls) - 1)
 
 
-def is_type_elementary(
-    p: Problem, spec: CubeSpec, fuel: Fuel | None = None
-) -> bool:
+def is_type_elementary(p: Problem, spec: CubeSpec) -> bool:
     """Every declared type is a 0..3-fold arrow over Prop and both sides
     inhabit Prop; only meaningful where type constructors exist, so the
     check is False outright when Type-Type is not in the rule set."""
@@ -475,6 +465,6 @@ def is_type_elementary(
     for _ in range(3):
         allowed.append(arrow(PROP, allowed[-1]))
     for d in p.qctx.decls:
-        if beta_eta_normalize(d.ty, fuel) not in allowed:
+        if beta_eta_normalize(d.ty) not in allowed:
             return False
     return p.common_type == PROP

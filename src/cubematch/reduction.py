@@ -1,12 +1,16 @@
 """Beta/eta reduction, normalization, conversion, normal-form classification.
 
 Strong normalization holds only for well-typed terms (and even there is
-taken on faith), so every walk is budgeted by a Fuel allowance and raises
-FuelExhausted instead of spinning.
+taken on faith), so every normalization draws on a Fuel budget and raises
+FuelExhausted instead of spinning.  `with Fuel(n):` makes n steps the one
+budget shared by every normalization in the block (a context variable,
+so other threads do not see it); outside any block each call draws a
+default Fuel of its own.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar, Token
 from dataclasses import dataclass
 
 from .errors import FuelExhausted, NotNormal
@@ -28,29 +32,32 @@ __all__ = [
 DEFAULT_MAX_STEPS = 100_000
 
 
-@dataclass(frozen=True)
 class Fuel:
-    """Reduction step allowance."""
+    """A countdown of reduction steps; a context manager sharing it."""
 
-    max_steps: int = DEFAULT_MAX_STEPS
+    __slots__ = ("max_steps", "left", "_tokens")
 
-    def __post_init__(self) -> None:
-        if self.max_steps <= 0:
+    def __init__(self, max_steps: int = DEFAULT_MAX_STEPS):
+        if max_steps <= 0:
             raise ValueError("fuel must be positive")
-
-
-class _Tank:
-    """Mutable countdown shared by one normalization walk."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, fuel: Fuel | None):
-        self.left = DEFAULT_MAX_STEPS if fuel is None else fuel.max_steps
+        self.max_steps = max_steps
+        self.left = max_steps
+        self._tokens: list[Token[Fuel | None]] = []
 
     def spend(self) -> None:
         self.left -= 1
         if self.left < 0:
-            raise FuelExhausted("reduction fuel exhausted")
+            raise FuelExhausted(f"reduction fuel exhausted ({self.max_steps} steps)")
+
+    def __enter__(self) -> Fuel:
+        self._tokens.append(_BUDGET.set(self))
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        _BUDGET.reset(self._tokens.pop())
+
+
+_BUDGET: ContextVar[Fuel | None] = ContextVar("cubematch_fuel", default=None)
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,7 @@ class Atomic:
 NormalClass = Abstraction | Product | Atomic
 
 
-def _whnf(t: Term, tank: _Tank) -> tuple[Term, list[Term]]:
+def _whnf(t: Term, fuel: Fuel) -> tuple[Term, list[Term]]:
     """Contract head redexes only; returns the rigid head and pending args."""
     args: list[Term] = []
     while True:
@@ -83,14 +90,14 @@ def _whnf(t: Term, tank: _Tank) -> tuple[Term, list[Term]]:
             args.append(t.arg)
             t = t.fn
         elif tt is Lam and args:
-            tank.spend()
+            fuel.spend()
             t = subst(t.body, 0, args.pop())
         else:
             args.reverse()
             return t, args
 
 
-def _beta(t: Term, tank: _Tank) -> Term:
+def _beta(t: Term, fuel: Fuel) -> Term:
     """Full beta-normal form, normal order (leftmost-outermost).
 
     A subterm without a beta redex comes back as the same object.
@@ -103,25 +110,25 @@ def _beta(t: Term, tank: _Tank) -> Term:
             nodes.append(head)
             head = head.fn
         if type(head) is Lam:
-            head, args = _whnf(t, tank)
-            out = _beta(head, tank)
+            head, args = _whnf(t, fuel)
+            out = _beta(head, fuel)
             for a in args:
-                out = App(out, _beta(a, tank))
+                out = App(out, _beta(a, fuel))
             return out
-        out = _beta(head, tank)
+        out = _beta(head, fuel)
         for node in reversed(nodes):
-            arg = _beta(node.arg, tank)
+            arg = _beta(node.arg, fuel)
             out = node if out is node.fn and arg is node.arg else App(out, arg)
         return out
     if tt is Lam:
-        dom = _beta(t.dom, tank)
-        body = _beta(t.body, tank)
+        dom = _beta(t.dom, fuel)
+        body = _beta(t.body, fuel)
         if dom is t.dom and body is t.body:
             return t
         return Lam(dom, body, t.hint)
     if tt is Pi:
-        dom = _beta(t.dom, tank)
-        cod = _beta(t.cod, tank)
+        dom = _beta(t.dom, fuel)
+        cod = _beta(t.cod, fuel)
         if dom is t.dom and cod is t.cod:
             return t
         return Pi(dom, cod, t.hint)
@@ -136,29 +143,29 @@ def _eta_redex(body: Term) -> bool:
     return type(arg) is Var and arg.index == 0 and 0 not in free_indices(body.fn)
 
 
-def _eta_pass(t: Term, tank: _Tank) -> Term:
+def _eta_pass(t: Term, fuel: Fuel) -> Term:
     """One bottom-up sweep collapsing [x:T](t x) to t when x is not free in t.
 
     Returns t itself when the sweep contracts nothing.
     """
     tt = type(t)
     if tt is App:
-        fn = _eta_pass(t.fn, tank)
-        arg = _eta_pass(t.arg, tank)
+        fn = _eta_pass(t.fn, fuel)
+        arg = _eta_pass(t.arg, fuel)
         if fn is t.fn and arg is t.arg:
             return t
         return App(fn, arg)
     if tt is Pi:
-        dom = _eta_pass(t.dom, tank)
-        cod = _eta_pass(t.cod, tank)
+        dom = _eta_pass(t.dom, fuel)
+        cod = _eta_pass(t.cod, fuel)
         if dom is t.dom and cod is t.cod:
             return t
         return Pi(dom, cod, t.hint)
     if tt is Lam:
-        dom = _eta_pass(t.dom, tank)
-        body = _eta_pass(t.body, tank)
+        dom = _eta_pass(t.dom, fuel)
+        body = _eta_pass(t.body, fuel)
         if _eta_redex(body):
-            tank.spend()
+            fuel.spend()
             return shift(body.fn, -1, 0)
         if dom is t.dom and body is t.body:
             return t
@@ -166,27 +173,29 @@ def _eta_pass(t: Term, tank: _Tank) -> Term:
     return t
 
 
-def beta_eta_normalize(t: Term, fuel: Fuel | None = None) -> Term:
+def beta_eta_normalize(t: Term) -> Term:
     """The beta-normal, maximally eta-contracted form of t.
 
     Contraction order is beta first (normal order), then one bottom-up eta
     pass; on beta-normal input eta cannot re-create a beta redex, so the
-    result has neither kind of redex.
+    result has neither kind of redex.  Each step spends one unit of the
+    enclosing `with Fuel(...)` block's budget, or of a default Fuel of
+    this call's own outside any block.
     """
-    tank = _Tank(fuel)
+    fuel = _BUDGET.get() or Fuel()
     try:
         # One eta pass is the fixed point: on beta-normal input, a
         # bottom-up contraction creates no redex the same pass has not
         # already visited (it only changes the subtree it sits in, whose
         # ancestors are tested after it, and keeps the free variables).
-        return _eta_pass(_beta(t, tank), tank)
+        return _eta_pass(_beta(t, fuel), fuel)
     except RecursionError:
         raise FuelExhausted("term nests too deeply to normalize") from None
 
 
-def equivalent(t1: Term, t2: Term, fuel: Fuel | None = None) -> bool:
+def equivalent(t1: Term, t2: Term) -> bool:
     """Beta-eta conversion: same normal form."""
-    return beta_eta_normalize(t1, fuel) == beta_eta_normalize(t2, fuel)
+    return beta_eta_normalize(t1) == beta_eta_normalize(t2)
 
 
 def is_normal(t: Term) -> bool:

@@ -18,18 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .problems import (
-    Problem,
-    QContext,
-    QDecl,
-    SubstTriple,
-    Substitution,
-    apply_subst,
-    apply_subst_in_prefix,
-    is_solution,
-)
-from .reduction import Fuel, beta_eta_normalize, equivalent
-from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, subst
+from .problems import Problem, QContext, QDecl, SubstTriple, Substitution, is_solution
+from .reduction import beta_eta_normalize, equivalent
+from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, shift, subst
 from .typecheck import CubeSpec, Scope
 
 __all__ = ["SearchBudget", "decision_size", "enumerate_candidates", "solve_bounded"]
@@ -62,11 +53,7 @@ def _candidate_key(t: Term) -> tuple[int, str]:
 
 
 def enumerate_candidates(
-    qctx: QContext,
-    T: Term,
-    budget: SearchBudget,
-    spec: CubeSpec,
-    fuel: Fuel | None = None,
+    qctx: QContext, T: Term, budget: SearchBudget, spec: CubeSpec
 ) -> list[Term]:
     """All eta-long beta-normal inhabitants of T over the universal slots,
     within the size budget, verified, in deterministic order.
@@ -82,8 +69,8 @@ def enumerate_candidates(
     lowered, which keeps it normal; only a dependent one is instantiated
     and normalized.
     """
-    target = beta_eta_normalize(T, fuel)
-    scope = Scope(qctx.plain().decls, spec, fuel)
+    target = beta_eta_normalize(T)
+    scope = Scope(qctx.plain().decls, spec)
     unknowns = set(qctx.existential_positions())
 
     def under(dom: Term, tn: Term, size: int) -> list[Term]:
@@ -116,7 +103,7 @@ def enumerate_candidates(
                     continue
                 for dom_size in range(1, size - 1):
                     for dom in gen(Sort(s1), dom_size):
-                        nf_dom = beta_eta_normalize(dom, fuel)
+                        nf_dom = beta_eta_normalize(dom)
                         for cod in under(nf_dom, tn, size - 1 - dom_size):
                             yield Pi(dom, cod)
 
@@ -132,7 +119,7 @@ def enumerate_candidates(
             for arg in gen(head_ty.dom, arg_size):
                 rest = lowered
                 if rest is None:
-                    rest = beta_eta_normalize(subst(head_ty.cod, 0, arg), fuel)
+                    rest = beta_eta_normalize(subst(head_ty.cod, 0, arg))
                 yield from spines(App(head, arg), rest, target, size - 1 - arg_size)
 
     out = [
@@ -145,17 +132,23 @@ def enumerate_candidates(
     return out
 
 
-def solve_bounded(
-    p: Problem, budget: SearchBudget, spec: CubeSpec, fuel: Fuel | None = None
-) -> list[Substitution]:
+def _fill(t: Term, k: int, cand: Term) -> Term:
+    """t with Var(k) replaced by cand, which lives k slots further out."""
+    return subst(t, k, shift(cand, k, 0))
+
+
+def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Substitution]:
     """Assign enumerated candidates to the unknowns in declaration order
     and keep the assignments that verify as solutions.
 
-    Each full assignment is first tested for conversion of the two sides;
-    only one that converts is verified in full with is_solution, so every
-    returned solution is re-verified.  Testing conversion first drops no
-    solution: each candidate was checked against its slot's image type,
-    so every assignment is a well-typed substitution.
+    Each chosen candidate is substituted into the rest of the problem, the
+    later declared types and both sides, which drops the unknown's slot;
+    the next unknown's candidates come from the prefix that remains.  A
+    full assignment is first tested for conversion of the two sides; only
+    one that converts becomes a Substitution, verified in full with
+    is_solution, so every returned solution is re-verified.  Testing
+    conversion first drops no solution: each candidate was checked against
+    its slot's instantiated type, so every assignment is well-typed.
 
     Sound but deliberately incomplete beyond the budget.  The result order
     sorts by largest component first, so enlarging the size budget only
@@ -165,34 +158,28 @@ def solve_bounded(
     found: list[Substitution] = []
     cand_cache: dict[tuple[QContext, Term], list[Term]] = {}
 
-    def image_prefix(sub: Substitution, upto: int) -> QContext:
-        decls = []
-        for q in range(upto):
-            if sub.triple_at(q) is not None:
-                continue
-            d = p.qctx.decls[q]
-            decls.append(QDecl(d.quant, apply_subst_in_prefix(sub, d.ty, q), d.name))
-        return QContext(tuple(decls))
-
-    def dfs(i: int, triples: tuple[SubstTriple, ...]) -> None:
+    def dfs(decls: tuple[QDecl, ...], lhs: Term, rhs: Term, chosen: tuple[Term, ...]) -> None:
+        i = len(chosen)
         if i == len(ex_positions):
-            s = Substitution(p.qctx, triples)
-            if equivalent(
-                apply_subst(s, p.lhs), apply_subst(s, p.rhs), fuel
-            ) and is_solution(s, p, spec, fuel):
-                found.append(s)
+            if equivalent(lhs, rhs):
+                triples = (SubstTriple(q, QContext(), c) for q, c in zip(ex_positions, chosen))
+                s = Substitution(p.qctx, tuple(triples))
+                if is_solution(s, p, spec):
+                    found.append(s)
             return
-        q = ex_positions[i]
-        partial = Substitution(p.qctx, triples)
-        ictx = image_prefix(partial, q)
-        ty_img = apply_subst_in_prefix(partial, p.qctx.decls[q].ty, q)
-        key = (ictx, ty_img)
+        r = ex_positions[i] - i  # the earlier unknowns' slots are gone
+        key = (QContext(decls[:r]), decls[r].ty)
         if key not in cand_cache:
-            cand_cache[key] = enumerate_candidates(ictx, ty_img, budget, spec, fuel)
+            cand_cache[key] = enumerate_candidates(*key, budget, spec)
+        k = len(decls) - 1 - r
         for cand in cand_cache[key]:
-            dfs(i + 1, triples + (SubstTriple(q, QContext(), cand),))
+            # the j-th later declaration sees slot r as Var(j), the sides as Var(k)
+            later = tuple(
+                QDecl(d.quant, _fill(d.ty, j, cand), d.name) for j, d in enumerate(decls[r + 1 :])
+            )
+            dfs(decls[:r] + later, _fill(lhs, k, cand), _fill(rhs, k, cand), chosen + (cand,))
 
-    dfs(0, ())
+    dfs(p.qctx.decls, p.lhs, p.rhs, ())
 
     def sol_key(s: Substitution) -> tuple[int, int, tuple[str, ...]]:
         sizes = [decision_size(tr.term) for tr in s.triples] or [0]

@@ -29,7 +29,6 @@ from .problems import (
     Substitution,
     make_problem,
 )
-from .reduction import Fuel
 from .terms import (
     PROP,
     TYPE,
@@ -138,6 +137,10 @@ def _tokenize(text: str) -> list[Token]:
     return toks
 
 
+# tokens staged for a later parse, and the token that ended them
+_Staged = tuple[list[Token], Token]
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
@@ -169,6 +172,13 @@ class _Parser:
 
     def done(self) -> bool:
         return self.peek().kind == "eof"
+
+    def until(self, kind: str, text: str) -> _Staged:
+        """Skip to the next such token or the end: the skipped tokens and it."""
+        start = self.i
+        while not (self.done() or self.at(kind, text)):
+            self.advance()
+        return self.toks[start : self.i], self.peek()
 
     # -- terms ------------------------------------------------------------
 
@@ -335,14 +345,12 @@ def parse_problem_file(text: str) -> ParsedProblem:
     return ParsedProblem(spec, QContext(tuple(decls)), lhs, rhs, goal_kw, eq.span)
 
 
-def parse_problem(
-    text: str, spec: CubeSpec | None = None, fuel: Fuel | None = None
-) -> tuple[CubeSpec, Problem]:
+def parse_problem(text: str, spec: CubeSpec | None = None) -> tuple[CubeSpec, Problem]:
     """Parse and validate a problem file; spec overrides the header."""
     raw = parse_problem_file(text)
     active = spec or raw.spec
     try:
-        problem = make_problem(raw.qctx, raw.lhs, raw.rhs, active, fuel)
+        problem = make_problem(raw.qctx, raw.lhs, raw.rhs, active)
     except ProblemError as e:
         raise ProblemError(e.message, span=e.span or raw.eq_span) from e
     if raw.goal_keyword == "match" and problem.kind is not ProblemKind.MATCHING:
@@ -374,42 +382,27 @@ def parse_substitution(text: str, qctx: QContext) -> Substitution:
         lines.setdefault(tok.span.line, []).append(tok)
 
     decl_names = scope_names(qctx)
-    staged: dict[int, tuple[Token, list[Token], list[tuple[str, list[Token]]]]] = {}
+    staged: dict[int, tuple[_Staged, list[tuple[str, _Staged]]]] = {}
     for _, ltoks in sorted(lines.items()):
         name_tok = ltoks[0]
         if name_tok.kind != "ident" or len(ltoks) < 2 or ltoks[1].text != ":=":
             raise ParseError("expected `NAME := term`", span=name_tok.span)
-        rest = ltoks[2:]
-        where_at = next(
-            (k for k, t in enumerate(rest) if t.kind == "kw" and t.text == "where"),
-            len(rest),
-        )
-        term_toks = rest[:where_at]
-        local_specs: list[tuple[str, list[Token]]] = []
-        k = where_at
-        if k < len(rest):
-            k += 1  # skip `where`
+        last = ltoks[-1].span
+        end = SourceSpan(last.end, last.end, last.line, last.col + last.end - last.start)
+        lp = _Parser(ltoks + [Token("eof", "", end)])
+        lp.i = 2
+        term = lp.until("kw", "where")
+        local_specs: list[tuple[str, _Staged]] = []
+        if lp.at("kw", "where"):
+            lp.advance()
             while True:
-                if k >= len(rest) or rest[k].text != "exists":
-                    tok = rest[k] if k < len(rest) else name_tok
-                    raise ParseError("expected `exists NAME : term`", span=tok.span)
-                k += 1
-                if k >= len(rest) or rest[k].kind != "ident":
-                    raise ParseError("expected a name after exists", span=rest[k - 1].span)
-                local_name = rest[k].text
-                k += 1
-                if k >= len(rest) or rest[k].text != ":":
-                    raise ParseError("expected `:` in the local declaration", span=rest[k - 1].span)
-                k += 1
-                ty_toks: list[Token] = []
-                while k < len(rest) and rest[k].text != "," :
-                    ty_toks.append(rest[k])
-                    k += 1
-                local_specs.append((local_name, ty_toks))
-                if k < len(rest) and rest[k].text == ",":
-                    k += 1
-                    continue
-                break
+                lp.expect("kw", "exists")
+                local_name = lp.expect("ident").text
+                lp.expect("punct", ":")
+                local_specs.append((local_name, lp.until("punct", ",")))
+                if lp.done():
+                    break
+                lp.advance()
         if name_tok.text not in decl_names:
             raise UnboundName(
                 f"{name_tok.text!r} is not declared in the context", span=name_tok.span
@@ -424,12 +417,13 @@ def parse_substitution(text: str, qctx: QContext) -> Substitution:
             raise ParseError(
                 f"{name_tok.text!r} is bound twice", span=name_tok.span
             )
-        staged[pos] = (name_tok, term_toks, local_specs)
+        staged[pos] = (term, local_specs)
 
-    def parse_toks(ts: list[Token], scope: list[str], at: Token) -> Term:
+    def parse_toks(toks: _Staged, scope: list[str]) -> Term:
+        ts, stop = toks
         if not ts:
-            raise ParseError("missing term", span=at.span)
-        sub = _Parser(ts + [Token("eof", "", ts[-1].span)])
+            raise ParseError("missing term", span=stop.span)
+        sub = _Parser(ts + [Token("eof", "", stop.span)])
         t = sub.term(scope)
         if not sub.done():
             tok = sub.peek()
@@ -442,13 +436,13 @@ def parse_substitution(text: str, qctx: QContext) -> Substitution:
         if pos not in staged:
             image.append(d.name)
             continue
-        name_tok, term_toks, local_specs = staged[pos]
+        term_toks, local_specs = staged[pos]
         local_decls: list[QDecl] = []
         for local_name, ty_toks in local_specs:
-            ty = parse_toks(ty_toks, _distinct_names(image), name_tok)
+            ty = parse_toks(ty_toks, _distinct_names(image))
             local_decls.append(QDecl(Quant.EXISTS, ty, local_name))
             image.append(local_name)
-        term = parse_toks(term_toks, _distinct_names(image), name_tok)
+        term = parse_toks(term_toks, _distinct_names(image))
         triples.append(SubstTriple(pos, QContext(tuple(local_decls)), term))
     return Substitution(qctx, tuple(triples))
 

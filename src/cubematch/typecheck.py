@@ -19,7 +19,7 @@ from .errors import (
     TypeHasNoType,
     TypingError,
 )
-from .reduction import Fuel, beta_eta_normalize
+from .reduction import beta_eta_normalize
 from .terms import TYPE, App, Lam, Pi, Sort, Term, Var, describe, free_indices, shift, subst
 
 __all__ = [
@@ -133,14 +133,14 @@ class Context:
         return shift(self.decls[pos].ty, index + 1, 0)
 
 
-def sort_of(ctx: Context, T: Term, spec: CubeSpec, fuel: Fuel | None = None) -> Sort:
+def sort_of(ctx: Context, T: Term, spec: CubeSpec) -> Sort:
     """The sort of T (Prop or Type); errors when T is not a type."""
-    return Scope(ctx.decls, spec, fuel).sort(T)
+    return Scope(ctx.decls, spec).sort(T)
 
 
-def wf_context(ctx: Context, spec: CubeSpec, fuel: Fuel | None = None) -> None:
+def wf_context(ctx: Context, spec: CubeSpec) -> None:
     """Every declared type must be well-sorted in its prefix."""
-    scope = Scope((), spec, fuel)
+    scope = Scope((), spec)
     for q, d in enumerate(ctx.decls):
         try:
             scope.declare(d.ty)
@@ -155,7 +155,7 @@ def wf_context(ctx: Context, spec: CubeSpec, fuel: Fuel | None = None) -> None:
             ) from e
 
 
-def infer_type(ctx: Context, t: Term, spec: CubeSpec, fuel: Fuel | None = None) -> Term:
+def infer_type(ctx: Context, t: Term, spec: CubeSpec) -> Term:
     """Synthesize the normal-form type of t; the context is trusted.
 
     Both judgements of the calculus are covered: wf_context for contexts,
@@ -165,18 +165,16 @@ def infer_type(ctx: Context, t: Term, spec: CubeSpec, fuel: Fuel | None = None) 
     most once per call, on its first use, and a binder's domain once,
     after it has been found well-sorted.
     """
-    return Scope(ctx.decls, spec, fuel).infer(t)
+    return Scope(ctx.decls, spec).infer(t)
 
 
-def check_type(
-    ctx: Context, t: Term, T: Term, spec: CubeSpec, fuel: Fuel | None = None
-) -> bool:
+def check_type(ctx: Context, t: Term, T: Term, spec: CubeSpec) -> bool:
     """True iff the synthesized type converts to T (T itself is trusted).
 
     T is normalized once and compared with `==` to the synthesized type,
     which is already normal.
     """
-    return Scope(ctx.decls, spec, fuel).check(t, beta_eta_normalize(T, fuel))
+    return Scope(ctx.decls, spec).check(t, beta_eta_normalize(T))
 
 
 class Scope:
@@ -193,23 +191,23 @@ class Scope:
     place on first lookup; every other slot arrives normal.  Each slot
     memoises the shifted copies lookup hands out, keyed by distance, and
     lower memoises lowered codomains.  A typing error abandons the scope,
-    so pushes need no matching pop then.
+    so pushes need no matching pop then.  Its normalizations draw on the
+    enclosing `with Fuel(...)` budget; a scope holds no budget of its own.
     """
 
-    __slots__ = ("tys", "shifted", "lowered", "declared", "spec", "fuel")
+    __slots__ = ("tys", "shifted", "lowered", "declared", "spec")
 
-    def __init__(self, decls: tuple[Decl, ...], spec: CubeSpec, fuel: Fuel | None):
+    def __init__(self, decls: tuple[Decl, ...], spec: CubeSpec):
         self.tys: list[Term] = [d.ty for d in decls]
         self.declared = len(decls)
         self.shifted: list[dict[int, Term] | None] = [None] * self.declared
         self.lowered: dict[int, tuple[Pi, Term | None]] = {}
         self.spec = spec
-        self.fuel = fuel
 
     def declare(self, ty: Term) -> Sort:
         """Check that ty is a type here, then push its normal form; its sort."""
         s = self.sort(ty)
-        self.push(beta_eta_normalize(ty, self.fuel))
+        self.push(beta_eta_normalize(ty))
         return s
 
     def infer(self, t: Term) -> Term:
@@ -244,7 +242,7 @@ class Scope:
         memo = self.shifted[pos]
         if memo is None:
             if pos < self.declared:
-                self.tys[pos] = beta_eta_normalize(self.tys[pos], self.fuel)
+                self.tys[pos] = beta_eta_normalize(self.tys[pos])
             memo = self.shifted[pos] = {}
         else:
             ty = memo.get(k)
@@ -289,7 +287,7 @@ def _infer(scope: Scope, t: Term) -> Term:
             )
         lowered = scope.lower(fn_ty)
         if lowered is None:
-            return beta_eta_normalize(subst(fn_ty.cod, 0, arg), scope.fuel)
+            return beta_eta_normalize(subst(fn_ty.cod, 0, arg))
         return lowered
     if tt is Lam:
         s1 = scope.declare(t.dom)

@@ -22,12 +22,13 @@ class Tank:
     """Step countdown for one normalization, as the package counts steps."""
 
     def __init__(self, fuel: Fuel | None):
-        self.left = DEFAULT_MAX_STEPS if fuel is None else fuel.max_steps
+        self.max_steps = DEFAULT_MAX_STEPS if fuel is None else fuel.max_steps
+        self.left = self.max_steps
 
     def spend(self) -> None:
         self.left -= 1
         if self.left < 0:
-            raise FuelExhausted("reduction fuel exhausted")
+            raise FuelExhausted(f"reduction fuel exhausted ({self.max_steps} steps)")
 
 
 # -- terms ---------------------------------------------------------------------

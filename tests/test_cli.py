@@ -97,6 +97,23 @@ def test_normalize_fuel_exhaustion_is_exit_2(capsys) -> None:
     assert code == 2 and payload["details"]["error"]["kind"] == "FuelExhausted"
 
 
+def test_fuel_bounds_the_whole_command(capsys, tmp_path) -> None:
+    # each side takes 2 beta steps, so the command takes 4
+    four = tmp_path / "four.prob"
+    four.write_text(
+        "calculus lP\nforall U : Prop\nforall a : U\n"
+        "match ([x:U][y:U]x) a a = ([x:U][y:U]x) a a\n"
+    )
+    code, payload = jrun(capsys, "normalize", str(four), "--fuel", "3")
+    assert code == 2
+    assert payload["details"]["error"] == {
+        "kind": "FuelExhausted",
+        "message": "reduction fuel exhausted (3 steps)",
+    }
+    code, payload = jrun(capsys, "normalize", str(four), "--fuel", "4")
+    assert code == 0 and payload["details"] == {"lhs": "a", "rhs": "a"}
+
+
 def test_normalize_rejects_an_ill_typed_goal(capsys, tmp_path) -> None:
     bad = tmp_path / "bad.prob"
     bad.write_text("calculus stlc\nforall U : Prop\nforall a : U\nmatch a a = a\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from random import Random
 
 import pytest
@@ -44,11 +45,38 @@ def test_nested_eta_cascades() -> None:
     assert beta_eta_normalize(t) == Var(7)
 
 
+TWO_STEPS = App(Lam(Var(0), Var(0)), App(Lam(Var(0), Var(0)), Var(1)))
+
+
 def test_fuel_exhaustion_raises() -> None:
-    t = App(Lam(Var(0), Var(0)), App(Lam(Var(0), Var(0)), Var(1)))
-    with pytest.raises(FuelExhausted):
-        beta_eta_normalize(t, Fuel(1))
-    assert beta_eta_normalize(t, Fuel(2)) == Var(1)
+    with pytest.raises(FuelExhausted), Fuel(1):
+        beta_eta_normalize(TWO_STEPS)
+    with Fuel(2):
+        assert beta_eta_normalize(TWO_STEPS) == Var(1)
+
+
+def test_a_fuel_block_is_one_budget_for_every_normalization_in_it() -> None:
+    with pytest.raises(FuelExhausted, match=r"^reduction fuel exhausted \(3 steps\)$"), Fuel(3):
+        equivalent(TWO_STEPS, TWO_STEPS)
+    assert equivalent(TWO_STEPS, TWO_STEPS)  # outside a block, a budget per call
+
+
+def test_a_nested_fuel_block_restores_the_outer_budget() -> None:
+    with Fuel(3) as outer:
+        with Fuel(4):
+            assert equivalent(TWO_STEPS, TWO_STEPS)
+        assert outer.left == 3
+        beta_eta_normalize(TWO_STEPS)
+        assert outer.left == 1
+
+
+def test_a_fuel_block_is_not_seen_by_another_thread() -> None:
+    results = []
+    with Fuel(1):
+        worker = threading.Thread(target=lambda: results.append(beta_eta_normalize(TWO_STEPS)))
+        worker.start()
+        worker.join()
+    assert results == [Var(1)]
 
 
 def test_fuel_must_be_positive() -> None:

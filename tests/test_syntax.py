@@ -249,6 +249,23 @@ def test_parse_substitution_rejects_universals_and_unknown_names() -> None:
         parse_substitution("F := [x:U]x\nF := [x:U]a", p.qctx)
 
 
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("F := [x:U]x where", 18),
+        ("F := [x:U]x where exists y : U,", 32),
+        ("F := [x:U]x where y : U", 19),
+        ("F := [x:U]x where exists y U", 28),
+        ("F := [x:U]x where exists y :", 29),
+    ],
+)
+def test_a_where_clause_error_points_where_the_clause_stops(text, col) -> None:
+    _, p = parse_problem((FIXTURES / "term_source.prob").read_text())
+    with pytest.raises(ParseError) as exc:
+        parse_substitution(text, p.qctx)
+    assert str(exc.value.span) == f"1:{col}"
+
+
 def test_substituted_unknowns_leave_scope_for_later_lines(lp) -> None:
     # after binding F, a later binding's term cannot mention F
     _, p = parse_problem((FIXTURES / "thm1_target.prob").read_text())

@@ -102,8 +102,13 @@ def test_normalization_agrees_and_shares_normal_forms(rng) -> None:
     assert repr(nf) == repr(old.beta_eta_normalize(t))
     assert is_normal(nf) and old.is_normal(nf)
     assert beta_eta_normalize(nf) is nf
-    fuel = Fuel(rng.randint(1, 6))
-    assert _outcome(beta_eta_normalize, t, fuel) == _outcome(old.beta_eta_normalize, t, fuel)
+    steps = rng.randint(1, 6)
+
+    def normalize_within_a_block() -> Term:
+        with Fuel(steps):
+            return beta_eta_normalize(t)
+
+    assert _outcome(normalize_within_a_block) == _outcome(old.beta_eta_normalize, t, Fuel(steps))
 
 
 # ------------- typing -------------
