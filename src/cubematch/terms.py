@@ -3,8 +3,18 @@
 Five constructors: the two sorts, variables, application, annotated
 abstraction and products.  An index n occurring under k binders with
 n >= k points at the enclosing context slot n - k, counting inward from
-the innermost declaration.  Terms are immutable and hashable; binder
-display hints never take part in equality or hashing.
+the innermost declaration.  Binder display hints never take part in
+equality or hashing.
+
+Terms are plain `__slots__` objects.  They are immutable: the one
+constructor of each class checks its fields (a `Var` index is never
+negative, a `Sort` tag is "Prop" or "Type") and assignment or deletion
+raises `AttributeError`.  A node's hash is computed on first use and kept
+in the node.  `==` returns at once for the same object, so subterms
+shared between two terms are never walked, and both `==` and `hash` run
+on an explicit stack, so the depth of a term is not limited by Python's
+recursion limit.  `copy`, `deepcopy` and `pickle` rebuild a node through
+its constructor, without the cached hash.
 
 The kernel's recursive walks (here, in `reduction`, `typecheck`,
 `problems` and `search`) dispatch on `type(t) is Var/App/Lam/Pi` and read
@@ -17,7 +27,6 @@ a normal term allocates nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Collection
 
 __all__ = [
@@ -41,50 +50,201 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Sort:
+class _Node:
+    """What the five constructors share: immutability, `==` and `hash` up to
+    binder hints, pickling by constructor call, and a dataclass-style `repr`.
+
+    `__match_args__` names each class's fields in constructor order."""
+
+    __slots__ = ("_hash",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        """Structural equality up to hints; shared subterms are skipped by `is`.
+
+        The walk follows one pair of children and stacks the other, so no
+        depth of term exhausts the Python stack."""
+        a, b = self, other
+        todo: list[Term] = []
+        while True:
+            if a is not b:
+                ta = type(a)
+                if ta is not type(b):
+                    return False
+                if ta is App:
+                    if a.arg is not b.arg:
+                        todo.append(a.arg)
+                        todo.append(b.arg)
+                    a, b = a.fn, b.fn
+                    continue
+                if ta is Pi:
+                    if a.cod is not b.cod:
+                        todo.append(a.cod)
+                        todo.append(b.cod)
+                    a, b = a.dom, b.dom
+                    continue
+                if ta is Lam:
+                    if a.body is not b.body:
+                        todo.append(a.body)
+                        todo.append(b.body)
+                    a, b = a.dom, b.dom
+                    continue
+                if ta is Var:
+                    if a.index != b.index:
+                        return False
+                elif a.tag != b.tag:
+                    return False
+            if not todo:
+                return True
+            b = todo.pop()
+            a = todo.pop()
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return _fill_hash(self)
+
+    def __reduce__(self) -> tuple:
+        # rebuilt through the constructor, so the cached hash (which depends
+        # on the process's string hashing) is never pickled
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Sort(_Node):
     """One of the two sorts, tagged "Prop" or "Type"."""
 
+    __slots__ = ("tag",)
+    __match_args__ = ("tag",)
     tag: str
 
-    def __post_init__(self) -> None:
-        if self.tag not in ("Prop", "Type"):
-            raise ValueError(f"bad sort tag: {self.tag!r}")
+    def __init__(self, tag: str) -> None:
+        if tag not in ("Prop", "Type"):
+            raise ValueError(f"bad sort tag: {tag!r}")
+        _set_tag(self, tag)
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (type(other) is Sort and self.tag == other.tag)
+
+    __hash__ = _Node.__hash__
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Node):
     """A de Bruijn index (always non-negative)."""
 
+    __slots__ = ("index",)
+    __match_args__ = ("index",)
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"negative de Bruijn index: {self.index}")
+    def __init__(self, index: int) -> None:
+        if index < 0:
+            raise ValueError(f"negative de Bruijn index: {index}")
+        _set_index(self, index)
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (type(other) is Var and self.index == other.index)
+
+    __hash__ = _Node.__hash__
 
 
-@dataclass(frozen=True)
-class App:
+class App(_Node):
+    __slots__ = ("fn", "arg")
+    __match_args__ = ("fn", "arg")
     fn: Term
     arg: Term
 
+    def __init__(self, fn: Term, arg: Term) -> None:
+        _set_fn(self, fn)
+        _set_arg(self, arg)
 
-@dataclass(frozen=True)
-class Lam:
+
+class Lam(_Node):
     """Annotated abstraction [x:dom]body."""
 
+    __slots__ = ("dom", "body", "hint")
+    __match_args__ = ("dom", "body", "hint")
     dom: Term
     body: Term
-    hint: str | None = field(default=None, compare=False)
+    hint: str | None
+
+    def __init__(self, dom: Term, body: Term, hint: str | None = None) -> None:
+        _set_lam_dom(self, dom)
+        _set_body(self, body)
+        _set_lam_hint(self, hint)
 
 
-@dataclass(frozen=True)
-class Pi:
+class Pi(_Node):
     """Product (x:dom)cod; prints as dom -> cod when cod ignores the binder."""
 
+    __slots__ = ("dom", "cod", "hint")
+    __match_args__ = ("dom", "cod", "hint")
     dom: Term
     cod: Term
-    hint: str | None = field(default=None, compare=False)
+    hint: str | None
+
+    def __init__(self, dom: Term, cod: Term, hint: str | None = None) -> None:
+        _set_pi_dom(self, dom)
+        _set_cod(self, cod)
+        _set_pi_hint(self, hint)
+
+
+# The slots' own setters: `__setattr__` refuses every assignment, and these
+# skip the attribute lookup that object.__setattr__ would make.
+_set_hash = _Node._hash.__set__
+_set_tag = Sort.tag.__set__
+_set_index = Var.index.__set__
+_set_fn = App.fn.__set__
+_set_arg = App.arg.__set__
+_set_lam_dom = Lam.dom.__set__
+_set_body = Lam.body.__set__
+_set_lam_hint = Lam.hint.__set__
+_set_pi_dom = Pi.dom.__set__
+_set_cod = Pi.cod.__set__
+_set_pi_hint = Pi.hint.__set__
+
+
+def _fill_hash(root: Term) -> int:
+    """Hash root and cache the hash of every node below it that has none yet.
+
+    Post-order on an explicit stack: a node is hashed once both children
+    carry a cached hash.  Each class mixes in a tag of its own."""
+    todo = [root]
+    while todo:
+        t = todo[-1]
+        tt = type(t)
+        if tt is Var:
+            h = hash((1, t.index))
+        elif tt is Sort:
+            h = hash((0, t.tag))
+        else:
+            if tt is App:
+                tag, left, right = 2, t.fn, t.arg
+            elif tt is Lam:
+                tag, left, right = 3, t.dom, t.body
+            else:
+                tag, left, right = 4, t.dom, t.cod
+            hl = getattr(left, "_hash", None)
+            hr = getattr(right, "_hash", None)
+            if hl is None or hr is None:
+                if hr is None:
+                    todo.append(right)
+                if hl is None:
+                    todo.append(left)
+                continue
+            h = hash((tag, hl, hr))
+        _set_hash(t, h)
+        todo.pop()
+    return h
 
 
 Term = Sort | Var | App | Lam | Pi
@@ -236,19 +396,17 @@ def node_count(t: Term) -> int:
 
 def describe(t: Term) -> str:
     """Index-based rendering for diagnostics; needs no name information."""
-    match t:
-        case Sort(tag):
-            return tag
-        case Var(k):
-            return f"#{k}"
-        case App():
-            head, args = spine(t)
-            return "(" + " ".join(describe(x) for x in (head, *args)) + ")"
-        case Lam(dom, body):
-            return f"[:{describe(dom)}]{describe(body)}"
-        case Pi(dom, cod):
-            return f"(:{describe(dom)}){describe(cod)}"
-    raise AssertionError("unreachable")
+    tt = type(t)
+    if tt is Var:
+        return f"#{t.index}"
+    if tt is App:
+        head, args = spine(t)
+        return "(" + " ".join([describe(head), *map(describe, args)]) + ")"
+    if tt is Lam:
+        return f"[:{describe(t.dom)}]{describe(t.body)}"
+    if tt is Pi:
+        return f"(:{describe(t.dom)}){describe(t.cod)}"
+    return t.tag
 
 
 def pick_fresh(hint: str | None, taken: Collection[str]) -> str:

@@ -4,9 +4,11 @@ The package's walks dispatch on `type(t)` and hand back unchanged
 subterms as the same objects.  These copies keep the older formulation:
 every walk pattern-matches each node and rebuilds every node it passes,
 `subst` shifts the replacement once per binder it crosses, and the type
-synthesizer keeps no memo.  They call nothing in the package but the term
-classes, `describe` and the error classes, so agreement with the package
-(tests/test_walk_equivalence.py) is a real cross-check.
+synthesizer keeps no memo.  Term equality and `describe` are recursive
+`match` walks as well, so no oracle relies on the terms' own `==` or on
+the package's walks, and agreement with the package
+(tests/test_walk_equivalence.py, tests/test_terms.py) is a real
+cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from cubematch.errors import FuelExhausted, NoRuleApplies, NotAType, SortPairMissing, TypeHasNoType
 from cubematch.problems import Substitution
 from cubematch.reduction import DEFAULT_MAX_STEPS, Fuel
-from cubematch.terms import TYPE, App, Lam, Pi, Sort, Term, Var, describe
+from cubematch.terms import TYPE, App, Lam, Pi, Sort, Term, Var
 from cubematch.typecheck import Context, CubeSpec, pair_text
 
 
@@ -32,6 +34,41 @@ class Tank:
 
 
 # -- terms ---------------------------------------------------------------------
+
+
+def structural_eq(a: Term, b: Term) -> bool:
+    """Same constructors, tags and indices; binder hints are ignored."""
+    match a, b:
+        case Sort(x), Sort(y):
+            return x == y
+        case Var(i), Var(j):
+            return i == j
+        case App(f, x), App(g, y):
+            return structural_eq(f, g) and structural_eq(x, y)
+        case Lam(d, x), Lam(e, y):
+            return structural_eq(d, e) and structural_eq(x, y)
+        case Pi(d, x), Pi(e, y):
+            return structural_eq(d, e) and structural_eq(x, y)
+    return False
+
+
+def describe(t: Term) -> str:
+    match t:
+        case Sort(tag):
+            return tag
+        case Var(k):
+            return f"#{k}"
+        case App():
+            args: list[Term] = []
+            while isinstance(t, App):
+                args.append(t.arg)
+                t = t.fn
+            return "(" + " ".join(describe(x) for x in (t, *reversed(args))) + ")"
+        case Lam(dom, body):
+            return f"[:{describe(dom)}]{describe(body)}"
+        case Pi(dom, cod):
+            return f"(:{describe(dom)}){describe(cod)}"
+    raise AssertionError("unreachable")
 
 
 def shift(t: Term, d: int, cutoff: int = 0) -> Term:
@@ -226,7 +263,7 @@ def infer(scope: _Scope, t: Term) -> Term:
                     " is not a product"
                 )
             arg_ty = infer(scope, arg)
-            if arg_ty != fn_ty.dom:
+            if not structural_eq(arg_ty, fn_ty.dom):
                 raise NoRuleApplies(
                     f"argument {describe(arg)} has type {describe(arg_ty)},"
                     f" but {describe(fn_ty.dom)} is expected"

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +15,8 @@ from cubematch.terms import (
     App,
     Lam,
     Pi,
+    Sort,
+    Term,
     Var,
     app,
     arrow,
@@ -21,6 +27,7 @@ from cubematch.terms import (
     spine,
     subst,
 )
+from match_walks import structural_eq
 from named_ref import NApp, NVar, nsubst, to_debruijn
 
 
@@ -170,21 +177,43 @@ def test_pick_fresh_suffixes() -> None:
 # ------------- property checks -------------
 
 
+HINTS = (None, "x", "y")
+
+
 def _terms(max_index: int = 6):
     base = st.one_of(
         st.builds(Var, st.integers(min_value=0, max_value=max_index)),
         st.just(PROP),
         st.just(TYPE),
     )
+    hints = st.sampled_from(HINTS)
     return st.recursive(
         base,
         lambda sub: st.one_of(
             st.builds(App, sub, sub),
-            st.builds(Lam, sub, sub),
-            st.builds(Pi, sub, sub),
+            st.builds(Lam, sub, sub, hints),
+            st.builds(Pi, sub, sub, hints),
         ),
         max_leaves=12,
     )
+
+
+def _variant(t: Term, rng: Random, change: float = 0.0) -> Term:
+    """A copy of t with random hints: each subterm is kept as the same object
+    or rebuilt node for node, and with probability `change` a leaf becomes a
+    random leaf."""
+    if rng.random() < 0.3:
+        return t
+    match t:
+        case App(fn, arg):
+            return App(_variant(fn, rng, change), _variant(arg, rng, change))
+        case Lam(dom, body):
+            return Lam(_variant(dom, rng, change), _variant(body, rng, change), rng.choice(HINTS))
+        case Pi(dom, cod):
+            return Pi(_variant(dom, rng, change), _variant(cod, rng, change), rng.choice(HINTS))
+    if rng.random() < change:
+        return rng.choice([PROP, TYPE, Var(0), Var(1)])
+    return Sort(t.tag) if isinstance(t, Sort) else Var(t.index)
 
 
 @given(_terms(), st.integers(min_value=0, max_value=4))
@@ -200,3 +229,122 @@ def test_prop_shift_subst_cancellation(t, s) -> None:
 @given(_terms())
 def test_prop_node_count_positive(t) -> None:
     assert node_count(t) >= 1
+
+
+@given(_terms(max_index=1), _terms(max_index=1))
+def test_prop_eq_agrees_with_the_oracle_on_independent_terms(a, b) -> None:
+    assert (a == b) is structural_eq(a, b)
+    assert (a != b) is not structural_eq(a, b)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(_terms(max_index=1), st.randoms(use_true_random=False))
+def test_prop_eq_agrees_with_the_oracle_on_near_copies(t, rng) -> None:
+    u = _variant(t, rng, change=0.2)
+    assert (t == u) is (u == t) is structural_eq(t, u)
+    if t == u:
+        assert hash(t) == hash(u)
+
+
+@given(_terms(), st.randoms(use_true_random=False))
+def test_prop_hints_never_matter(t, rng) -> None:
+    u = _variant(t, rng)
+    assert t == u and u == t and not t != u
+    assert hash(t) == hash(u)
+
+
+# ------------- the nodes themselves -------------
+
+NODES = [PROP, Var(3), App(Var(0), TYPE), Lam(PROP, Var(0), "x"), Pi(Var(1), Var(0))]
+
+
+def test_repr_is_pinned() -> None:
+    assert [repr(t) for t in NODES] == [
+        "Sort(tag='Prop')",
+        "Var(index=3)",
+        "App(fn=Var(index=0), arg=Sort(tag='Type'))",
+        "Lam(dom=Sort(tag='Prop'), body=Var(index=0), hint='x')",
+        "Pi(dom=Var(index=1), cod=Var(index=0), hint=None)",
+    ]
+
+
+@pytest.mark.parametrize("t", NODES, ids=lambda t: type(t).__name__)
+def test_fields_cannot_be_assigned_or_deleted(t) -> None:
+    before, h = repr(t), hash(t)
+    for name in (*t.__match_args__, "_hash", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, PROP)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    assert repr(t) == before and hash(t) == h
+
+
+def test_constructors_check_index_and_tag() -> None:
+    with pytest.raises(ValueError, match="negative de Bruijn index"):
+        Var(-1)
+    with pytest.raises(ValueError, match="bad sort tag"):
+        Sort("Set")
+    assert Sort("Prop") == PROP and hash(Sort("Prop")) == hash(PROP)
+
+
+def test_eq_compares_classes_not_field_values() -> None:
+    a, b = Var(0), Var(1)
+    assert App(a, b) != Lam(a, b) != Pi(a, b) != App(a, b)
+    assert Var(0) != PROP and PROP != Var(0)
+    assert (Var(0) == 0) is False and (App(a, b) == (a, b)) is False
+
+
+def test_hash_is_computed_on_first_use_and_kept() -> None:
+    leaf = Var(2)
+    t = Pi(leaf, App(leaf, Lam(PROP, Var(0))))
+    assert getattr(t, "_hash", None) is None
+    h = hash(t)
+    assert t._hash == h and hash(t) == h
+    assert leaf._hash == hash(Var(2))
+    assert t.cod.arg.body._hash == hash(Var(0))
+
+
+@pytest.mark.parametrize(
+    "t",
+    [*NODES, Lam(Pi(PROP, Var(0), "p"), App(Var(0), Var(1)), "f")],
+    ids=lambda t: type(t).__name__,
+)
+def test_copy_deepcopy_and_pickle_round_trip(t) -> None:
+    fresh = pickle.dumps(t)
+    hash(t)
+    # the cached hash stays behind: string hashes differ between processes
+    assert pickle.dumps(t) == fresh
+    copies = [copy.copy(t), copy.deepcopy(t)]
+    copies += [pickle.loads(pickle.dumps(t, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for u in copies:
+        assert repr(u) == repr(t)
+        assert u == t and hash(u) == hash(t)
+
+
+# ------------- deep terms -------------
+
+DEEP = 10_000
+
+
+def _deep(kind: str, leaf: Term) -> Term:
+    t = leaf
+    for i in range(DEEP):
+        if kind == "left spine":
+            t = App(t, Var(i % 3))
+        elif kind == "Pi chain":
+            t = Pi(Var(i % 3), t, "x")
+        else:
+            t = Lam(PROP, t)
+    return t
+
+
+@pytest.mark.parametrize("kind", ["left spine", "Pi chain", "Lam body"])
+def test_eq_and_hash_need_no_recursion_on_deep_terms(kind) -> None:
+    a, b = _deep(kind, Var(0)), _deep(kind, Var(0))
+    c = _deep(kind, Var(1))
+    assert a is not b
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert hash(a) == hash(b)
+    assert hash(c) == hash(_deep(kind, Var(1)))

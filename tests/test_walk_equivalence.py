@@ -88,6 +88,7 @@ def test_shift_subst_and_free_indices_agree(t, s, d, c, j) -> None:
     assert repr(subst(t, j, s)) == repr(old.subst(t, j, s))
     assert free_indices(t) == old.free_indices(t)
     assert is_normal(t) == old.is_normal(t)
+    assert terms.describe(t) == old.describe(t)
     assert shift(t, 0, c) is t
 
 
@@ -173,6 +174,7 @@ WALKS = [
     terms._shift,
     terms.subst,
     terms.free_indices,
+    terms.describe,
     reduction._whnf,
     reduction._beta,
     reduction._eta_pass,
