@@ -23,6 +23,7 @@ from .encodings import (
 )
 from .errors import CubeError
 from .problems import (
+    OrderValue,
     Problem,
     is_solution,
     is_term_elementary,
@@ -167,6 +168,11 @@ def _cmd_normalize(args: argparse.Namespace) -> Verdict:
     )
 
 
+def _order_value(o: OrderValue) -> int | str:
+    """An order as the reports show it: its value, or "inf"."""
+    return "inf" if o.value is None else o.value
+
+
 def _cmd_order(args: argparse.Namespace) -> Verdict:
     _, problem = _load(args)
     names = scope_names(problem.qctx)
@@ -177,7 +183,7 @@ def _cmd_order(args: argparse.Namespace) -> Verdict:
     return Verdict(
         "order",
         "yes",
-        {"variable": args.var, "order": o.value if o.value is not None else "inf"},
+        {"variable": args.var, "order": _order_value(o)},
     )
 
 
@@ -194,9 +200,7 @@ def _cmd_classify(args: argparse.Namespace) -> Verdict:
             f"{spec.label()}, so the type-level fragment does not apply"
         )
     mo = problem.max_existential_order
-    details["max_existential_order"] = (
-        None if mo is None else (mo.value if mo.value is not None else "inf")
-    )
+    details["max_existential_order"] = None if mo is None else _order_value(mo)
     return Verdict("classify", "yes", details)
 
 
@@ -210,7 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> Verdict:
 def _artifact_details(art: ReductionArtifact) -> dict[str, Any]:
     return {
         "kind": art.kind.value,
-        "f_order": art.f_order.value if art.f_order.value is not None else "inf",
+        "f_order": _order_value(art.f_order),
         "required_pairs": [pair_text(p) for p in sorted(art.required_pairs)],
         "invalid_per_erratum": art.invalid_per_erratum,
     }

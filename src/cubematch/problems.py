@@ -43,7 +43,6 @@ from .typecheck import (
     CubeSpec,
     Decl,
     Scope,
-    infer_type,
     wf_context,
 )
 
@@ -394,17 +393,21 @@ class Problem:
 
 
 def make_problem(qctx: QContext, a: Term, b: Term, spec: CubeSpec) -> Problem:
-    """Validate and classify the triple (qctx, a, b)."""
-    wf_context(qctx.plain(), spec)
-    ta = _infer_side(qctx, a, spec, "left")
-    tb = _infer_side(qctx, b, spec, "right")
+    """Validate and classify the triple (qctx, a, b).
+
+    Both sides are typed in the scope that checked the context, which holds
+    each declared type in normal form; the orders are read off those.
+    """
+    scope = wf_context(qctx.plain(), spec)
+    ta = _infer_side(scope, a, "left")
+    tb = _infer_side(scope, b, "right")
     if ta != tb:
         raise ProblemError(
             f"sides have different types: {describe(ta)} vs {describe(tb)}"
         )
     kind = ProblemKind.MATCHING if is_closed(b, qctx) else ProblemKind.UNIFICATION
     orders = [
-        order(d.ty, qctx.prefix(q))
+        _order(scope.tys[q], qctx.prefix(q))
         for q, d in enumerate(qctx.decls)
         if d.quant is Quant.EXISTS
     ]
@@ -412,9 +415,9 @@ def make_problem(qctx: QContext, a: Term, b: Term, spec: CubeSpec) -> Problem:
     return Problem(qctx, a, b, kind, ta, max_order)
 
 
-def _infer_side(qctx: QContext, t: Term, spec: CubeSpec, side: str) -> Term:
+def _infer_side(scope: Scope, t: Term, side: str) -> Term:
     try:
-        return infer_type(qctx.plain(), t, spec)
+        return scope.infer(t)
     except TypingError as e:
         raise ProblemError(f"{side}-hand side is ill-typed: {e.message}") from e
 

@@ -7,7 +7,7 @@ sort types additionally admit sorts and products as inhabitants.  Sizes
 are enumerated in increasing order and each candidate is generated once,
 at its exact size.  Every result is re-verified with the typechecker
 before being returned, and the output order is deterministic: size first,
-then a structural key.
+then the printed form.
 
 Size here counts choice nodes: abstraction domains are dictated by the
 target type and cost nothing, everything else costs one node.
@@ -16,7 +16,6 @@ target type and cost nothing, everything else costs one node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .problems import Problem, QContext, QDecl, SubstTriple, Substitution, is_solution
 from .reduction import beta_eta_normalize, equivalent
@@ -48,10 +47,6 @@ def decision_size(t: Term) -> int:
     return 1
 
 
-def _candidate_key(t: Term) -> tuple[int, str]:
-    return decision_size(t), describe(t)
-
-
 def enumerate_candidates(
     qctx: QContext, T: Term, budget: SearchBudget, spec: CubeSpec
 ) -> list[Term]:
@@ -60,57 +55,54 @@ def enumerate_candidates(
 
     Generation runs size by size and builds each candidate once, at its
     exact size, in one typing scope over qctx that then typechecks every
-    candidate against T.  The scope hands out the declared types normalized
-    and shifted, T is normalized once on entry, and generation trusts every
-    target and head type derived from them to be normal.  A generated
-    product domain is the exception: an eta-long domain such as
-    (P [x:U](h x)) holds an eta redex, so it is normalized before it enters
-    the scope.  Past an argument, a codomain that ignores its binder is
-    lowered, which keeps it normal; only a dependent one is instantiated
-    and normalized.
+    candidate against T; each size's batch is sorted by its printed form.
+    The scope holds the declared types normalized, T is normalized once on
+    entry, and generation trusts every target and head type derived from
+    them to be normal.  A generated product domain is the exception: an
+    eta-long domain such as (P [x:U](h x)) holds an eta redex, so it is
+    normalized before it enters the scope.  Past an argument, a codomain
+    that ignores its binder is lowered, which keeps it normal; only a
+    dependent one is instantiated and normalized.  gen and spines return
+    whole lists, so each pops every binder it pushes before returning.
     """
     target = beta_eta_normalize(T)
     scope = Scope(qctx.plain().decls, spec)
     unknowns = set(qctx.existential_positions())
 
-    def under(dom: Term, tn: Term, size: int) -> list[Term]:
-        """gen under a binder of type dom, collected before the pop: a term
-        yielded while the binder is pushed would reach a caller that reads
-        the scope at its own depth."""
-        scope.push(dom)
-        found = list(gen(tn, size))
-        scope.pop()
-        return found
-
-    def gen(tn: Term, size: int) -> Iterator[Term]:
+    def gen(tn: Term, size: int) -> list[Term]:
         """The inhabitants of tn of exactly this size."""
         if size <= 0:
-            return
+            return []
         if isinstance(tn, Pi):
-            for body in under(tn.dom, tn.cod, size - 1):
-                yield Lam(tn.dom, body, tn.hint)
-            return
+            scope.push(tn.dom)
+            bodies = gen(tn.cod, size - 1)
+            scope.pop()
+            return [Lam(tn.dom, body, tn.hint) for body in bodies]
+        out: list[Term] = []
         depth = len(scope.tys)
         for pos in range(depth):
             if pos not in unknowns:
                 k = depth - 1 - pos
-                yield from spines(Var(k), scope.lookup(k), tn, size - 1)
+                spines(Var(k), scope.lookup(k), tn, size - 1, out)
         if isinstance(tn, Sort):
             if tn == TYPE and size == 1:
-                yield PROP
+                out.append(PROP)
             for s1, s2 in spec.rules:
                 if Sort(s2) != tn:
                     continue
                 for dom_size in range(1, size - 1):
                     for dom in gen(Sort(s1), dom_size):
-                        nf_dom = beta_eta_normalize(dom)
-                        for cod in under(nf_dom, tn, size - 1 - dom_size):
-                            yield Pi(dom, cod)
+                        scope.push(beta_eta_normalize(dom))
+                        cods = gen(tn, size - 1 - dom_size)
+                        scope.pop()
+                        out.extend(Pi(dom, cod) for cod in cods)
+        return out
 
-    def spines(head: Term, head_ty: Term, target: Term, size: int) -> Iterator[Term]:
+    def spines(head: Term, head_ty: Term, target: Term, size: int, out: list[Term]) -> None:
+        """Append the spines (head args...) of exactly this size that reach target."""
         if head_ty == target:
             if size == 0:
-                yield head
+                out.append(head)
             return
         if not isinstance(head_ty, Pi):
             return
@@ -120,16 +112,14 @@ def enumerate_candidates(
                 rest = lowered
                 if rest is None:
                     rest = beta_eta_normalize(subst(head_ty.cod, 0, arg))
-                yield from spines(App(head, arg), rest, target, size - 1 - arg_size)
+                spines(App(head, arg), rest, target, size - 1 - arg_size, out)
 
-    out = [
-        cand
-        for size in range(1, budget.max_term_size + 1)
-        for cand in gen(target, size)
-        if scope.check(cand, target)
-    ]
-    out.sort(key=_candidate_key)
-    return out
+    found: list[Term] = []
+    for size in range(1, budget.max_term_size + 1):
+        batch = gen(target, size)
+        batch.sort(key=describe)
+        found.extend(cand for cand in batch if scope.check(cand, target))
+    return found
 
 
 def _fill(t: Term, k: int, cand: Term) -> Term:

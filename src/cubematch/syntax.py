@@ -46,7 +46,6 @@ from .typecheck import CubeSpec, SortPair, cube_spec
 
 __all__ = [
     "SourceSpan",
-    "KEYWORDS",
     "parse_term",
     "parse_problem",
     "ParsedProblem",
@@ -92,9 +91,6 @@ def _tokenize(text: str) -> list[Token]:
     i, line, col = 0, 1, 1
     n = len(text)
 
-    def span(start: int, end: int, sl: int, sc: int) -> SourceSpan:
-        return SourceSpan(start, end, sl, sc)
-
     while i < n:
         ch = text[i]
         if ch == "\n":
@@ -113,7 +109,7 @@ def _tokenize(text: str) -> list[Token]:
         matched = False
         for p in _PUNCT:
             if text.startswith(p, i):
-                toks.append(Token("punct", p, span(i, i + len(p), line, col)))
+                toks.append(Token("punct", p, SourceSpan(i, i + len(p), line, col)))
                 i += len(p)
                 col += len(p)
                 matched = True
@@ -126,14 +122,14 @@ def _tokenize(text: str) -> list[Token]:
                 j += 1
             word = text[i:j]
             kind = "kw" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, span(i, j, line, col)))
+            toks.append(Token(kind, word, SourceSpan(i, j, line, col)))
             col += j - i
             i = j
             continue
         raise ParseError(
-            f"stray character {ch!r}", span=span(i, i + 1, line, col)
+            f"stray character {ch!r}", span=SourceSpan(i, i + 1, line, col)
         )
-    toks.append(Token("eof", "", span(n, n, line, col)))
+    toks.append(Token("eof", "", SourceSpan(n, n, line, col)))
     return toks
 
 
@@ -145,10 +141,6 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.i = 0
-
-    @classmethod
-    def of(cls, text: str) -> "_Parser":
-        return cls(_tokenize(text))
 
     def peek(self, k: int = 0) -> Token:
         return self.toks[min(self.i + k, len(self.toks) - 1)]
@@ -296,7 +288,7 @@ class _Parser:
 
 def parse_term(text: str, scope: Sequence[str] = ()) -> Term:
     """Parse one term, resolving names against scope (outermost first)."""
-    p = _Parser.of(text)
+    p = _Parser(_tokenize(text))
     t = p.term(list(scope))
     if not p.done():
         tok = p.peek()
@@ -318,7 +310,7 @@ class ParsedProblem:
 
 def parse_problem_file(text: str) -> ParsedProblem:
     """Read the file shape; no typechecking happens here."""
-    p = _Parser.of(text)
+    p = _Parser(_tokenize(text))
     spec = p.calculus()
     decls: list[QDecl] = []
     scope: list[str] = []

@@ -125,21 +125,18 @@ class Context:
     def extended(self, ty: Term, name: str | None = None) -> Context:
         return Context(self.decls + (Decl(ty, name),))
 
-    def lookup(self, index: int) -> Term:
-        """Type of Var(index), shifted into the full context."""
-        pos = len(self.decls) - 1 - index
-        if pos < 0:
-            raise NoRuleApplies(f"unbound de Bruijn index {index}")
-        return shift(self.decls[pos].ty, index + 1, 0)
-
 
 def sort_of(ctx: Context, T: Term, spec: CubeSpec) -> Sort:
     """The sort of T (Prop or Type); errors when T is not a type."""
     return Scope(ctx.decls, spec).sort(T)
 
 
-def wf_context(ctx: Context, spec: CubeSpec) -> None:
-    """Every declared type must be well-sorted in its prefix."""
+def wf_context(ctx: Context, spec: CubeSpec) -> Scope:
+    """Every declared type must be well-sorted in its prefix.
+
+    Returns the scope that checked them, holding ctx's types in normal form,
+    so a caller can go on typing terms over ctx without normalizing again.
+    """
     scope = Scope((), spec)
     for q, d in enumerate(ctx.decls):
         try:
@@ -153,6 +150,7 @@ def wf_context(ctx: Context, spec: CubeSpec) -> None:
                 name=d.name,
                 pair=pair,
             ) from e
+    return scope
 
 
 def infer_type(ctx: Context, t: Term, spec: CubeSpec) -> Term:
@@ -161,9 +159,9 @@ def infer_type(ctx: Context, t: Term, spec: CubeSpec) -> Term:
     Both judgements of the calculus are covered: wf_context for contexts,
     this function for terms.  Every returned type is beta-eta normal, and
     the synthesis relies on that: conversion at application arguments is
-    `==` on two normal forms.  Each declared type of ctx is normalized at
-    most once per call, on its first use, and a binder's domain once,
-    after it has been found well-sorted.
+    `==` on two normal forms.  Each declared type of ctx is normalized
+    once per call, on entry, and a binder's domain once, after it has been
+    found well-sorted.
     """
     return Scope(ctx.decls, spec).infer(t)
 
@@ -181,26 +179,25 @@ class Scope:
     """One typing context, grown by declaring types, and the queries on it.
 
     The package does its typing in these.  `sort_of`, `infer_type` and
-    `check_type` use one per call; `wf_context`, `subst_well_typed` and
-    `enumerate_candidates` keep one for a whole walk over many declarations
-    or candidates, so each declared type is normalized once however often
-    it is looked up.  The operations are `declare` (sort check, then push
-    the normal form), `infer` and `check`.
+    `check_type` use one per call; `wf_context`, `make_problem`,
+    `subst_well_typed` and `enumerate_candidates` keep one for a whole walk
+    over many declarations, sides or candidates, so each declared type is
+    normalized once however often it is looked up.  The operations are
+    `declare` (sort check, then push the normal form), `infer` and `check`.
 
-    Slots below `declared` hold the caller's trusted types, normalized in
-    place on first lookup; every other slot arrives normal.  Each slot
+    Every slot holds a normal type: the constructor normalizes the caller's
+    trusted types, and every later slot is pushed normal.  Each slot
     memoises the shifted copies lookup hands out, keyed by distance, and
     lower memoises lowered codomains.  A typing error abandons the scope,
     so pushes need no matching pop then.  Its normalizations draw on the
     enclosing `with Fuel(...)` budget; a scope holds no budget of its own.
     """
 
-    __slots__ = ("tys", "shifted", "lowered", "declared", "spec")
+    __slots__ = ("tys", "shifted", "lowered", "spec")
 
     def __init__(self, decls: tuple[Decl, ...], spec: CubeSpec):
-        self.tys: list[Term] = [d.ty for d in decls]
-        self.declared = len(decls)
-        self.shifted: list[dict[int, Term] | None] = [None] * self.declared
+        self.tys: list[Term] = [beta_eta_normalize(d.ty) for d in decls]
+        self.shifted: list[dict[int, Term] | None] = [None] * len(decls)
         self.lowered: dict[int, tuple[Pi, Term | None]] = {}
         self.spec = spec
 
@@ -241,8 +238,6 @@ class Scope:
             raise NoRuleApplies(f"unbound de Bruijn index {k}")
         memo = self.shifted[pos]
         if memo is None:
-            if pos < self.declared:
-                self.tys[pos] = beta_eta_normalize(self.tys[pos])
             memo = self.shifted[pos] = {}
         else:
             ty = memo.get(k)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 from conftest import FIXTURES
 from cubematch.cli import main
+from cubematch.problems import is_solution
+from cubematch.syntax import parse_problem, parse_substitution
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -260,6 +263,19 @@ def test_solve_finds_and_reverifies(capsys, tmp_path) -> None:
         sf.write_text(block)
         rc, _ = run(capsys, "verify", fx("term_source.prob"), str(sf))
         assert rc == 0
+
+
+def test_solve_text_report_prints_each_solution_block(capsys) -> None:
+    code, out = run(capsys, "solve", fx("term_source.prob"), "--size", "4")
+    assert code == 0
+    report, details = out.split("\ncount: ")
+    assert details.startswith("2\n")
+    head, *blocks = re.split(r"^# solution (\d+)\n", report, flags=re.M)
+    assert head == "solve: yes\n"
+    assert blocks[::2] == ["0", "1"]
+    spec, problem = parse_problem(Path(fx("term_source.prob")).read_text())
+    for block in blocks[1::2]:
+        assert is_solution(parse_substitution(block, problem.qctx), problem, spec)
 
 
 def test_solve_negative_answer_is_exit_1(capsys, tmp_path) -> None:

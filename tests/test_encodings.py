@@ -113,6 +113,8 @@ def test_thm1_witness_rejects_non_solutions(lp, term_source) -> None:
     art = build_thm1(term_source, lp)
     with pytest.raises(WitnessError):
         thm1_witness(Substitution(term_source.qctx), art)
+    with pytest.raises(ValueError, match="build_erratum"):
+        erratum_witness(_identity_binding(term_source), art)
 
 
 def test_thm1_extract_round_trip(lp, term_source) -> None:
@@ -174,7 +176,9 @@ def test_invalid_variant_structure(lw, type_source) -> None:
 
 
 @pytest.mark.parametrize("build", [build_erratum, build_thm2_invalid])
-def test_polymorphic_gating(build, type_source) -> None:
+def test_polymorphic_gating(build, type_source, term_source, lw) -> None:
+    with pytest.raises(ElementarityError, match="type-elementary"):
+        build(make_problem_like(term_source, lw), lw)  # a : U is no arrow over Prop
     grid = {"lw": True, "coc": True, "lw-weak": False, "lPw-weak": False, "l2": False, "lP2": False}
     for name, ok in grid.items():
         spec = cube_spec(name)
@@ -213,6 +217,11 @@ def test_erratum_witness_rejects_non_solutions(lw, type_source) -> None:
     art = build_erratum(type_source, lw)
     with pytest.raises(WitnessError):
         erratum_witness(Substitution(type_source.qctx), art)
+    tau = Substitution(type_source.qctx, (SubstTriple(1, QContext(), Var(0)),))
+    with pytest.raises(ValueError, match="build_thm1"):
+        thm1_witness(tau, art)
+    with pytest.raises(ValueError, match="build_thm1"):
+        thm1_extract(erratum_witness(tau, art), art)
 
 
 def test_erratum_round_trip_by_restriction(lw, type_source) -> None:

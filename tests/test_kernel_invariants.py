@@ -52,7 +52,7 @@ def reference_infer(ctx: Context, t: Term, spec: CubeSpec) -> Term:
         case Sort(_):
             raise TypeHasNoType("the sort Type has no type")
         case Var(k):
-            return beta_eta_normalize(ctx.lookup(k))
+            return beta_eta_normalize(_lookup(ctx, k))
         case Pi(dom, cod, hint):
             s1 = _reference_sort(ctx, dom, spec)
             s2 = _reference_sort(ctx.extended(dom, hint), cod, spec)
@@ -72,6 +72,14 @@ def reference_infer(ctx: Context, t: Term, spec: CubeSpec) -> Term:
                 raise NoRuleApplies(f"argument {describe(arg)} has the wrong type")
             return beta_eta_normalize(subst(fn_ty.cod, 0, arg))
     raise AssertionError("unreachable")
+
+
+def _lookup(ctx: Context, k: int) -> Term:
+    """Type of Var(k), shifted into the whole context."""
+    pos = len(ctx.decls) - 1 - k
+    if pos < 0:
+        raise NoRuleApplies(f"unbound de Bruijn index {k}")
+    return shift(ctx.decls[pos].ty, k + 1, 0)
 
 
 def _reference_sort(ctx: Context, T: Term, spec: CubeSpec) -> Sort:

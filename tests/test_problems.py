@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from functools import reduce
+from random import Random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubematch.errors import NotAType, OrderUndefined, ProblemError, SubstitutionError
 from cubematch.problems import (
@@ -23,8 +27,9 @@ from cubematch.problems import (
     order,
     subst_well_typed,
 )
-from cubematch.terms import PROP, TYPE, App, Lam, Pi, Var, arrow, shift
-from cubematch.typecheck import cube_spec
+from cubematch.terms import PROP, TYPE, App, Lam, Pi, Term, Var, arrow, shift
+from cubematch.typecheck import cube_spec, infer_type, wf_context
+from termgen import random_elementary_problem
 
 
 def _q(*decls: tuple[Quant, object, str]) -> QContext:
@@ -271,6 +276,47 @@ def test_make_problem_rejects_ill_typed_side(lp) -> None:
         make_problem(q, App(Var(1), Var(1)), Var(1), lp)
 
 
+def _beta_expanded(t: Term, n: int, rng: Random) -> Term:
+    """t, over a context of length n, with beta redexes ([x:U]s) a
+    planted over it; the context starts U : Prop, a : U."""
+    if isinstance(t, App):
+        t = App(_beta_expanded(t.fn, n, rng), _beta_expanded(t.arg, n, rng))
+    elif isinstance(t, Pi):
+        t = Pi(_beta_expanded(t.dom, n, rng), _beta_expanded(t.cod, n + 1, rng), t.hint)
+    if n >= 2 and rng.random() < 0.5:
+        return App(Lam(Var(n - 1), shift(t, 1, 0), "x"), Var(n - 2))
+    return t
+
+
+@settings(deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_make_problem_agrees_with_its_public_pieces(rng) -> None:
+    # make_problem types everything in the one scope wf_context filled;
+    # the oracle recomputes each field from scratch on non-normal input
+    lp = cube_spec("lP")
+    p = random_elementary_problem(rng)
+    qctx = QContext(
+        tuple(
+            QDecl(d.quant, _beta_expanded(d.ty, q, rng), d.name)
+            for q, d in enumerate(p.qctx.decls)
+        )
+    )
+    n = len(qctx)
+    lhs = _beta_expanded(p.lhs, n, rng)
+    rhs = _beta_expanded(p.rhs if rng.random() < 0.8 else Var(rng.randrange(n)), n, rng)
+    wf_context(qctx.plain(), lp)
+    ta = infer_type(qctx.plain(), lhs, lp)
+    if infer_type(qctx.plain(), rhs, lp) != ta:
+        with pytest.raises(ProblemError, match="different types"):
+            make_problem(qctx, lhs, rhs, lp)
+        return
+    got = make_problem(qctx, lhs, rhs, lp)
+    orders = [order(d.ty, qctx.prefix(q)) for q, d in enumerate(qctx) if d.quant is Quant.EXISTS]
+    assert got.kind is (ProblemKind.MATCHING if is_closed(rhs, qctx) else ProblemKind.UNIFICATION)
+    assert got.common_type == ta
+    assert got.max_existential_order == (reduce(OrderValue.max, orders) if orders else None)
+
+
 # ------------- solutions -------------
 
 
@@ -299,7 +345,7 @@ def test_term_elementary_accepts_the_signature(term_source) -> None:
     assert is_term_elementary(term_source)
 
 
-def test_term_elementary_rejects_predicates(lp) -> None:
+def test_term_elementary_rejects_predicates(lp, lw) -> None:
     q = _q(
         (Quant.FORALL, PROP, "U"),
         (Quant.FORALL, Var(0), "a"),
@@ -308,6 +354,10 @@ def test_term_elementary_rejects_predicates(lp) -> None:
     )
     p = make_problem(q, App(Var(0), Var(2)), Var(2), lp)
     assert not is_term_elementary(p)
+    assert not is_term_elementary(make_problem(QContext(), PROP, PROP, lp))  # no base type
+    for quant, base in ((Quant.EXISTS, PROP), (Quant.FORALL, arrow(PROP, PROP))):
+        q = _q((quant, base, "U"), (Quant.FORALL, PROP, "a"))
+        assert not is_term_elementary(make_problem(q, Var(0), Var(0), lw))
 
 
 def test_term_elementary_needs_base_typed_sides(lp) -> None:
@@ -329,13 +379,12 @@ def test_type_elementary_flags(lw, lp, type_source) -> None:
     )
     p = make_problem(q, Var(0), Var(1), lw)  # common type Prop -> Prop
     assert not is_type_elementary(p, lw)
+    q = _q((Quant.FORALL, PROP, "U"), (Quant.FORALL, Var(0), "a"))
+    p = make_problem(q, Var(1), Var(1), lw)  # sides inhabit Prop, but a : U
+    assert not is_type_elementary(p, lw)
 
 
 def test_term_elementary_unknowns_are_second_order(lp) -> None:
-    from random import Random
-
-    from termgen import random_elementary_problem
-
     rng = Random(88)
     for _ in range(20):
         p = random_elementary_problem(rng)
