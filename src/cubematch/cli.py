@@ -8,11 +8,10 @@ details fields per command are documented in the README.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 from .encodings import (
@@ -21,7 +20,7 @@ from .encodings import (
     build_thm1,
     build_thm2_invalid,
 )
-from .errors import CubeError
+from .errors import CubeError, ParseError
 from .problems import (
     OrderValue,
     Problem,
@@ -30,6 +29,7 @@ from .problems import (
     is_type_elementary,
     order,
 )
+from .record import Record, slot_setters
 from .reduction import DEFAULT_MAX_STEPS, Fuel, beta_eta_normalize
 from .search import SearchBudget, solve_bounded
 from .syntax import (
@@ -52,15 +52,24 @@ _BUILDERS = {
 }
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
+    __slots__ = ("command", "outcome", "details")
+    __match_args__ = __slots__
     command: str
     outcome: str  # yes | no | error
     details: dict[str, Any]
 
+    def __init__(self, command: str, outcome: str, details: dict[str, Any]) -> None:
+        _set_command(self, command)
+        _set_outcome(self, outcome)
+        _set_details(self, details)
+
     @property
     def exit_code(self) -> int:
         return _EXIT[self.outcome]
+
+
+_set_command, _set_outcome, _set_details = slot_setters(Verdict)
 
 
 def _positive(text: str) -> int:
@@ -132,9 +141,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _read(path: str) -> str:
+    """A file's text.  Input files are UTF-8, whatever the locale."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(
+                f"{path} is not UTF-8 text: byte {e.object[e.start]:#04x} at offset {e.start}"
+            ) from None
+
+
 def _load(args: argparse.Namespace, path: str | None = None) -> tuple[CubeSpec, Problem]:
     override = cube_spec(args.calculus) if args.calculus else None
-    text = Path(path if path is not None else args.file).read_text()
+    text = _read(path if path is not None else args.file)
     return parse_problem(text, spec=override)
 
 
@@ -206,7 +226,7 @@ def _cmd_classify(args: argparse.Namespace) -> Verdict:
 
 def _cmd_verify(args: argparse.Namespace) -> Verdict:
     spec, problem = _load(args)
-    s = parse_substitution(Path(args.subst_file).read_text(), problem.qctx)
+    s = parse_substitution(_read(args.subst_file), problem.qctx)
     ok = is_solution(s, problem, spec)
     return Verdict("verify", "yes" if ok else "no", {"solution": ok})
 
@@ -235,7 +255,8 @@ def artifact_file_text(art: ReductionArtifact) -> str:
 def _cmd_build(args: argparse.Namespace) -> Verdict:
     spec, source = _load(args, path=args.source_file)
     art = _BUILDERS[args.kind](source, spec)
-    Path(args.out).write_text(artifact_file_text(art))
+    with open(args.out, "w", encoding="utf-8") as f:
+        f.write(artifact_file_text(art))
     details = _artifact_details(art)
     details["out"] = args.out
     return Verdict("build", "yes", details)
@@ -312,6 +333,12 @@ def main(argv: list[str] | None = None) -> int:
     else:
         text = _render_text(verdict)
     try:
+        if isinstance(sys.stdout, io.TextIOWrapper):
+            # Reports are UTF-8 like the files they come from, whatever
+            # the locale: a declared name may be any Unicode identifier.
+            # An argument byte the locale could not decode (say, in a
+            # path) is written back as it came.
+            sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
         print(text, flush=True)
     except BrokenPipeError:
         # Nobody reads the verdict: an error, not a "no".  Standard output

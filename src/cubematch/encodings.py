@@ -31,7 +31,6 @@ typability regressions over the term-elementary signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
@@ -53,6 +52,7 @@ from .problems import (
     make_problem,
     order,
 )
+from .record import Record, slot_setters
 from .terms import PROP, App, Lam, Pi, Term, Var, app, arrow, pick_fresh, shift
 from .typecheck import PT, TP, TT, CubeSpec, SortPair, pair_text
 
@@ -78,10 +78,21 @@ class ArtifactKind(Enum):
     INVALID_THM2 = "thm2-invalid"
 
 
-@dataclass(frozen=True)
-class ReductionArtifact:
+class ReductionArtifact(Record):
     """A source problem, its constructed matching target, and metadata."""
 
+    __slots__ = (
+        "kind",
+        "source",
+        "target",
+        "spec",
+        "names",
+        "f_position",
+        "f_order",
+        "required_pairs",
+        "invalid_per_erratum",
+    )
+    __match_args__ = __slots__
     kind: ArtifactKind
     source: Problem
     target: Problem
@@ -92,9 +103,43 @@ class ReductionArtifact:
     required_pairs: frozenset[SortPair]
     invalid_per_erratum: bool
 
+    def __init__(
+        self,
+        kind: ArtifactKind,
+        source: Problem,
+        target: Problem,
+        spec: CubeSpec,
+        names: Mapping[str, str],
+        f_position: int,
+        f_order: OrderValue,
+        required_pairs: frozenset[SortPair],
+        invalid_per_erratum: bool,
+    ) -> None:
+        _set_artifact_kind(self, kind)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_spec(self, spec)
+        _set_names(self, names)
+        _set_f_position(self, f_position)
+        _set_artifact_f_order(self, f_order)
+        _set_required_pairs(self, required_pairs)
+        _set_invalid_per_erratum(self, invalid_per_erratum)
 
-@dataclass(frozen=True)
-class _Variant:
+
+(
+    _set_artifact_kind,
+    _set_source,
+    _set_target,
+    _set_spec,
+    _set_names,
+    _set_f_position,
+    _set_artifact_f_order,
+    _set_required_pairs,
+    _set_invalid_per_erratum,
+) = slot_setters(ReductionArtifact)
+
+
+class _Variant(Record):
     """One row of the encoding table.
 
     roles are the leading block declarations in order: the point z/Z of
@@ -103,12 +148,36 @@ class _Variant:
     Prop for a type-elementary one (and the binder hint of [x:B]z).
     """
 
+    __slots__ = ("roles", "term_level", "required", "purpose", "f_order")
+    __match_args__ = __slots__
     roles: tuple[str, ...]
     term_level: bool
     required: frozenset[SortPair]
     purpose: str
     f_order: OrderValue
 
+    def __init__(
+        self,
+        roles: tuple[str, ...],
+        term_level: bool,
+        required: frozenset[SortPair],
+        purpose: str,
+        f_order: OrderValue,
+    ) -> None:
+        _set_roles(self, roles)
+        _set_term_level(self, term_level)
+        _set_required(self, required)
+        _set_purpose(self, purpose)
+        _set_variant_f_order(self, f_order)
+
+
+(
+    _set_roles,
+    _set_term_level,
+    _set_required,
+    _set_purpose,
+    _set_variant_f_order,
+) = slot_setters(_Variant)
 
 _VARIANTS = {
     ArtifactKind.THM1: _Variant(
@@ -308,29 +377,34 @@ def thm1_extract(sigma: Substitution, art: ReductionArtifact) -> Substitution:
     return tau
 
 
-@dataclass(frozen=True)
-class GoldfarbShapes:
+class GoldfarbShapes(Record):
     """Slots of the base type, its constant and the binary operator.
 
     The context must declare them term-elementary-style: U universal of
     sort Prop, a:U and g:U->U->U universal.
     """
 
+    __slots__ = ("qctx", "u_pos", "a_pos", "g_pos")
+    __match_args__ = __slots__
     qctx: QContext
     u_pos: int
     a_pos: int
     g_pos: int
 
-    def __post_init__(self) -> None:
-        u, a, g = (self.qctx.decls[p] for p in (self.u_pos, self.a_pos, self.g_pos))
-        u_at = lambda pos: Var(pos - 1 - self.u_pos)  # noqa: E731
+    def __init__(self, qctx: QContext, u_pos: int, a_pos: int, g_pos: int) -> None:
+        u, a, g = (qctx.decls[p] for p in (u_pos, a_pos, g_pos))
+        u_at = lambda pos: Var(pos - 1 - u_pos)  # noqa: E731
         if u.quant is not Quant.FORALL or u.ty != PROP:
             raise ValueError("base-type slot must be a universal of sort Prop")
-        if a.quant is not Quant.FORALL or a.ty != u_at(self.a_pos):
+        if a.quant is not Quant.FORALL or a.ty != u_at(a_pos):
             raise ValueError("constant slot must be a universal of the base type")
-        uu = u_at(self.g_pos)
+        uu = u_at(g_pos)
         if g.quant is not Quant.FORALL or g.ty != arrow(uu, arrow(uu, uu)):
             raise ValueError("operator slot must be universal of type U->U->U")
+        _set_shapes_qctx(self, qctx)
+        _set_u_pos(self, u_pos)
+        _set_a_pos(self, a_pos)
+        _set_g_pos(self, g_pos)
 
     @classmethod
     def standard(cls) -> GoldfarbShapes:
@@ -347,6 +421,9 @@ class GoldfarbShapes:
 
     def _g(self, depth: int) -> Var:
         return Var(len(self.qctx) - 1 - self.g_pos + depth)
+
+
+_set_shapes_qctx, _set_u_pos, _set_a_pos, _set_g_pos = slot_setters(GoldfarbShapes)
 
 
 def goldfarb_numeral(n: int, shapes: GoldfarbShapes) -> Term:

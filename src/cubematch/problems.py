@@ -9,7 +9,6 @@ substituted terms live in the image context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from typing import Iterator
@@ -22,6 +21,7 @@ from .errors import (
     SubstitutionError,
     TypingError,
 )
+from .record import Record, slot_setters
 from .reduction import beta_eta_normalize, equivalent
 from .terms import (
     PROP,
@@ -73,18 +73,33 @@ class Quant(Enum):
     EXISTS = "exists"
 
 
-@dataclass(frozen=True)
-class QDecl:
+class QDecl(Record):
+    """One quantified declaration; the name is display-only."""
+
+    __slots__ = ("quant", "ty", "name")
+    __match_args__ = __slots__
     quant: Quant
     ty: Term
-    name: str | None = field(default=None, compare=False)
+    name: str | None
+
+    def __init__(self, quant: Quant, ty: Term, name: str | None = None) -> None:
+        _set_quant(self, quant)
+        _set_qdecl_ty(self, ty)
+        _set_qdecl_name(self, name)
+
+    def _key(self) -> tuple:
+        return self.quant, self.ty
 
 
-@dataclass(frozen=True)
-class QContext:
+class QContext(Record):
     """Declarations with quantifiers, outermost first."""
 
-    decls: tuple[QDecl, ...] = ()
+    __slots__ = ("decls",)
+    __match_args__ = __slots__
+    decls: tuple[QDecl, ...]
+
+    def __init__(self, decls: tuple[QDecl, ...] = ()) -> None:
+        _set_qdecls(self, decls)
 
     def __len__(self) -> int:
         return len(self.decls)
@@ -105,40 +120,54 @@ class QContext:
         return [q for q, d in enumerate(self.decls) if d.quant is Quant.EXISTS]
 
 
-@dataclass(frozen=True)
-class SubstTriple:
+_set_quant, _set_qdecl_ty, _set_qdecl_name = slot_setters(QDecl)
+(_set_qdecls,) = slot_setters(QContext)
+
+
+class SubstTriple(Record):
     """One binding: the slot, a local all-existential context, the term.
 
     The term (and the local declarations) are expressed over the image of
     the slot's prefix followed by the local context itself.
     """
 
+    __slots__ = ("pos", "local", "term")
+    __match_args__ = __slots__
     pos: int
     local: QContext
     term: Term
 
+    def __init__(self, pos: int, local: QContext, term: Term) -> None:
+        _set_pos(self, pos)
+        _set_local(self, local)
+        _set_term(self, term)
 
-@dataclass(frozen=True)
-class Substitution:
-    """At most one triple per slot, each targeting an existential slot."""
 
+class Substitution(Record):
+    """At most one triple per slot, each targeting an existential slot.
+
+    The triples are kept sorted by slot.  The tables `triple_at` and
+    `slots_before` read are derived from them and are not fields: they take
+    no part in `==` or `hash` and are rebuilt, not copied, by `copy` and
+    `pickle`.
+    """
+
+    __slots__ = ("qctx", "triples", "_by_pos", "_cum")
+    __match_args__ = ("qctx", "triples")
     qctx: QContext
-    triples: tuple[SubstTriple, ...] = ()
-    _by_pos: dict[int, SubstTriple] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _cum: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    triples: tuple[SubstTriple, ...]
+    _by_pos: dict[int, SubstTriple]
+    _cum: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.triples, key=lambda tr: tr.pos))
-        object.__setattr__(self, "triples", ordered)
+    def __init__(self, qctx: QContext, triples: tuple[SubstTriple, ...] = ()) -> None:
+        ordered = tuple(sorted(triples, key=lambda tr: tr.pos))
         by_pos: dict[int, SubstTriple] = {}
         for tr in ordered:
             if tr.pos in by_pos:
                 raise ValueError(f"two triples target slot {tr.pos}")
-            if not 0 <= tr.pos < len(self.qctx):
+            if not 0 <= tr.pos < len(qctx):
                 raise ValueError(f"slot {tr.pos} is outside the context")
-            if self.qctx.decls[tr.pos].quant is not Quant.EXISTS:
+            if qctx.decls[tr.pos].quant is not Quant.EXISTS:
                 raise ValueError(
                     f"slot {tr.pos} is universal; only unknowns can be bound"
                 )
@@ -146,11 +175,13 @@ class Substitution:
                 raise ValueError("local contexts must be all-existential")
             by_pos[tr.pos] = tr
         cum = [0]
-        for q in range(len(self.qctx)):
+        for q in range(len(qctx)):
             tr = by_pos.get(q)
             cum.append(cum[-1] + (1 if tr is None else len(tr.local)))
-        object.__setattr__(self, "_by_pos", by_pos)
-        object.__setattr__(self, "_cum", tuple(cum))
+        _set_qctx(self, qctx)
+        _set_triples(self, ordered)
+        _set_by_pos(self, by_pos)
+        _set_cum(self, tuple(cum))
 
     def triple_at(self, pos: int) -> SubstTriple | None:
         return self._by_pos.get(pos)
@@ -162,6 +193,12 @@ class Substitution:
     @property
     def image_len(self) -> int:
         return self._cum[len(self.qctx)]
+
+
+_set_pos, _set_local, _set_term = slot_setters(SubstTriple)
+_set_qctx, _set_triples, _set_by_pos, _set_cum = slot_setters(
+    Substitution, *Substitution.__slots__
+)
 
 
 def apply_subst(s: Substitution, t: Term) -> Term:
@@ -298,15 +335,17 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
     return QContext(tuple(image))
 
 
-@dataclass(frozen=True)
-class OrderValue:
+class OrderValue(Record):
     """A finite order (>= 1) or the infinite order (value None)."""
 
+    __slots__ = ("value",)
+    __match_args__ = __slots__
     value: int | None
 
-    def __post_init__(self) -> None:
-        if self.value is not None and self.value < 1:
+    def __init__(self, value: int | None) -> None:
+        if value is not None and value < 1:
             raise ValueError("finite orders start at 1")
+        _set_order_value(self, value)
 
     @classmethod
     def finite(cls, n: int) -> OrderValue:
@@ -330,6 +369,8 @@ class OrderValue:
     def __str__(self) -> str:
         return "inf" if self.value is None else str(self.value)
 
+
+(_set_order_value,) = slot_setters(OrderValue)
 
 INFINITE = OrderValue(None)
 
@@ -375,8 +416,7 @@ class ProblemKind(Enum):
     UNIFICATION = "unification"
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Record):
     """Two same-typed sides over a quantified context.
 
     The kind is derived: matching iff the right-hand side is closed.
@@ -384,12 +424,40 @@ class Problem:
     common type and the maximum order over existential declarations.
     """
 
+    __slots__ = ("qctx", "lhs", "rhs", "kind", "common_type", "max_existential_order")
+    __match_args__ = __slots__
     qctx: QContext
     lhs: Term
     rhs: Term
     kind: ProblemKind
     common_type: Term
     max_existential_order: OrderValue | None
+
+    def __init__(
+        self,
+        qctx: QContext,
+        lhs: Term,
+        rhs: Term,
+        kind: ProblemKind,
+        common_type: Term,
+        max_existential_order: OrderValue | None,
+    ) -> None:
+        _set_problem_qctx(self, qctx)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_kind(self, kind)
+        _set_common_type(self, common_type)
+        _set_max_order(self, max_existential_order)
+
+
+(
+    _set_problem_qctx,
+    _set_lhs,
+    _set_rhs,
+    _set_kind,
+    _set_common_type,
+    _set_max_order,
+) = slot_setters(Problem)
 
 
 def make_problem(qctx: QContext, a: Term, b: Term, spec: CubeSpec) -> Problem:

@@ -11,9 +11,9 @@ default Fuel of its own.
 from __future__ import annotations
 
 from contextvars import ContextVar, Token
-from dataclasses import dataclass
 
 from .errors import FuelExhausted, NotNormal
+from .record import Record, slot_setters
 from .terms import App, Lam, Pi, Term, Var, free_indices, shift, spine, subst
 
 __all__ = [
@@ -60,22 +60,32 @@ class Fuel:
 _BUDGET: ContextVar[Fuel | None] = ContextVar("cubematch_fuel", default=None)
 
 
-@dataclass(frozen=True)
-class Abstraction:
+class Abstraction(Record):
     """Normal form starting with a lambda."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Product:
+
+class Product(Record):
     """Normal form starting with a product."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Atomic:
+
+class Atomic(Record):
     """Normal form (head a1 ... an); the head is a variable or a sort."""
 
+    __slots__ = ("head", "args")
+    __match_args__ = __slots__
     head: Term
     args: tuple[Term, ...]
+
+    def __init__(self, head: Term, args: tuple[Term, ...]) -> None:
+        _set_head(self, head)
+        _set_args(self, args)
+
+
+_set_head, _set_args = slot_setters(Atomic)
 
 
 NormalClass = Abstraction | Product | Atomic

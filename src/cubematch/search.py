@@ -15,9 +15,8 @@ target type and cost nothing, everything else costs one node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .problems import Problem, QContext, QDecl, SubstTriple, Substitution, is_solution
+from .record import Record, slot_setters
 from .reduction import beta_eta_normalize, equivalent
 from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, shift, subst
 from .typecheck import CubeSpec, Scope
@@ -25,14 +24,20 @@ from .typecheck import CubeSpec, Scope
 __all__ = ["SearchBudget", "decision_size", "enumerate_candidates", "solve_bounded"]
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_term_size: int = 6
-    max_solutions: int = 16
+class SearchBudget(Record):
+    __slots__ = ("max_term_size", "max_solutions")
+    __match_args__ = __slots__
+    max_term_size: int
+    max_solutions: int
 
-    def __post_init__(self) -> None:
-        if self.max_term_size <= 0 or self.max_solutions <= 0:
+    def __init__(self, max_term_size: int = 6, max_solutions: int = 16) -> None:
+        if max_term_size <= 0 or max_solutions <= 0:
             raise ValueError("budgets must be positive")
+        _set_max_term_size(self, max_term_size)
+        _set_max_solutions(self, max_solutions)
+
+
+_set_max_term_size, _set_max_solutions = slot_setters(SearchBudget)
 
 
 def decision_size(t: Term) -> int:

@@ -15,7 +15,6 @@ enclosing binder; shadowing is allowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParseError, ProblemError, UnboundName
@@ -29,6 +28,7 @@ from .problems import (
     Substitution,
     make_problem,
 )
+from .record import Record, slot_setters
 from .terms import (
     PROP,
     TYPE,
@@ -64,26 +64,41 @@ KEYWORDS = frozenset(
 _PUNCT = ("->", ":=", "(", ")", "[", "]", ":", ",", "=", "-")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
+    __slots__ = ("start", "end", "line", "col")
+    __match_args__ = __slots__
     start: int
     end: int
     line: int
     col: int
 
-    def __post_init__(self) -> None:
-        if self.start > self.end:
+    def __init__(self, start: int, end: int, line: int, col: int) -> None:
+        if start > end:
             raise ValueError("span ends before it starts")
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_line(self, line)
+        _set_col(self, col)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
+    __slots__ = ("kind", "text", "span")
+    __match_args__ = __slots__
     kind: str  # "ident" | "kw" | "punct" | "eof"
     text: str
     span: SourceSpan
+
+    def __init__(self, kind: str, text: str, span: SourceSpan) -> None:
+        _set_token_kind(self, kind)
+        _set_text(self, text)
+        _set_span(self, span)
+
+
+_set_start, _set_end, _set_line, _set_col = slot_setters(SourceSpan)
+_set_token_kind, _set_text, _set_span = slot_setters(Token)
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -296,16 +311,43 @@ def parse_term(text: str, scope: Sequence[str] = ()) -> Term:
     return t
 
 
-@dataclass(frozen=True)
-class ParsedProblem:
+class ParsedProblem(Record):
     """A problem file before validation."""
 
+    __slots__ = ("spec", "qctx", "lhs", "rhs", "goal_keyword", "eq_span")
+    __match_args__ = __slots__
     spec: CubeSpec
     qctx: QContext
     lhs: Term
     rhs: Term
     goal_keyword: str
     eq_span: SourceSpan
+
+    def __init__(
+        self,
+        spec: CubeSpec,
+        qctx: QContext,
+        lhs: Term,
+        rhs: Term,
+        goal_keyword: str,
+        eq_span: SourceSpan,
+    ) -> None:
+        _set_parsed_spec(self, spec)
+        _set_parsed_qctx(self, qctx)
+        _set_parsed_lhs(self, lhs)
+        _set_parsed_rhs(self, rhs)
+        _set_goal_keyword(self, goal_keyword)
+        _set_eq_span(self, eq_span)
+
+
+(
+    _set_parsed_spec,
+    _set_parsed_qctx,
+    _set_parsed_lhs,
+    _set_parsed_rhs,
+    _set_goal_keyword,
+    _set_eq_span,
+) = slot_setters(ParsedProblem)
 
 
 def parse_problem_file(text: str) -> ParsedProblem:

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import Collection
 
+from .record import Record, slot_setters
+
 __all__ = [
     "Term",
     "Sort",
@@ -50,20 +52,13 @@ __all__ = [
 ]
 
 
-class _Node:
-    """What the five constructors share: immutability, `==` and `hash` up to
-    binder hints, pickling by constructor call, and a dataclass-style `repr`.
+class _Node(Record):
+    """What the five constructors share: `==` and `hash` up to binder hints.
 
-    `__match_args__` names each class's fields in constructor order."""
+    Immutability, the `repr`, and pickling by constructor call come from
+    `Record`; the cached hash is not a field, so it is never pickled."""
 
     __slots__ = ("_hash",)
-    __match_args__: tuple[str, ...] = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         """Structural equality up to hints; shared subterms are skipped by `is`.
@@ -111,21 +106,12 @@ class _Node:
         except AttributeError:
             return _fill_hash(self)
 
-    def __reduce__(self) -> tuple:
-        # rebuilt through the constructor, so the cached hash (which depends
-        # on the process's string hashing) is never pickled
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
-
 
 class Sort(_Node):
     """One of the two sorts, tagged "Prop" or "Type"."""
 
     __slots__ = ("tag",)
-    __match_args__ = ("tag",)
+    __match_args__ = __slots__
     tag: str
 
     def __init__(self, tag: str) -> None:
@@ -143,7 +129,7 @@ class Var(_Node):
     """A de Bruijn index (always non-negative)."""
 
     __slots__ = ("index",)
-    __match_args__ = ("index",)
+    __match_args__ = __slots__
     index: int
 
     def __init__(self, index: int) -> None:
@@ -159,7 +145,7 @@ class Var(_Node):
 
 class App(_Node):
     __slots__ = ("fn", "arg")
-    __match_args__ = ("fn", "arg")
+    __match_args__ = __slots__
     fn: Term
     arg: Term
 
@@ -172,7 +158,7 @@ class Lam(_Node):
     """Annotated abstraction [x:dom]body."""
 
     __slots__ = ("dom", "body", "hint")
-    __match_args__ = ("dom", "body", "hint")
+    __match_args__ = __slots__
     dom: Term
     body: Term
     hint: str | None
@@ -187,7 +173,7 @@ class Pi(_Node):
     """Product (x:dom)cod; prints as dom -> cod when cod ignores the binder."""
 
     __slots__ = ("dom", "cod", "hint")
-    __match_args__ = ("dom", "cod", "hint")
+    __match_args__ = __slots__
     dom: Term
     cod: Term
     hint: str | None
@@ -198,19 +184,12 @@ class Pi(_Node):
         _set_pi_hint(self, hint)
 
 
-# The slots' own setters: `__setattr__` refuses every assignment, and these
-# skip the attribute lookup that object.__setattr__ would make.
-_set_hash = _Node._hash.__set__
-_set_tag = Sort.tag.__set__
-_set_index = Var.index.__set__
-_set_fn = App.fn.__set__
-_set_arg = App.arg.__set__
-_set_lam_dom = Lam.dom.__set__
-_set_body = Lam.body.__set__
-_set_lam_hint = Lam.hint.__set__
-_set_pi_dom = Pi.dom.__set__
-_set_cod = Pi.cod.__set__
-_set_pi_hint = Pi.hint.__set__
+(_set_hash,) = slot_setters(_Node, "_hash")
+(_set_tag,) = slot_setters(Sort)
+(_set_index,) = slot_setters(Var)
+_set_fn, _set_arg = slot_setters(App)
+_set_lam_dom, _set_body, _set_lam_hint = slot_setters(Lam)
+_set_pi_dom, _set_cod, _set_pi_hint = slot_setters(Pi)
 
 
 def _fill_hash(root: Term) -> int:

@@ -7,7 +7,6 @@ type when it exists and a precise error when it does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -19,6 +18,7 @@ from .errors import (
     TypeHasNoType,
     TypingError,
 )
+from .record import Record, slot_setters
 from .reduction import beta_eta_normalize
 from .terms import TYPE, App, Lam, Pi, Sort, Term, Var, describe, free_indices, shift, subst
 
@@ -53,18 +53,26 @@ def pair_text(pair: SortPair) -> str:
     return f"{pair[0]}-{pair[1]}"
 
 
-@dataclass(frozen=True)
-class CubeSpec:
-    """The rule set selecting one calculus; Prop-Prop is always present."""
+class CubeSpec(Record):
+    """The rule set selecting one calculus; Prop-Prop is always present.
 
+    The name is display-only: `==` and `hash` compare the rules."""
+
+    __slots__ = ("rules", "name")
+    __match_args__ = __slots__
     rules: frozenset[SortPair]
-    name: str | None = field(default=None, compare=False)
+    name: str | None
 
-    def __post_init__(self) -> None:
-        if not self.rules <= ALL_PAIRS:
+    def __init__(self, rules: frozenset[SortPair], name: str | None = None) -> None:
+        if not rules <= ALL_PAIRS:
             raise ValueError("rules must be sort pairs over Prop/Type")
-        if PP not in self.rules:
+        if PP not in rules:
             raise ValueError("the pair Prop-Prop is mandatory")
+        _set_rules(self, rules)
+        _set_spec_name(self, name)
+
+    def _key(self) -> tuple:
+        return (self.rules,)
 
     def allows(self, pair: SortPair) -> bool:
         return pair in self.rules
@@ -80,6 +88,8 @@ class CubeSpec:
         pairs = ", ".join(pair_text(p) for p in sorted(self.rules))
         return f"custom ({pairs})"
 
+
+_set_rules, _set_spec_name = slot_setters(CubeSpec)
 
 PRESETS: dict[str, CubeSpec] = {
     "stlc": CubeSpec(frozenset({PP}), name="stlc"),
@@ -102,19 +112,31 @@ def cube_spec(name: str) -> CubeSpec:
         raise CubeError(f"unknown calculus {name!r}; expected one of: {known}") from None
 
 
-@dataclass(frozen=True)
-class Decl:
+class Decl(Record):
     """One declaration x:T; the name is display-only."""
 
+    __slots__ = ("ty", "name")
+    __match_args__ = __slots__
     ty: Term
-    name: str | None = field(default=None, compare=False)
+    name: str | None
+
+    def __init__(self, ty: Term, name: str | None = None) -> None:
+        _set_decl_ty(self, ty)
+        _set_decl_name(self, name)
+
+    def _key(self) -> tuple:
+        return (self.ty,)
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Record):
     """Ordered declarations, outermost first; Var(0) is the innermost."""
 
-    decls: tuple[Decl, ...] = ()
+    __slots__ = ("decls",)
+    __match_args__ = __slots__
+    decls: tuple[Decl, ...]
+
+    def __init__(self, decls: tuple[Decl, ...] = ()) -> None:
+        _set_decls(self, decls)
 
     def __len__(self) -> int:
         return len(self.decls)
@@ -124,6 +146,10 @@ class Context:
 
     def extended(self, ty: Term, name: str | None = None) -> Context:
         return Context(self.decls + (Decl(ty, name),))
+
+
+_set_decl_ty, _set_decl_name = slot_setters(Decl)
+(_set_decls,) = slot_setters(Context)
 
 
 def sort_of(ctx: Context, T: Term, spec: CubeSpec) -> Sort:

@@ -365,6 +365,83 @@ def test_missing_file_is_exit_2(capsys) -> None:
     assert code == 2
 
 
+def cli(*argv: str | bytes, **env: str) -> subprocess.CompletedProcess:
+    """`python -m cubematch.cli argv` in a child, with env added; bytes out."""
+    return subprocess.run(
+        [sys.executable, "-m", "cubematch.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC), **env},
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("role", ["problem", "substitution"])
+def test_an_undecodable_file_is_an_input_error_naming_it(capsys, tmp_path, role) -> None:
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"calculus lP\n\xff\n")
+    if role == "problem":
+        code, payload = jrun(capsys, "check", str(bad))
+    else:
+        code, payload = jrun(capsys, "verify", fx("thm1_target.prob"), str(bad))
+    assert code == 2 and payload["outcome"] == "error"
+    err = payload["details"]["error"]
+    assert err["kind"] == "ParseError"
+    assert err["message"] == f"{bad} is not UTF-8 text: byte 0xff at offset 12"
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path) -> None:
+    prob = tmp_path / "comment.prob"
+    text = (FIXTURES / "term_source.prob").read_text(encoding="utf-8")
+    prob.write_text("# résumé: a non-ASCII comment\n" + text, encoding="utf-8")
+    proc = cli("check", str(prob), "--format", "json", LC_ALL="C", PYTHONUTF8="0")
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["outcome"] == "yes"
+
+
+CAFE = "calculus lP\nforall U : Prop\nforall café : U\nexists F : U -> U\nunify F café = café\n"
+
+
+def test_a_text_report_is_utf8_whatever_stdout_encoding(tmp_path) -> None:
+    prob = tmp_path / "cafe.prob"
+    prob.write_text(CAFE, encoding="utf-8")
+    proc = cli("normalize", str(prob), PYTHONIOENCODING="ascii")
+    assert proc.returncode == 0 and b"Traceback" not in proc.stderr
+    assert proc.stdout.decode("utf-8") == "normalize: yes\nlhs: F café\nrhs: café\n"
+    # JSON reports are ASCII: the same bytes as before reports were UTF-8
+    proc = cli("normalize", str(prob), "--format", "json", PYTHONIOENCODING="ascii")
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        b'{"command": "normalize", "outcome": "yes", '
+        b'"details": {"lhs": "F caf\\u00e9", "rhs": "caf\\u00e9"}}\n'
+    )
+
+
+def test_an_undecodable_argument_is_reported_as_given(tmp_path) -> None:
+    # the locale cannot decode byte 0xff; the report writes it back as is
+    out = os.fsencode(tmp_path) + b"/built\xff.prob"
+    for env in ({}, {"LC_ALL": "C", "PYTHONUTF8": "0"}, {"PYTHONIOENCODING": "ascii"}):
+        proc = cli("build", "thm1", fx("term_source.prob"), "-o", out, **env)
+        assert proc.returncode == 0 and b"Traceback" not in proc.stderr, env
+        assert proc.stdout.endswith(b"\nout: " + out + b"\n"), env
+        assert Path(os.fsdecode(out)).is_file()
+
+
+def test_the_cli_imports_no_dataclasses_inspect_or_pathlib() -> None:
+    # -S: no site hooks, which may import any of these on their own
+    probe = "import sys, cubematch.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "cubematch.cli" in loaded
+    assert not {"dataclasses", "inspect", "pathlib"} & loaded
+
+
 @pytest.mark.parametrize("command", ["check", "solve"])
 def test_closed_output_pipe_is_exit_2_without_a_traceback(command) -> None:
     read_end, write_end = os.pipe()
