@@ -12,7 +12,6 @@ import io
 import json
 import os
 import sys
-from typing import Any
 
 from .encodings import (
     ReductionArtifact,
@@ -29,7 +28,7 @@ from .problems import (
     is_type_elementary,
     order,
 )
-from .record import Record, slot_setters
+from .record import Record
 from .reduction import DEFAULT_MAX_STEPS, Fuel, beta_eta_normalize
 from .search import SearchBudget, solve_bounded
 from .syntax import (
@@ -57,19 +56,11 @@ class Verdict(Record):
     __match_args__ = __slots__
     command: str
     outcome: str  # yes | no | error
-    details: dict[str, Any]
-
-    def __init__(self, command: str, outcome: str, details: dict[str, Any]) -> None:
-        _set_command(self, command)
-        _set_outcome(self, outcome)
-        _set_details(self, details)
+    details: dict[str, object]
 
     @property
     def exit_code(self) -> int:
         return _EXIT[self.outcome]
-
-
-_set_command, _set_outcome, _set_details = slot_setters(Verdict)
 
 
 def _positive(text: str) -> int:
@@ -209,7 +200,7 @@ def _cmd_order(args: argparse.Namespace) -> Verdict:
 
 def _cmd_classify(args: argparse.Namespace) -> Verdict:
     spec, problem = _load(args)
-    details: dict[str, Any] = {
+    details: dict[str, object] = {
         "kind": problem.kind.value,
         "term_elementary": is_term_elementary(problem),
         "type_elementary": is_type_elementary(problem, spec),
@@ -231,7 +222,7 @@ def _cmd_verify(args: argparse.Namespace) -> Verdict:
     return Verdict("verify", "yes" if ok else "no", {"solution": ok})
 
 
-def _artifact_details(art: ReductionArtifact) -> dict[str, Any]:
+def _artifact_details(art: ReductionArtifact) -> dict[str, object]:
     return {
         "kind": art.kind.value,
         "f_order": _order_value(art.f_order),
@@ -313,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         with Fuel(args.fuel):
             verdict = _DISPATCH[args.command](args)
     except CubeError as e:
-        err: dict[str, Any] = {"kind": type(e).__name__, "message": e.message}
+        err: dict[str, object] = {"kind": type(e).__name__, "message": e.message}
         if e.span is not None:
             err["span"] = str(e.span)
         verdict = Verdict(args.command, "error", {"error": err})

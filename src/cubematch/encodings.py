@@ -32,7 +32,7 @@ typability regressions over the term-elementary signature.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import CapabilityError, CubeError, ElementarityError, WitnessError
 from .problems import (
@@ -52,7 +52,7 @@ from .problems import (
     make_problem,
     order,
 )
-from .record import Record, slot_setters
+from .record import Record
 from .terms import PROP, App, Lam, Pi, Term, Var, app, arrow, pick_fresh, shift
 from .typecheck import PT, TP, TT, CubeSpec, SortPair, pair_text
 
@@ -103,41 +103,6 @@ class ReductionArtifact(Record):
     required_pairs: frozenset[SortPair]
     invalid_per_erratum: bool
 
-    def __init__(
-        self,
-        kind: ArtifactKind,
-        source: Problem,
-        target: Problem,
-        spec: CubeSpec,
-        names: Mapping[str, str],
-        f_position: int,
-        f_order: OrderValue,
-        required_pairs: frozenset[SortPair],
-        invalid_per_erratum: bool,
-    ) -> None:
-        _set_artifact_kind(self, kind)
-        _set_source(self, source)
-        _set_target(self, target)
-        _set_spec(self, spec)
-        _set_names(self, names)
-        _set_f_position(self, f_position)
-        _set_artifact_f_order(self, f_order)
-        _set_required_pairs(self, required_pairs)
-        _set_invalid_per_erratum(self, invalid_per_erratum)
-
-
-(
-    _set_artifact_kind,
-    _set_source,
-    _set_target,
-    _set_spec,
-    _set_names,
-    _set_f_position,
-    _set_artifact_f_order,
-    _set_required_pairs,
-    _set_invalid_per_erratum,
-) = slot_setters(ReductionArtifact)
-
 
 class _Variant(Record):
     """One row of the encoding table.
@@ -155,29 +120,6 @@ class _Variant(Record):
     required: frozenset[SortPair]
     purpose: str
     f_order: OrderValue
-
-    def __init__(
-        self,
-        roles: tuple[str, ...],
-        term_level: bool,
-        required: frozenset[SortPair],
-        purpose: str,
-        f_order: OrderValue,
-    ) -> None:
-        _set_roles(self, roles)
-        _set_term_level(self, term_level)
-        _set_required(self, required)
-        _set_purpose(self, purpose)
-        _set_variant_f_order(self, f_order)
-
-
-(
-    _set_roles,
-    _set_term_level,
-    _set_required,
-    _set_purpose,
-    _set_variant_f_order,
-) = slot_setters(_Variant)
 
 _VARIANTS = {
     ArtifactKind.THM1: _Variant(
@@ -391,8 +333,11 @@ class GoldfarbShapes(Record):
     a_pos: int
     g_pos: int
 
-    def __init__(self, qctx: QContext, u_pos: int, a_pos: int, g_pos: int) -> None:
-        u, a, g = (qctx.decls[p] for p in (u_pos, a_pos, g_pos))
+    def _check(self) -> None:
+        decls, u_pos, a_pos, g_pos = self.qctx.decls, self.u_pos, self.a_pos, self.g_pos
+        if not all(0 <= p < len(decls) for p in (u_pos, a_pos, g_pos)):
+            raise ValueError(f"slot positions must index the {len(decls)} declarations")
+        u, a, g = decls[u_pos], decls[a_pos], decls[g_pos]
         u_at = lambda pos: Var(pos - 1 - u_pos)  # noqa: E731
         if u.quant is not Quant.FORALL or u.ty != PROP:
             raise ValueError("base-type slot must be a universal of sort Prop")
@@ -401,10 +346,6 @@ class GoldfarbShapes(Record):
         uu = u_at(g_pos)
         if g.quant is not Quant.FORALL or g.ty != arrow(uu, arrow(uu, uu)):
             raise ValueError("operator slot must be universal of type U->U->U")
-        _set_shapes_qctx(self, qctx)
-        _set_u_pos(self, u_pos)
-        _set_a_pos(self, a_pos)
-        _set_g_pos(self, g_pos)
 
     @classmethod
     def standard(cls) -> GoldfarbShapes:
@@ -421,9 +362,6 @@ class GoldfarbShapes(Record):
 
     def _g(self, depth: int) -> Var:
         return Var(len(self.qctx) - 1 - self.g_pos + depth)
-
-
-_set_shapes_qctx, _set_u_pos, _set_a_pos, _set_g_pos = slot_setters(GoldfarbShapes)
 
 
 def goldfarb_numeral(n: int, shapes: GoldfarbShapes) -> Term:

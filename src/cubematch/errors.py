@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+TYPE_CHECKING = False
 
 if TYPE_CHECKING:
     from .syntax import SourceSpan

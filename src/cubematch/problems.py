@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import reduce
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import (
     NotAType,
@@ -342,10 +342,9 @@ class OrderValue(Record):
     __match_args__ = __slots__
     value: int | None
 
-    def __init__(self, value: int | None) -> None:
-        if value is not None and value < 1:
+    def _check(self) -> None:
+        if self.value is not None and self.value < 1:
             raise ValueError("finite orders start at 1")
-        _set_order_value(self, value)
 
     @classmethod
     def finite(cls, n: int) -> OrderValue:
@@ -368,9 +367,6 @@ class OrderValue(Record):
 
     def __str__(self) -> str:
         return "inf" if self.value is None else str(self.value)
-
-
-(_set_order_value,) = slot_setters(OrderValue)
 
 INFINITE = OrderValue(None)
 
@@ -432,32 +428,6 @@ class Problem(Record):
     kind: ProblemKind
     common_type: Term
     max_existential_order: OrderValue | None
-
-    def __init__(
-        self,
-        qctx: QContext,
-        lhs: Term,
-        rhs: Term,
-        kind: ProblemKind,
-        common_type: Term,
-        max_existential_order: OrderValue | None,
-    ) -> None:
-        _set_problem_qctx(self, qctx)
-        _set_lhs(self, lhs)
-        _set_rhs(self, rhs)
-        _set_kind(self, kind)
-        _set_common_type(self, common_type)
-        _set_max_order(self, max_existential_order)
-
-
-(
-    _set_problem_qctx,
-    _set_lhs,
-    _set_rhs,
-    _set_kind,
-    _set_common_type,
-    _set_max_order,
-) = slot_setters(Problem)
 
 
 def make_problem(qctx: QContext, a: Term, b: Term, spec: CubeSpec) -> Problem:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from contextvars import ContextVar, Token
 
 from .errors import FuelExhausted, NotNormal
-from .record import Record, slot_setters
+from .record import Record
 from .terms import App, Lam, Pi, Term, Var, free_indices, shift, spine, subst
 
 __all__ = [
@@ -79,13 +79,6 @@ class Atomic(Record):
     __match_args__ = __slots__
     head: Term
     args: tuple[Term, ...]
-
-    def __init__(self, head: Term, args: tuple[Term, ...]) -> None:
-        _set_head(self, head)
-        _set_args(self, args)
-
-
-_set_head, _set_args = slot_setters(Atomic)
 
 
 NormalClass = Abstraction | Product | Atomic

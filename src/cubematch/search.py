@@ -16,7 +16,7 @@ target type and cost nothing, everything else costs one node.
 from __future__ import annotations
 
 from .problems import Problem, QContext, QDecl, SubstTriple, Substitution, is_solution
-from .record import Record, slot_setters
+from .record import Record
 from .reduction import beta_eta_normalize, equivalent
 from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, shift, subst
 from .typecheck import CubeSpec, Scope
@@ -29,15 +29,11 @@ class SearchBudget(Record):
     __match_args__ = __slots__
     max_term_size: int
     max_solutions: int
+    _defaults = {"max_term_size": 6, "max_solutions": 16}
 
-    def __init__(self, max_term_size: int = 6, max_solutions: int = 16) -> None:
-        if max_term_size <= 0 or max_solutions <= 0:
+    def _check(self) -> None:
+        if self.max_term_size <= 0 or self.max_solutions <= 0:
             raise ValueError("budgets must be positive")
-        _set_max_term_size(self, max_term_size)
-        _set_max_solutions(self, max_solutions)
-
-
-_set_max_term_size, _set_max_solutions = slot_setters(SearchBudget)
 
 
 def decision_size(t: Term) -> int:

@@ -15,7 +15,7 @@ enclosing binder; shadowing is allowed.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import ParseError, ProblemError, UnboundName
 from .problems import (
@@ -322,32 +322,6 @@ class ParsedProblem(Record):
     rhs: Term
     goal_keyword: str
     eq_span: SourceSpan
-
-    def __init__(
-        self,
-        spec: CubeSpec,
-        qctx: QContext,
-        lhs: Term,
-        rhs: Term,
-        goal_keyword: str,
-        eq_span: SourceSpan,
-    ) -> None:
-        _set_parsed_spec(self, spec)
-        _set_parsed_qctx(self, qctx)
-        _set_parsed_lhs(self, lhs)
-        _set_parsed_rhs(self, rhs)
-        _set_goal_keyword(self, goal_keyword)
-        _set_eq_span(self, eq_span)
-
-
-(
-    _set_parsed_spec,
-    _set_parsed_qctx,
-    _set_parsed_lhs,
-    _set_parsed_rhs,
-    _set_goal_keyword,
-    _set_eq_span,
-) = slot_setters(ParsedProblem)
 
 
 def parse_problem_file(text: str) -> ParsedProblem:

@@ -27,7 +27,7 @@ a normal term allocates nothing.
 
 from __future__ import annotations
 
-from typing import Collection
+from collections.abc import Collection
 
 from .record import Record, slot_setters
 

@@ -7,7 +7,7 @@ type when it exists and a precise error when it does not.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import (
     ContextError,
@@ -18,7 +18,7 @@ from .errors import (
     TypeHasNoType,
     TypingError,
 )
-from .record import Record, slot_setters
+from .record import Record
 from .reduction import beta_eta_normalize
 from .terms import TYPE, App, Lam, Pi, Sort, Term, Var, describe, free_indices, shift, subst
 
@@ -62,14 +62,13 @@ class CubeSpec(Record):
     __match_args__ = __slots__
     rules: frozenset[SortPair]
     name: str | None
+    _defaults = {"name": None}
 
-    def __init__(self, rules: frozenset[SortPair], name: str | None = None) -> None:
-        if not rules <= ALL_PAIRS:
+    def _check(self) -> None:
+        if not self.rules <= ALL_PAIRS:
             raise ValueError("rules must be sort pairs over Prop/Type")
-        if PP not in rules:
+        if PP not in self.rules:
             raise ValueError("the pair Prop-Prop is mandatory")
-        _set_rules(self, rules)
-        _set_spec_name(self, name)
 
     def _key(self) -> tuple:
         return (self.rules,)
@@ -88,8 +87,6 @@ class CubeSpec(Record):
         pairs = ", ".join(pair_text(p) for p in sorted(self.rules))
         return f"custom ({pairs})"
 
-
-_set_rules, _set_spec_name = slot_setters(CubeSpec)
 
 PRESETS: dict[str, CubeSpec] = {
     "stlc": CubeSpec(frozenset({PP}), name="stlc"),
@@ -119,10 +116,7 @@ class Decl(Record):
     __match_args__ = __slots__
     ty: Term
     name: str | None
-
-    def __init__(self, ty: Term, name: str | None = None) -> None:
-        _set_decl_ty(self, ty)
-        _set_decl_name(self, name)
+    _defaults = {"name": None}
 
     def _key(self) -> tuple:
         return (self.ty,)
@@ -134,9 +128,7 @@ class Context(Record):
     __slots__ = ("decls",)
     __match_args__ = __slots__
     decls: tuple[Decl, ...]
-
-    def __init__(self, decls: tuple[Decl, ...] = ()) -> None:
-        _set_decls(self, decls)
+    _defaults = {"decls": ()}
 
     def __len__(self) -> int:
         return len(self.decls)
@@ -146,10 +138,6 @@ class Context(Record):
 
     def extended(self, ty: Term, name: str | None = None) -> Context:
         return Context(self.decls + (Decl(ty, name),))
-
-
-_set_decl_ty, _set_decl_name = slot_setters(Decl)
-(_set_decls,) = slot_setters(Context)
 
 
 def sort_of(ctx: Context, T: Term, spec: CubeSpec) -> Sort:

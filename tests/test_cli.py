@@ -426,7 +426,7 @@ def test_an_undecodable_argument_is_reported_as_given(tmp_path) -> None:
         assert Path(os.fsdecode(out)).is_file()
 
 
-def test_the_cli_imports_no_dataclasses_inspect_or_pathlib() -> None:
+def test_the_cli_imports_no_typing_dataclasses_inspect_or_pathlib() -> None:
     # -S: no site hooks, which may import any of these on their own
     probe = "import sys, cubematch.cli; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run(
@@ -439,7 +439,7 @@ def test_the_cli_imports_no_dataclasses_inspect_or_pathlib() -> None:
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "cubematch.cli" in loaded
-    assert not {"dataclasses", "inspect", "pathlib"} & loaded
+    assert not {"typing", "dataclasses", "inspect", "pathlib"} & loaded
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])

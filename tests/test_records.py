@@ -37,6 +37,7 @@ from cubematch import (
 )
 from cubematch.cli import Verdict
 from cubematch.encodings import ArtifactKind
+from cubematch.record import Record
 from cubematch.syntax import parse_problem_file
 from cubematch.typecheck import PP, PT, TT
 
@@ -252,8 +253,41 @@ def test_match_args_drive_structural_patterns() -> None:
             lambda: GoldfarbShapes(QContext((A, X, QDecl(Quant.FORALL, PROP))), 0, 1, 2),
             "constant slot",
         ),
+        (lambda: GoldfarbShapes(GoldfarbShapes.standard().qctx, -3, -2, -1), "slot positions"),
+        (lambda: GoldfarbShapes(GoldfarbShapes.standard().qctx, 0, 1, 7), "slot positions"),
     ],
 )
 def test_constructors_validate(build, message) -> None:
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: OrderValue(1, 2), r"OrderValue\(\) got 2 arguments for its fields \(value\)"),
+        (lambda: SearchBudget(size=3), "SearchBudget.*unexpected keyword argument 'size'"),
+        (
+            lambda: CubeSpec(frozenset({PP}), rules=frozenset({PP})),
+            "CubeSpec.*multiple values for argument 'rules'",
+        ),
+        (lambda: Atomic(Var(0)), "Atomic.*missing required argument 'args'"),
+        (lambda: Decl(name="A"), "Decl.*missing required argument 'ty'"),
+    ],
+)
+def test_the_shared_constructor_rejects_bad_arguments(build, message) -> None:
+    with pytest.raises(TypeError, match=message):
+        build()
+
+
+def test_defaults_name_fields() -> None:
+    # every module defining a record is loaded by the cli import above
+    classes, todo = [], [Record]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    names = {c.__name__ for c in classes}
+    assert {"CubeSpec", "Decl", "Context", "SearchBudget", "Verdict", "_Variant", "Var"} <= names
+    for cls in classes:
+        assert set(cls._defaults) <= set(cls.__match_args__), cls
