@@ -5,9 +5,16 @@ product types force an abstraction, atomic types force a fully-applied
 head chosen among the universal declarations (and enclosing binders), and
 sort types additionally admit sorts and products as inhabitants.  Sizes
 are enumerated in increasing order and each candidate is generated once,
-at its exact size.  Every result is re-verified with the typechecker
-before being returned, and the output order is deterministic: size first,
-then the printed form.
+at its exact size.  Generation is goal-directed and memoised: a head is
+expanded only if its product chain can end in the target, and each
+sub-enumeration runs once per `enumerate_candidates` call.  Every result
+is re-verified with the typechecker before being returned, and the output
+order is deterministic: size first, then the printed form.
+
+`solve_bounded` tests the assignments level by level, a level being the
+size of an assignment's largest candidate, and stops after the first
+level that fills `max_solutions`.  Before full conversion, a leaf goes
+through a cheap rigid-spine refutation of its two sides.
 
 Size here counts choice nodes: abstraction domains are dictated by the
 target type and cost nothing, everything else costs one node.
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 from .problems import Problem, QContext, QDecl, SubstTriple, Substitution, is_solution
 from .record import Record
-from .reduction import beta_eta_normalize, equivalent
+from .reduction import _BUDGET, Fuel, _whnf, beta_eta_normalize, equivalent
 from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, shift, subst
 from .typecheck import CubeSpec, Scope
 
@@ -48,6 +55,27 @@ def decision_size(t: Term) -> int:
     return 1
 
 
+def _hints(t: Term) -> tuple[str | None, ...]:
+    """The binder hints of t in preorder; `==` and `hash` ignore them."""
+    out: list[str | None] = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        tt = type(t)
+        if tt is App:
+            todo.append(t.arg)
+            todo.append(t.fn)
+        elif tt is Lam:
+            out.append(t.hint)
+            todo.append(t.body)
+            todo.append(t.dom)
+        elif tt is Pi:
+            out.append(t.hint)
+            todo.append(t.cod)
+            todo.append(t.dom)
+    return tuple(out)
+
+
 def enumerate_candidates(
     qctx: QContext, T: Term, budget: SearchBudget, spec: CubeSpec
 ) -> list[Term]:
@@ -65,26 +93,63 @@ def enumerate_candidates(
     that ignores its binder is lowered, which keeps it normal; only a
     dependent one is instantiated and normalized.  gen and spines return
     whole lists, so each pops every binder it pushes before returning.
+
+    gen is memoised for the duration of this call.  Its key is the binder
+    types pushed above the declared ones, the target and the size, each
+    term paired with its binder hints: `==` ignores hints, but a generated
+    abstraction takes its hint from the target, so a hint-blind key could
+    hand out a term that prints differently.  A memoised list is shared
+    by every caller and never mutated.  A head is expanded only if its
+    product chain, lowered link by link, reaches the target; a dependent
+    link keeps the head, since its instances are not known in advance.
     """
     target = beta_eta_normalize(T)
     scope = Scope(qctx.plain().decls, spec)
     unknowns = set(qctx.existential_positions())
+    # the binder types pushed above the declared ones, with their hints
+    pushed: list[tuple[Term, tuple[str | None, ...]]] = []
+    memo: dict[tuple, list[Term]] = {}
+
+    def enter(nf: Term) -> None:
+        scope.push(nf)
+        pushed.append((nf, _hints(nf)))
+
+    def leave() -> None:
+        scope.pop()
+        pushed.pop()
+
+    def reaches(ty: Term, tn: Term) -> bool:
+        """ty's product chain can end in tn."""
+        while ty != tn:
+            if type(ty) is not Pi:
+                return False
+            ty = scope.lower(ty)
+            if ty is None:
+                return True
+        return True
 
     def gen(tn: Term, size: int) -> list[Term]:
-        """The inhabitants of tn of exactly this size."""
+        """The inhabitants of tn of exactly this size; shared, never mutate."""
         if size <= 0:
             return []
+        key = (tuple(pushed), tn, _hints(tn), size)
+        out = memo.get(key)
+        if out is not None:
+            return out
         if isinstance(tn, Pi):
-            scope.push(tn.dom)
+            enter(tn.dom)
             bodies = gen(tn.cod, size - 1)
-            scope.pop()
-            return [Lam(tn.dom, body, tn.hint) for body in bodies]
-        out: list[Term] = []
+            leave()
+            out = memo[key] = [Lam(tn.dom, body, tn.hint) for body in bodies]
+            return out
+        out = []
         depth = len(scope.tys)
         for pos in range(depth):
             if pos not in unknowns:
                 k = depth - 1 - pos
-                spines(Var(k), scope.lookup(k), tn, size - 1, out)
+                head_ty = scope.lookup(k)
+                if reaches(head_ty, tn):
+                    spines(Var(k), head_ty, tn, size - 1, out)
         if isinstance(tn, Sort):
             if tn == TYPE and size == 1:
                 out.append(PROP)
@@ -93,10 +158,11 @@ def enumerate_candidates(
                     continue
                 for dom_size in range(1, size - 1):
                     for dom in gen(Sort(s1), dom_size):
-                        scope.push(beta_eta_normalize(dom))
+                        enter(beta_eta_normalize(dom))
                         cods = gen(tn, size - 1 - dom_size)
-                        scope.pop()
+                        leave()
                         out.extend(Pi(dom, cod) for cod in cods)
+        memo[key] = out
         return out
 
     def spines(head: Term, head_ty: Term, target: Term, size: int, out: list[Term]) -> None:
@@ -117,8 +183,7 @@ def enumerate_candidates(
 
     found: list[Term] = []
     for size in range(1, budget.max_term_size + 1):
-        batch = gen(target, size)
-        batch.sort(key=describe)
+        batch = sorted(gen(target, size), key=describe)
         found.extend(cand for cand in batch if scope.check(cand, target))
     return found
 
@@ -128,49 +193,125 @@ def _fill(t: Term, k: int, cand: Term) -> Term:
     return subst(t, k, shift(cand, k, 0))
 
 
+def _rigid_clash(t1: Term, t2: Term) -> bool:
+    """True when t1 and t2 certainly have different beta-eta normal forms.
+
+    Both sides are taken to weak head normal form and their rigid heads
+    compared: class (variable, sort or product), index or tag, and the
+    number of arguments.  Matching pairs recurse into their arguments and
+    product parts on an explicit stack.  A pair headed by an abstraction
+    proves nothing, since eta may collapse it, and is skipped.  False means
+    only "not refuted".  The head steps spend the enclosing `with Fuel(...)`
+    budget, or a default Fuel of this call's own outside any block.
+    """
+    fuel = _BUDGET.get() or Fuel()
+    todo = [(t1, t2)]
+    try:
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            ha, args_a = _whnf(a, fuel)
+            hb, args_b = _whnf(b, fuel)
+            th = type(ha)
+            if th is Lam or type(hb) is Lam:
+                continue
+            if th is not type(hb) or len(args_a) != len(args_b):
+                return True
+            if th is Var:
+                if ha.index != hb.index:
+                    return True
+            elif th is Pi:
+                todo.append((ha.dom, hb.dom))
+                todo.append((ha.cod, hb.cod))
+            elif ha.tag != hb.tag:
+                return True
+            todo.extend(zip(args_a, args_b))
+    except RecursionError:
+        return False  # equivalent reports the depth
+    return False
+
+
 def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Substitution]:
     """Assign enumerated candidates to the unknowns in declaration order
     and keep the assignments that verify as solutions.
 
     Each chosen candidate is substituted into the rest of the problem, the
     later declared types and both sides, which drops the unknown's slot;
-    the next unknown's candidates come from the prefix that remains.  A
-    full assignment is first tested for conversion of the two sides; only
-    one that converts becomes a Substitution, verified in full with
-    is_solution, so every returned solution is re-verified.  Testing
-    conversion first drops no solution: each candidate was checked against
-    its slot's instantiated type, so every assignment is well-typed.
+    the next unknown's candidates come from the prefix that remains.  The
+    last unknown's candidates are not substituted at once: each leaf is
+    recorded under its level, the largest candidate size in its
+    assignment.  The levels are then tested in ascending order, and the
+    search stops after the first level at which max_solutions have been
+    found; every solution of a higher level would sort after them.
+
+    A full assignment is first tested for conversion of the two sides,
+    after a rigid-spine refutation that rejects most leaves without
+    normalizing them (its head steps draw on the same `with Fuel(...)`
+    budget as conversion); only one that converts becomes a Substitution,
+    verified in full with is_solution, so every returned solution is
+    re-verified.  Testing conversion first drops no solution: each
+    candidate was checked against its slot's instantiated type, so every
+    assignment is well-typed.
 
     Sound but deliberately incomplete beyond the budget.  The result order
     sorts by largest component first, so enlarging the size budget only
     appends; the list is cut at max_solutions.
     """
     ex_positions = p.qctx.existential_positions()
+    last = len(ex_positions) - 1
     found: list[Substitution] = []
-    cand_cache: dict[tuple[QContext, Term], list[Term]] = {}
+    cand_cache: dict[tuple[QContext, Term], list[tuple[Term, int]]] = {}
+    # level -> leaves: (sides before the last fill, its index, prefix), candidate
+    leaves: dict[int, list[tuple[tuple[Term, Term, int, tuple[Term, ...]], Term]]] = {}
 
-    def dfs(decls: tuple[QDecl, ...], lhs: Term, rhs: Term, chosen: tuple[Term, ...]) -> None:
-        i = len(chosen)
-        if i == len(ex_positions):
-            if equivalent(lhs, rhs):
-                triples = (SubstTriple(q, QContext(), c) for q, c in zip(ex_positions, chosen))
-                s = Substitution(p.qctx, tuple(triples))
-                if is_solution(s, p, spec):
-                    found.append(s)
+    def test(lhs: Term, rhs: Term, chosen: tuple[Term, ...]) -> None:
+        if _rigid_clash(lhs, rhs) or not equivalent(lhs, rhs):
             return
+        triples = (SubstTriple(q, QContext(), c) for q, c in zip(ex_positions, chosen))
+        s = Substitution(p.qctx, tuple(triples))
+        if is_solution(s, p, spec):
+            found.append(s)
+
+    def dfs(
+        decls: tuple[QDecl, ...], lhs: Term, rhs: Term, chosen: tuple[Term, ...], level: int
+    ) -> None:
+        i = len(chosen)
         r = ex_positions[i] - i  # the earlier unknowns' slots are gone
         key = (QContext(decls[:r]), decls[r].ty)
-        if key not in cand_cache:
-            cand_cache[key] = enumerate_candidates(*key, budget, spec)
+        cands = cand_cache.get(key)
+        if cands is None:
+            cands = cand_cache[key] = [
+                (c, decision_size(c)) for c in enumerate_candidates(*key, budget, spec)
+            ]
         k = len(decls) - 1 - r
-        for cand in cand_cache[key]:
+        if i == last:
+            node = (lhs, rhs, k, chosen)
+            for cand, size in cands:
+                leaves.setdefault(max(level, size), []).append((node, cand))
+            return
+        for cand, size in cands:
             # the j-th later declaration sees slot r as Var(j), the sides as Var(k)
             later = tuple(
                 QDecl(d.quant, _fill(d.ty, j, cand), d.name) for j, d in enumerate(decls[r + 1 :])
             )
-            dfs(decls[:r] + later, _fill(lhs, k, cand), _fill(rhs, k, cand), chosen + (cand,))
+            dfs(
+                decls[:r] + later,
+                _fill(lhs, k, cand),
+                _fill(rhs, k, cand),
+                chosen + (cand,),
+                max(level, size),
+            )
 
-    dfs(p.qctx.decls, p.lhs, p.rhs, ())
+    if last < 0:
+        test(p.lhs, p.rhs, ())
+    else:
+        dfs(p.qctx.decls, p.lhs, p.rhs, (), 0)
+        for level in sorted(leaves):
+            for (lhs, rhs, k, chosen), cand in leaves[level]:
+                test(_fill(lhs, k, cand), _fill(rhs, k, cand), chosen + (cand,))
+            if len(found) >= budget.max_solutions:
+                break
 
     def sol_key(s: Substitution) -> tuple[int, int, tuple[str, ...]]:
         sizes = [decision_size(tr.term) for tr in s.triples] or [0]

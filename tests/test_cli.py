@@ -301,6 +301,45 @@ def test_solve_flags_truncation_only_when_more_solutions_exist(capsys) -> None:
     assert payload["details"]["exhaustive_within_budget"] is False
 
 
+def test_solve_flags_truncation_when_exactly_max_solutions_exist(capsys, tmp_path) -> None:
+    # Within size 8, F X = h a has six solutions at levels 3, 4, 4, 4, 5
+    # and 7; the search stops after the level that fills its budget.
+    prob = tmp_path / "levels.prob"
+    prob.write_text(
+        "calculus lP\nforall U : Prop\nforall a : U\nforall h : U -> U\n"
+        "exists F : U -> U\nexists X : U\nmatch F X = h a\n"
+    )
+    argv = ("solve", str(prob), "--size", "8", "--max-solutions")
+    for k, count, exhaustive in (("7", 6, True), ("6", 6, True), ("5", 5, False),
+                                 ("4", 4, False), ("1", 1, False)):
+        code, payload = jrun(capsys, *argv, k)
+        assert code == 0
+        assert payload["details"]["count"] == count
+        assert payload["details"]["exhaustive_within_budget"] is exhaustive
+
+
+def test_solve_keeps_the_binder_hints_of_each_head(capsys, tmp_path) -> None:
+    # f's and g's argument types differ only in their binder hints, which
+    # term equality ignores; each head's argument keeps its own name.
+    prob = tmp_path / "hints.prob"
+    prob.write_text(
+        "calculus lP\nforall U : Prop\nforall f : ((u : U) U) -> U\n"
+        "forall g : ((v : U) U) -> U\nexists F : U\nunify F = F\n"
+    )
+    code, out = run(capsys, "solve", str(prob), "--size", "4", "--max-solutions", "20")
+    assert code == 0
+    assert out == (
+        "solve: yes\n"
+        "# solution 0\n"
+        "F := g ([v:U]v)\n"
+        "# solution 1\n"
+        "F := f ([u:U]u)\n"
+        "count: 2\n"
+        "max_term_size: 4\n"
+        "exhaustive_within_budget: True\n"
+    )
+
+
 REPEATED_A = "calculus lP\nforall U : Prop\nforall a : U\nforall a : U\nexists F : U\n"
 
 

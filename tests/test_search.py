@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from random import Random
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cubematch.errors import CubeError
@@ -22,8 +23,9 @@ from cubematch.problems import (
 from cubematch.reduction import beta_eta_normalize
 from cubematch.search import SearchBudget, decision_size, enumerate_candidates, solve_bounded
 from cubematch.terms import PROP, TYPE, App, Lam, Pi, Sort, Var, arrow, describe, shift, subst
-from cubematch.syntax import parse_term
+from cubematch.syntax import parse_problem, parse_term, print_substitution
 from cubematch.typecheck import check_type, cube_spec, sort_of, wf_context
+from conftest import FIXTURES
 from termgen import random_elementary_problem
 
 
@@ -82,6 +84,17 @@ def test_sort_targets_enumerate_products_too(lw) -> None:
     got = enumerate_candidates(q, PROP, SearchBudget(4, 64), lw)
     assert Var(0) in got  # A itself
     assert arrow(Var(0), Var(0)) in got  # A -> A, needs Type-Type
+
+
+def test_a_returned_list_is_the_callers_own(lp) -> None:
+    # generation shares its memoised lists inside one call; none leaks out
+    T = arrow(arrow(Var(1), Var(1)), Var(1))
+    budget = SearchBudget(6, 16)
+    first = enumerate_candidates(_ua_ctx(), T, budget, lp)
+    expected = list(first)
+    first.reverse()
+    first.append(PROP)
+    assert enumerate_candidates(_ua_ctx(), T, budget, lp) == expected
 
 
 def test_budget_growth_only_appends(lp) -> None:
@@ -354,6 +367,98 @@ def test_conversion_first_search_matches_full_verification_on_random_problems() 
         p = random_elementary_problem(rng)
         for budget in (SearchBudget(5, 8), SearchBudget(5, 1000)):
             assert solve_bounded(p, budget, lp) == _solve_by_full_verification(p, budget, lp)
+
+
+def _level(s: Substitution) -> int:
+    """The largest candidate size in s, the first field of the result order."""
+    return max(decision_size(tr.term) for tr in s.triples)
+
+
+def test_early_stop_matches_full_verification_on_random_problems() -> None:
+    # The same problems as above with small max_solutions, so the search
+    # stops early; across them the cut falls inside a level and at a level
+    # boundary.
+    lp = cube_spec("lP")
+    rng = Random(13)
+    inside_level = set()
+    for _ in range(10):
+        p = random_elementary_problem(rng)
+        full = _solve_by_full_verification(p, SearchBudget(5, 1000), lp)
+        for m in (1, 2, 3):
+            budget = SearchBudget(5, m)
+            assert solve_bounded(p, budget, lp) == _solve_by_full_verification(p, budget, lp)
+            if len(full) > m:
+                inside_level.add(_level(full[m - 1]) == _level(full[m]))
+    assert inside_level == {True, False}
+
+
+SIGNATURE = "calculus lP\nforall U : Prop\nforall a : U\nforall b : U\nforall h : U -> U\n"
+
+
+@pytest.mark.parametrize(
+    "unknowns, goal, size, levels",
+    [
+        # F := [x]x with X := h a first; X := h (h (h a)) last
+        ("exists F : U -> U\nexists X : U\n", "match F X = h a", 8, [3] + [4] * 5 + [5, 5, 7, 7]),
+        # every assignment solves; within level 3 the search meets (h a, h a)
+        # before (h b, a), which sorts first
+        ("exists X : U\nexists Y : U\n", "unify h X = h X", 3, [1] * 4 + [3] * 12),
+    ],
+    ids=["match", "unify"],
+)
+def test_two_unknowns_with_solutions_at_several_levels(unknowns, goal, size, levels) -> None:
+    spec, p = parse_problem(SIGNATURE + unknowns + goal + "\n")
+    everything = SearchBudget(size, 100)
+    full = solve_bounded(p, everything, spec)
+    assert full == _solve_by_full_verification(p, everything, spec)
+    assert [_level(s) for s in full] == levels
+    for m in range(1, len(full) + 2):
+        budget = SearchBudget(size, m)
+        assert solve_bounded(p, budget, spec) == full[:m]
+        assert solve_bounded(p, budget, spec) == _solve_by_full_verification(p, budget, spec)
+
+
+@pytest.mark.parametrize(
+    "text, solutions",
+    [
+        # the filled left side [x:U](h x) is an abstraction, eta-equal to h
+        (
+            "calculus lP\nforall U : Prop\nforall h : U -> U\nexists F : U -> U\nmatch F = h\n",
+            ["F := [x0:U]h x0\n"],
+        ),
+        ("calculus lw\nforall A : Prop\nexists X : Prop\nmatch X = A -> A\n", ["X := A -> A\n"]),
+        # the filled left side is a redex whose head normal form is a product
+        (
+            "calculus lw\nforall A : Prop\nforall B : Prop\nexists X : Prop -> Prop\n"
+            "match X B = B -> A\n",
+            ["X := [x0:Prop]x0 -> A\n", "X := [x0:Prop]B -> A\n"],
+        ),
+    ],
+    ids=["eta", "product", "redex"],
+)
+def test_leaves_that_convert_are_not_refuted(text, solutions) -> None:
+    spec, p = parse_problem(text)
+    budget = SearchBudget(5, 100)
+    found = solve_bounded(p, budget, spec)
+    assert [print_substitution(s) for s in found] == solutions
+    assert found == _solve_by_full_verification(p, budget, spec)
+
+
+@pytest.mark.parametrize("goal, count", [("match a = a", 1), ("unify a = b", 0)])
+def test_a_problem_without_unknowns_has_the_empty_solution_or_none(goal, count) -> None:
+    spec, p = parse_problem("calculus lP\nforall U : Prop\nforall a : U\nforall b : U\n" + goal)
+    found = solve_bounded(p, SearchBudget(3, 4), spec)
+    assert [s.triples for s in found] == [()] * count
+
+
+def test_a_large_size_budget_stays_cheap_on_the_thm1_target() -> None:
+    # Within size 8 the thm1 target has its only two solutions.  Generation
+    # that expands only heads able to reach the target, each sub-enumeration
+    # once, keeps size 20 to milliseconds; without both it takes minutes.
+    spec, p = parse_problem((FIXTURES / "thm1_target.prob").read_text())
+    small = solve_bounded(p, SearchBudget(8, 16), spec)
+    assert len(small) == 2
+    assert solve_bounded(p, SearchBudget(20, 16), spec) == small
 
 
 def test_oracle_coherence_source_solvable_implies_target_solvable() -> None:
