@@ -6,6 +6,33 @@ FuelExhausted instead of spinning.  `with Fuel(n):` makes n steps the one
 budget shared by every normalization in the block (a context variable,
 so other threads do not see it); outside any block each call draws a
 default Fuel of its own.
+
+Normalization runs a strong call-by-name machine over de Bruijn
+environments instead of substituting.  `_apply` runs a term's head:
+it pushes argument closures and contracts a head redex by binding the
+closure for the binder.  `_nf` reads the result back to a term, reading
+the arguments back in turn, and checks each abstraction for an eta redex
+as it is rebuilt.  An environment is a tuple, innermost binder first,
+with one entry for each binder between the top of the term being
+normalized and the current subterm; an index i >= n (n entries) is free
+and reads back under d binders as d + i - n.  An entry is either a level
+or a closure (term, env, n).  The readback binds each binder it rebuilds
+to its level, the number of binders above it, and slot j of the outer
+context has level -1 - j; a variable bound to level l reads back under d
+binders as d - 1 - l.
+
+The machine contracts the redexes that normal-order substitution would,
+one for one: a closure is never shared or updated, so an argument bound
+to a variable used twice is reduced twice.  Each beta and each eta
+contraction spends one unit of fuel, and `--fuel` keeps its meaning.
+An argument that is itself a variable is pushed as what the variable is
+bound to (its closure or its level), never as a new closure around it;
+otherwise a self-application such as (x x)[x := [x:U]x x] would build a
+chain of closures one link longer at each step and reach its budget in
+quadratic time.  So a closure never holds a bare variable.
+
+`_whnf` is the substitution-based head reducer kept for
+`search._rigid_clash`, which compares rigid heads without normalizing.
 """
 
 from __future__ import annotations
@@ -85,7 +112,10 @@ NormalClass = Abstraction | Product | Atomic
 
 
 def _whnf(t: Term, fuel: Fuel) -> tuple[Term, list[Term]]:
-    """Contract head redexes only; returns the rigid head and pending args."""
+    """Contract head redexes only; returns the rigid head and pending args.
+
+    Its one caller is `search._rigid_clash`; normalization uses `_apply`.
+    """
     args: list[Term] = []
     while True:
         tt = type(t)
@@ -100,38 +130,95 @@ def _whnf(t: Term, fuel: Fuel) -> tuple[Term, list[Term]]:
             return t, args
 
 
-def _beta(t: Term, fuel: Fuel) -> Term:
-    """Full beta-normal form, normal order (leftmost-outermost).
+def _apply(t: Term, env: tuple, n: int, args: list, fuel: Fuel) -> tuple[Term, tuple, int]:
+    """Run t under env, applied to the entries on args, to weak head form.
 
-    A subterm without a beta redex comes back as the same object.
+    args is a stack of environment entries whose last one is the next
+    argument.  Each head redex is contracted by binding its argument, one
+    step of fuel, and a variable bound to a closure continues as that
+    closure.  Returns the head with its environment: not an application,
+    not an abstraction while args remain, not a variable bound to a
+    closure; the entries left on args are its arguments.
+    """
+    while True:
+        tt = type(t)
+        if tt is App:
+            a = t.arg
+            if type(a) is not Var:
+                args.append((a, env, n))
+            elif a.index < n:
+                args.append(env[a.index])
+            else:
+                args.append(n - 1 - a.index)
+            t = t.fn
+        elif tt is Lam and args:
+            fuel.spend()
+            env = (args.pop(),) + env
+            n += 1
+            t = t.body
+        elif tt is Var and t.index < n:
+            e = env[t.index]
+            if type(e) is not tuple:
+                return t, env, n
+            t, env, n = e
+        else:
+            return t, env, n
+
+
+def _nf(t: Term, env: tuple, n: int, d: int, fuel: Fuel) -> Term:
+    """The beta-eta normal form of t under env, read back under d binders.
+
+    Each abstraction is checked for an eta redex once its parts are normal,
+    so the eta contractions are those of one bottom-up pass over the beta
+    normal form.  A subterm whose reading changes nothing is handed back as
+    the same object.
     """
     tt = type(t)
+    if tt is Var:
+        i = t.index
+        if i >= n:
+            k = d + i - n
+            return t if k == i else Var(k)
+        e = env[i]
+        if type(e) is int:
+            k = d - 1 - e
+            return t if k == i else Var(k)
+        t, env, n = e  # a closure never holds a bare variable
+        tt = type(t)
     if tt is App:
         nodes: list[App] = []
         head = t
         while type(head) is App:
             nodes.append(head)
             head = head.fn
-        if type(head) is Lam:
-            head, args = _whnf(t, fuel)
-            out = _beta(head, fuel)
-            for a in args:
-                out = App(out, _beta(a, fuel))
+        th = type(head)
+        if th is Lam or (th is Var and head.index < n and type(env[head.index]) is tuple):
+            args: list = []
+            head, henv, hn = _apply(t, env, n, args, fuel)
+            out = _nf(head, henv, hn, d, fuel)
+            for e in reversed(args):
+                if type(e) is int:
+                    out = App(out, Var(d - 1 - e))
+                else:
+                    out = App(out, _nf(e[0], e[1], e[2], d, fuel))
             return out
-        out = _beta(head, fuel)
+        out = _nf(head, env, n, d, fuel)
         for node in reversed(nodes):
-            arg = _beta(node.arg, fuel)
+            arg = _nf(node.arg, env, n, d, fuel)
             out = node if out is node.fn and arg is node.arg else App(out, arg)
         return out
     if tt is Lam:
-        dom = _beta(t.dom, fuel)
-        body = _beta(t.body, fuel)
+        dom = _nf(t.dom, env, n, d, fuel)
+        body = _nf(t.body, (d,) + env, n + 1, d + 1, fuel)
+        if _eta_redex(body):
+            fuel.spend()
+            return shift(body.fn, -1, 0)
         if dom is t.dom and body is t.body:
             return t
         return Lam(dom, body, t.hint)
     if tt is Pi:
-        dom = _beta(t.dom, fuel)
-        cod = _beta(t.cod, fuel)
+        dom = _nf(t.dom, env, n, d, fuel)
+        cod = _nf(t.cod, (d,) + env, n + 1, d + 1, fuel)
         if dom is t.dom and cod is t.cod:
             return t
         return Pi(dom, cod, t.hint)
@@ -146,54 +233,34 @@ def _eta_redex(body: Term) -> bool:
     return type(arg) is Var and arg.index == 0 and 0 not in free_indices(body.fn)
 
 
-def _eta_pass(t: Term, fuel: Fuel) -> Term:
-    """One bottom-up sweep collapsing [x:T](t x) to t when x is not free in t.
-
-    Returns t itself when the sweep contracts nothing.
-    """
-    tt = type(t)
-    if tt is App:
-        fn = _eta_pass(t.fn, fuel)
-        arg = _eta_pass(t.arg, fuel)
-        if fn is t.fn and arg is t.arg:
-            return t
-        return App(fn, arg)
-    if tt is Pi:
-        dom = _eta_pass(t.dom, fuel)
-        cod = _eta_pass(t.cod, fuel)
-        if dom is t.dom and cod is t.cod:
-            return t
-        return Pi(dom, cod, t.hint)
-    if tt is Lam:
-        dom = _eta_pass(t.dom, fuel)
-        body = _eta_pass(t.body, fuel)
-        if _eta_redex(body):
-            fuel.spend()
-            return shift(body.fn, -1, 0)
-        if dom is t.dom and body is t.body:
-            return t
-        return Lam(dom, body, t.hint)
-    return t
+def _normalize(t: Term, env: tuple) -> Term:
+    fuel = _BUDGET.get() or Fuel()
+    try:
+        return _nf(t, env, len(env), 0, fuel)
+    except RecursionError:
+        raise FuelExhausted("term nests too deeply to normalize") from None
 
 
 def beta_eta_normalize(t: Term) -> Term:
     """The beta-normal, maximally eta-contracted form of t.
 
-    Contraction order is beta first (normal order), then one bottom-up eta
-    pass; on beta-normal input eta cannot re-create a beta redex, so the
-    result has neither kind of redex.  Each step spends one unit of the
-    enclosing `with Fuel(...)` block's budget, or of a default Fuel of
-    this call's own outside any block.
+    Beta steps are contracted in normal order, call by name, then eta in
+    one bottom-up pass over the beta normal form; on beta-normal input eta
+    cannot re-create a beta redex, so the result has neither kind of redex.
+    Each step spends one unit of the enclosing `with Fuel(...)` block's
+    budget, or of a default Fuel of this call's own outside any block.
     """
-    fuel = _BUDGET.get() or Fuel()
-    try:
-        # One eta pass is the fixed point: on beta-normal input, a
-        # bottom-up contraction creates no redex the same pass has not
-        # already visited (it only changes the subtree it sits in, whose
-        # ancestors are tested after it, and keeps the free variables).
-        return _eta_pass(_beta(t, fuel), fuel)
-    except RecursionError:
-        raise FuelExhausted("term nests too deeply to normalize") from None
+    return _normalize(t, ())
+
+
+def instantiate(cod: Term, arg: Term) -> Term:
+    """beta_eta_normalize(subst(cod, 0, arg)), in one walk and the same steps.
+
+    cod's index 0 is bound to arg, as a closure or the level of a variable,
+    instead of being replaced; the typing of a dependent application and
+    search's dependent spines instantiate a codomain this way.
+    """
+    return _normalize(cod, (-1 - arg.index if type(arg) is Var else (arg, (), 0),))
 
 
 def equivalent(t1: Term, t2: Term) -> bool:

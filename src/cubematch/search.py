@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .problems import Problem, QContext, QDecl, SubstTriple, Substitution, is_solution
 from .record import Record
-from .reduction import _BUDGET, Fuel, _whnf, beta_eta_normalize, equivalent
+from .reduction import _BUDGET, Fuel, _whnf, beta_eta_normalize, equivalent, instantiate
 from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, shift, subst
 from .typecheck import CubeSpec, Scope
 
@@ -178,7 +178,7 @@ def enumerate_candidates(
             for arg in gen(head_ty.dom, arg_size):
                 rest = lowered
                 if rest is None:
-                    rest = beta_eta_normalize(subst(head_ty.cod, 0, arg))
+                    rest = instantiate(head_ty.cod, arg)
                 spines(App(head, arg), rest, target, size - 1 - arg_size, out)
 
     found: list[Term] = []

@@ -19,8 +19,8 @@ from .errors import (
     TypingError,
 )
 from .record import Record
-from .reduction import beta_eta_normalize
-from .terms import TYPE, App, Lam, Pi, Sort, Term, Var, describe, free_indices, shift, subst
+from .reduction import beta_eta_normalize, instantiate
+from .terms import TYPE, App, Lam, Pi, Sort, Term, Var, describe, free_indices, shift
 
 __all__ = [
     "SortPair",
@@ -296,7 +296,7 @@ def _infer(scope: Scope, t: Term) -> Term:
             )
         lowered = scope.lower(fn_ty)
         if lowered is None:
-            return beta_eta_normalize(subst(fn_ty.cod, 0, arg))
+            return instantiate(fn_ty.cod, arg)
         return lowered
     if tt is Lam:
         s1 = scope.declare(t.dom)

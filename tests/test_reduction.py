@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from cubematch.errors import FuelExhausted, NotNormal
 from cubematch.reduction import (
+    DEFAULT_MAX_STEPS,
     Abstraction,
     Atomic,
     Fuel,
@@ -23,6 +28,8 @@ from innermost import beta_eta_normalize_innermost
 from named_ref import from_debruijn, to_debruijn
 from smallstep import normalize_steps
 from termgen import base_context, random_well_typed
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_beta_identity() -> None:
@@ -77,6 +84,42 @@ def test_a_fuel_block_is_not_seen_by_another_thread() -> None:
         worker.start()
         worker.join()
     assert results == [Var(1)]
+
+
+def test_an_argument_used_twice_is_reduced_twice() -> None:
+    # ([x:U](g x x)) (([y:U]y) a), with U, a, g at #0, #1, #2 outside:
+    # one step for the outer redex, then one for each copy of the argument
+    twice = Lam(Var(0), App(App(Var(3), Var(0)), Var(0)))
+    t = App(twice, App(Lam(Var(0), Var(0)), Var(1)))
+    with Fuel() as fuel:
+        assert beta_eta_normalize(t) == App(App(Var(2), Var(1)), Var(1))
+    assert fuel.left == DEFAULT_MAX_STEPS - 3
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+def test_self_application_spends_the_default_budget_within_5_s(copies) -> None:
+    # ([x:U]x x) ([x:U]x x) and ([x:U]x x x) ([x:U]x x x) never normalize.
+    # Each step binds x to a variable bound in turn; were that pushed as a
+    # fresh closure around the variable, every step would take longer than
+    # the one before.  A child process, so an overrun can be stopped.
+    code = (
+        "from cubematch.errors import FuelExhausted\n"
+        "from cubematch.reduction import beta_eta_normalize\n"
+        "from cubematch.terms import PROP, App, Lam, Var, app\n"
+        f"w = Lam(PROP, app(*[Var(0)] * {copies}))\n"
+        "try:\n"
+        "    beta_eta_normalize(App(w, w))\n"
+        "except FuelExhausted as e:\n"
+        "    print(e)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=5,
+    )
+    assert proc.stdout == f"reduction fuel exhausted ({DEFAULT_MAX_STEPS} steps)\n"
 
 
 def test_fuel_must_be_positive() -> None:

@@ -29,7 +29,7 @@ from cubematch.problems import (
     apply_subst,
     apply_subst_in_prefix,
 )
-from cubematch.reduction import Fuel, beta_eta_normalize, is_normal
+from cubematch.reduction import Fuel, beta_eta_normalize, instantiate, is_normal
 from cubematch.terms import PROP, TYPE, App, Lam, Pi, Term, Var, free_indices, shift, subst
 from cubematch.typecheck import PRESETS, infer_type
 from termgen import base_context, random_elementary_problem, random_well_typed
@@ -53,6 +53,25 @@ def raw_terms(indices: int) -> st.SearchStrategy[Term]:
             st.builds(App, sub, sub),
             st.builds(Lam, sub, sub, hints),
             st.builds(Pi, sub, sub, hints),
+        ),
+        max_leaves=24,
+    )
+
+
+def redex_terms(indices: int) -> st.SearchStrategy[Term]:
+    """Terms like raw_terms, with eta expansions [x:A](g x) and
+    self-applications [x:A](x x) planted, so that eta steps and terms
+    without a normal form are common."""
+    leaves = st.one_of(st.integers(0, indices - 1).map(Var), st.sampled_from([PROP, TYPE]))
+    hints = st.sampled_from(HINTS)
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(App, sub, sub),
+            st.builds(Lam, sub, sub, hints),
+            st.builds(Pi, sub, sub, hints),
+            st.builds(lambda a, g: Lam(a, App(old.shift(g, 1, 0), Var(0))), sub, sub),
+            st.builds(lambda a: Lam(a, App(Var(0), Var(0))), sub),
         ),
         max_leaves=24,
     )
@@ -110,6 +129,32 @@ def test_normalization_agrees_and_shares_normal_forms(rng) -> None:
             return beta_eta_normalize(t)
 
     assert _outcome(normalize_within_a_block) == _outcome(old.beta_eta_normalize, t, Fuel(steps))
+
+
+def _spends_as_substitution(normalize, t: Term, steps: int) -> None:
+    """normalize() within Fuel(steps) gives what normal-order substitution
+    gives on t, and leaves the same fuel."""
+    fuel, tank = Fuel(steps), old.Tank(Fuel(steps))
+
+    def within_the_budget() -> Term:
+        with fuel:
+            return normalize()
+
+    expected = _outcome(lambda: old.eta_fixpoint(old.beta(t, tank), tank))
+    assert _outcome(within_the_budget) == expected
+    assert fuel.left == tank.left
+
+
+@props
+@given(redex_terms(6), st.integers(1, 60))
+def test_normalization_spends_the_same_steps_as_substitution(t, steps) -> None:
+    _spends_as_substitution(lambda: beta_eta_normalize(t), t, steps)
+
+
+@props
+@given(redex_terms(6), redex_terms(6), st.integers(1, 60))
+def test_instantiation_spends_the_same_steps_as_substitution(cod, arg, steps) -> None:
+    _spends_as_substitution(lambda: instantiate(cod, arg), old.subst(cod, 0, arg), steps)
 
 
 # ------------- typing -------------
@@ -176,8 +221,8 @@ WALKS = [
     terms.free_indices,
     terms.describe,
     reduction._whnf,
-    reduction._beta,
-    reduction._eta_pass,
+    reduction._apply,
+    reduction._nf,
     reduction.is_normal,
     typecheck._infer,
     problems.apply_subst_in_prefix,
