@@ -29,10 +29,12 @@ An argument that is itself a variable is pushed as what the variable is
 bound to (its closure or its level), never as a new closure around it;
 otherwise a self-application such as (x x)[x := [x:U]x x] would build a
 chain of closures one link longer at each step and reach its budget in
-quadratic time.  So a closure never holds a bare variable.
+quadratic time.  So a closure in an environment never holds a bare
+variable.
 
-`_whnf` is the substitution-based head reducer kept for
-`search._rigid_clash`, which compares rigid heads without normalizing.
+`rigid_clash`, the test `search` puts each leaf through before conversion,
+compares two terms' rigid heads on the same machine, with the same steps
+and fuel, without reading back.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from contextvars import ContextVar, Token
 
 from .errors import FuelExhausted, NotNormal
 from .record import Record
-from .terms import App, Lam, Pi, Term, Var, free_indices, shift, spine, subst
+from .terms import App, Lam, Pi, Term, Var, free_indices, shift, spine
 
 __all__ = [
     "Fuel",
@@ -109,25 +111,6 @@ class Atomic(Record):
 
 
 NormalClass = Abstraction | Product | Atomic
-
-
-def _whnf(t: Term, fuel: Fuel) -> tuple[Term, list[Term]]:
-    """Contract head redexes only; returns the rigid head and pending args.
-
-    Its one caller is `search._rigid_clash`; normalization uses `_apply`.
-    """
-    args: list[Term] = []
-    while True:
-        tt = type(t)
-        if tt is App:
-            args.append(t.arg)
-            t = t.fn
-        elif tt is Lam and args:
-            fuel.spend()
-            t = subst(t.body, 0, args.pop())
-        else:
-            args.reverse()
-            return t, args
 
 
 def _apply(t: Term, env: tuple, n: int, args: list, fuel: Fuel) -> tuple[Term, tuple, int]:
@@ -266,6 +249,59 @@ def instantiate(cod: Term, arg: Term) -> Term:
 def equivalent(t1: Term, t2: Term) -> bool:
     """Beta-eta conversion: same normal form."""
     return beta_eta_normalize(t1) == beta_eta_normalize(t2)
+
+
+def _head(e: tuple | int, fuel: Fuel) -> tuple:
+    """Entry e in weak head form: head, env, n and arguments in application
+    order.  A variable head becomes its level, env[i] when bound and
+    n - 1 - i when free; a level entry is a variable head without arguments."""
+    if type(e) is int:
+        return e, (), 0, []
+    args: list = []
+    t, env, n = _apply(e[0], e[1], e[2], args, fuel)
+    if type(t) is Var:
+        i = t.index
+        t = env[i] if i < n else n - 1 - i
+    args.reverse()
+    return t, env, n, args
+
+
+def rigid_clash(t1: Term, t2: Term) -> bool:
+    """True when t1 and t2 certainly have different beta-eta normal forms.
+
+    A work item is a pair of environment entries and the number d of
+    products entered above them; both sides start as (t, (), 0) at depth 0.
+    Each side's head is run to weak head form and the heads are compared:
+    class (variable, sort or product), level or tag, and the number of
+    arguments.  A product pushes its domains, then its codomains with the
+    binder bound to the same fresh level d on both sides; the arguments are
+    pushed next, in application order.  A pair headed by an abstraction
+    proves nothing, since eta may collapse it, and a pair of the same term
+    under the same environment cannot differ: both are skipped.  False
+    means only "not refuted".  The head steps spend the enclosing
+    `with Fuel(...)` budget, or a default Fuel of this call's own outside
+    any block.  Nothing recurses, so deep terms cost no stack.
+    """
+    fuel = _BUDGET.get() or Fuel()
+    todo: list = [((t1, (), 0), (t2, (), 0), 0)]
+    while todo:
+        a, b, d = todo.pop()
+        if type(a) is tuple and type(b) is tuple and a[0] is b[0] and a[1] is b[1]:
+            continue
+        ha, env_a, n_a, args_a = _head(a, fuel)
+        hb, env_b, n_b, args_b = _head(b, fuel)
+        th = type(ha)
+        if th is Lam or type(hb) is Lam:
+            continue
+        if th is not type(hb) or len(args_a) != len(args_b):
+            return True
+        if th is Pi:
+            todo.append(((ha.dom, env_a, n_a), (hb.dom, env_b, n_b), d))
+            todo.append(((ha.cod, (d,) + env_a, n_a + 1), (hb.cod, (d,) + env_b, n_b + 1), d + 1))
+        elif ha != hb:
+            return True
+        todo.extend([(x, y, d) for x, y in zip(args_a, args_b)])
+    return False
 
 
 def is_normal(t: Term) -> bool:

@@ -14,7 +14,8 @@ order is deterministic: size first, then the printed form.
 `solve_bounded` tests the assignments level by level, a level being the
 size of an assignment's largest candidate, and stops after the first
 level that fills `max_solutions`.  Before full conversion, a leaf goes
-through a cheap rigid-spine refutation of its two sides.
+through `reduction.rigid_clash`, a cheap rigid-spine refutation of its two
+sides on the normalizer's own machine.
 
 Size here counts choice nodes: abstraction domains are dictated by the
 target type and cost nothing, everything else costs one node.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from .problems import Problem, QContext, QDecl, SubstTriple, Substitution, is_solution
 from .record import Record
-from .reduction import _BUDGET, Fuel, _whnf, beta_eta_normalize, equivalent, instantiate
+from .reduction import beta_eta_normalize, equivalent, instantiate, rigid_clash
 from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, shift, subst
 from .typecheck import CubeSpec, Scope
 
@@ -193,45 +194,6 @@ def _fill(t: Term, k: int, cand: Term) -> Term:
     return subst(t, k, shift(cand, k, 0))
 
 
-def _rigid_clash(t1: Term, t2: Term) -> bool:
-    """True when t1 and t2 certainly have different beta-eta normal forms.
-
-    Both sides are taken to weak head normal form and their rigid heads
-    compared: class (variable, sort or product), index or tag, and the
-    number of arguments.  Matching pairs recurse into their arguments and
-    product parts on an explicit stack.  A pair headed by an abstraction
-    proves nothing, since eta may collapse it, and is skipped.  False means
-    only "not refuted".  The head steps spend the enclosing `with Fuel(...)`
-    budget, or a default Fuel of this call's own outside any block.
-    """
-    fuel = _BUDGET.get() or Fuel()
-    todo = [(t1, t2)]
-    try:
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            ha, args_a = _whnf(a, fuel)
-            hb, args_b = _whnf(b, fuel)
-            th = type(ha)
-            if th is Lam or type(hb) is Lam:
-                continue
-            if th is not type(hb) or len(args_a) != len(args_b):
-                return True
-            if th is Var:
-                if ha.index != hb.index:
-                    return True
-            elif th is Pi:
-                todo.append((ha.dom, hb.dom))
-                todo.append((ha.cod, hb.cod))
-            elif ha.tag != hb.tag:
-                return True
-            todo.extend(zip(args_a, args_b))
-    except RecursionError:
-        return False  # equivalent reports the depth
-    return False
-
-
 def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Substitution]:
     """Assign enumerated candidates to the unknowns in declaration order
     and keep the assignments that verify as solutions.
@@ -266,7 +228,7 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     leaves: dict[int, list[tuple[tuple[Term, Term, int, tuple[Term, ...]], Term]]] = {}
 
     def test(lhs: Term, rhs: Term, chosen: tuple[Term, ...]) -> None:
-        if _rigid_clash(lhs, rhs) or not equivalent(lhs, rhs):
+        if rigid_clash(lhs, rhs) or not equivalent(lhs, rhs):
             return
         triples = (SubstTriple(q, QContext(), c) for q, c in zip(ex_positions, chosen))
         s = Substitution(p.qctx, tuple(triples))

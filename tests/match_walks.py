@@ -146,6 +146,36 @@ def whnf(t: Term, tank: Tank) -> tuple[Term, list[Term]]:
                 return t, list(reversed(args))
 
 
+def rigid_clash(t1: Term, t2: Term, tank: Tank) -> bool:
+    """The leaf refutation on substituted terms: weak head forms compared by
+    head class, index or tag and arity; product parts, then arguments in
+    application order, pushed on a stack; a pair headed by an abstraction,
+    or of one object on both sides, skipped."""
+    todo = [(t1, t2)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        ha, args_a = whnf(a, tank)
+        hb, args_b = whnf(b, tank)
+        match ha, hb:
+            case (Lam(), _) | (_, Lam()):
+                continue
+        if len(args_a) != len(args_b):
+            return True
+        match ha, hb:
+            case Pi(dom_a, cod_a), Pi(dom_b, cod_b):
+                todo += [(dom_a, dom_b), (cod_a, cod_b)]
+            case Var(i), Var(j) if i == j:
+                pass
+            case Sort(x), Sort(y) if x == y:
+                pass
+            case _:
+                return True
+        todo += zip(args_a, args_b)
+    return False
+
+
 def beta(t: Term, tank: Tank) -> Term:
     head, args = whnf(t, tank)
     match head:

@@ -22,6 +22,7 @@ from cubematch.reduction import (
     classify_normal,
     equivalent,
     is_normal,
+    rigid_clash,
 )
 from cubematch.terms import PROP, App, Lam, Pi, Var, app
 from innermost import beta_eta_normalize_innermost
@@ -131,6 +132,37 @@ def test_equivalent_through_beta_and_eta() -> None:
     assert equivalent(App(Lam(Var(0), Var(0)), Var(4)), Var(4))
     assert equivalent(Lam(Var(0), App(Var(3), Var(0))), Var(2))
     assert not equivalent(Var(0), Var(1))  # distinct rigid heads
+
+
+def _g_a_spine(depth: int, end: Var) -> App:
+    """g a (g a (... (g a end))), with g and a at #3 and #2."""
+    t = end
+    for _ in range(depth):
+        t = App(App(Var(3), Var(2)), t)
+    return t
+
+
+@pytest.mark.parametrize("depth", [2_000, 10_000])
+def test_rigid_clash_refutes_deep_spines_behind_a_head_redex(depth) -> None:
+    # ([x:U]([y:U]x) a) S_b against S_c, with b and c at #1 and #0: the head
+    # steps bind S_b instead of copying it, and the spines are compared on
+    # a work list, so depth costs no stack
+    lhs = App(Lam(PROP, App(Lam(PROP, Var(1)), Var(3))), _g_a_spine(depth, Var(1)))
+    assert rigid_clash(lhs, _g_a_spine(depth, Var(0)))
+    assert not rigid_clash(lhs, _g_a_spine(depth, Var(1)))
+
+
+def test_rigid_clash_skips_one_term_under_one_environment_only() -> None:
+    # (h r) against (h r), r = ([x:U]x) a shared: the arguments are the same
+    # term under the same (empty) environment, so no step is spent on them
+    r = App(Lam(PROP, Var(0)), Var(1))
+    with Fuel(1) as fuel:
+        assert not rigid_clash(App(Var(2), r), App(Var(2), r))
+    assert fuel.left == 1
+    # ([x:U] h (f x)) b against ([x:U] h (f x)) c, (f x) shared: the same
+    # term under two environments, compared, and b is not c
+    body = App(Var(3), App(Var(4), Var(0)))
+    assert rigid_clash(App(Lam(PROP, body), Var(1)), App(Lam(PROP, body), Var(0)))
 
 
 def test_classify_normal_cases() -> None:

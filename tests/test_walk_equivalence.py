@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import match_walks as old
 from cubematch import problems, reduction, search, terms, typecheck
-from cubematch.errors import CubeError
+from cubematch.errors import CubeError, FuelExhausted
 from cubematch.problems import (
     QContext,
     QDecl,
@@ -29,8 +29,8 @@ from cubematch.problems import (
     apply_subst,
     apply_subst_in_prefix,
 )
-from cubematch.reduction import Fuel, beta_eta_normalize, instantiate, is_normal
-from cubematch.terms import PROP, TYPE, App, Lam, Pi, Term, Var, free_indices, shift, subst
+from cubematch.reduction import Fuel, beta_eta_normalize, instantiate, is_normal, rigid_clash
+from cubematch.terms import PROP, TYPE, App, Lam, Pi, Term, Var, app, free_indices, shift, subst
 from cubematch.typecheck import PRESETS, infer_type
 from termgen import base_context, random_elementary_problem, random_well_typed
 from test_kernel_invariants import _expand_domains, _expanded_context, _swap_argument
@@ -157,6 +157,121 @@ def test_instantiation_spends_the_same_steps_as_substitution(cod, arg, steps) ->
     _spends_as_substitution(lambda: instantiate(cod, arg), old.subst(cod, 0, arg), steps)
 
 
+SHARED = 100  # Var(SHARED + i) in a drawn term stands for shared subterm i
+
+_atoms = st.one_of(st.integers(0, 5).map(Var), st.sampled_from([PROP, TYPE]))
+_leaves = st.one_of(_atoms, st.integers(0, 2).map(lambda i: Var(SHARED + i)))
+_normal_terms = st.recursive(
+    _atoms,
+    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(Lam, sub, sub), st.builds(Pi, sub, sub)),
+    max_leaves=6,
+).filter(old.is_normal)
+_fresh_terms = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.builds(lambda h, args: app(h, *args), sub, st.lists(sub, min_size=1, max_size=3)),
+        st.builds(Lam, sub, sub),
+        st.builds(Pi, sub, sub),
+        # a product whose codomain is headed by its own binder
+        st.builds(lambda a, args: Pi(a, app(Var(0), *args)), sub, st.lists(sub, max_size=2)),
+        # a head redex, and a self-application that never normalizes
+        st.builds(lambda a, b, s: App(Lam(a, b), s), sub, sub, sub),
+        st.builds(lambda a: Lam(a, App(Var(0), Var(0))), sub),
+    ),
+    max_leaves=10,
+)
+# rigid spines and products down to where the walk stops, then anything
+_rigid_terms = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.builds(lambda h, args: app(h, *args), _atoms, st.lists(sub, min_size=2, max_size=3)),
+        st.builds(Pi, sub, sub),
+        st.builds(lambda a, args: Pi(a, app(Var(0), *args)), sub, st.lists(sub, max_size=2)),
+        _fresh_terms,
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def clash_pairs(draw) -> tuple[Term, Term]:
+    """Two sides that agree in part, for the leaf refutation.
+
+    Each side is a copy of one term in which some subterms are replaced by
+    fresh ones and others are wrapped in a head redex that contracts back
+    to them, so the two sides reach one subterm after different steps and
+    under environments of different lengths.  Both sides hold the same
+    three subterms as the same objects.  These are normal, because the two
+    walks skip different pairs: the package skips one term under one
+    environment, the substitution version one object.  An argument bound
+    under a binder that is later contracted reaches the first as itself
+    and the second as a copy; a product reached as one object on both
+    sides has its codomain compared by the first under two environments.
+    Comparing a normal term spends no step, so there the verdict and the
+    fuel still agree.
+    """
+    shared = [draw(_normal_terms) for _ in range(3)]
+
+    def fill(t: Term) -> Term:
+        match t:
+            case Var(i) if i >= SHARED:
+                return shared[i - SHARED]
+            case App(fn, arg):
+                return App(fill(fn), fill(arg))
+            case Lam(dom, body):
+                return Lam(fill(dom), fill(body))
+            case Pi(dom, cod):
+                return Pi(fill(dom), fill(cod))
+        return t
+
+    def disguise(t: Term) -> Term:
+        if any(t is s for s in shared):
+            return t
+        k = draw(st.integers(0, 19))
+        if k == 0:
+            return fill(draw(_fresh_terms))
+        match t:
+            case App(fn, arg):
+                t = App(disguise(fn), disguise(arg))
+            case Lam(dom, body):
+                t = Lam(disguise(dom), disguise(body))
+            case Pi(dom, cod):
+                t = Pi(disguise(dom), disguise(cod))
+            case Var(i):
+                t = Var(i)
+        if k <= 4:
+            return App(Lam(PROP, old.shift(t, 1, 0)), fill(draw(_fresh_terms)))
+        if k == 5:
+            return App(Lam(PROP, Var(0)), t)
+        return t
+
+    t = fill(app(draw(_atoms), *draw(st.lists(_rigid_terms, min_size=2, max_size=3))))
+    return disguise(t), disguise(t)
+
+
+@props
+@given(clash_pairs(), st.integers(1, 60))
+def test_rigid_clash_spends_as_the_substitution_refutation(pair, steps) -> None:
+    """Same verdict or error and the same fuel left as refuting the
+    substituted terms; and a refuted pair that normalizes has two
+    different normal forms."""
+    fuel, tank = Fuel(steps), old.Tank(Fuel(steps))
+
+    def within_the_budget() -> bool:
+        with fuel:
+            return rigid_clash(*pair)
+
+    verdict = _outcome(within_the_budget)
+    assert verdict == _outcome(old.rigid_clash, *pair, tank)
+    assert fuel.left == tank.left
+    if verdict == "True":
+        try:
+            nf1, nf2 = (old.beta_eta_normalize(t, Fuel(100)) for t in pair)
+        except FuelExhausted:
+            return
+        assert not old.structural_eq(nf1, nf2)
+
+
 # ------------- typing -------------
 
 
@@ -220,8 +335,9 @@ WALKS = [
     terms.subst,
     terms.free_indices,
     terms.describe,
-    reduction._whnf,
     reduction._apply,
+    reduction._head,
+    reduction.rigid_clash,
     reduction._nf,
     reduction.is_normal,
     typecheck._infer,
