@@ -13,11 +13,11 @@ A record is built in one of two ways:
   class's `_defaults`, stores them and then calls the `_check` hook that
   validates them.  Most records are built a handful of times per
   command, so this one loop serves them all.
-- The records built per token, per binder or per candidate (term nodes,
-  `QDecl`, `QContext`, `SubstTriple`, `Substitution`, `Token`,
-  `SourceSpan`) write their own `__init__`, which stores each field
-  through the slot's own setter (`slot_setters`): the shared loop costs
-  them about 5 % on the search workload.
+- The records built per binder or per candidate (term nodes, `QDecl`,
+  `QContext`, `SubstTriple`, `Substitution`) write their own
+  `__init__`, which stores each field through the slot's own setter
+  (`slot_setters`): the shared loop costs them about 5 % on the search
+  workload.
 
 `==` and `hash` compare the tuple `_key` returns, by default every field;
 a class whose display names do not count overrides `_key`.  Records of

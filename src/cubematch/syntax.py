@@ -10,14 +10,20 @@ Term grammar (ASCII only, comments run from # to end of line):
 Binders extend as far right as possible, so an abstraction or product
 used as an application argument must be parenthesized; arrows associate
 to the right and application to the left.  Names resolve to the nearest
-enclosing binder; shadowing is allowed.
+enclosing binder; shadowing is allowed.  `T -> U` is the product whose
+binder nothing names: U is read under a scope entry no name matches.
+
+The tokenizer turns a text into plain tuples `(kind, text, start, end)`,
+offsets into the text, ending with an "eof" token.  A `SourceSpan`, with
+its line and column, is computed from the text and the offsets only
+where one is reported: in an error and for a problem's `=`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import ParseError, ProblemError, UnboundName
+from .errors import CubeError, ParseError, ProblemError, UnboundName
 from .problems import (
     Problem,
     ProblemKind,
@@ -28,7 +34,7 @@ from .problems import (
     Substitution,
     make_problem,
 )
-from .record import Record, slot_setters
+from .record import Record
 from .terms import (
     PROP,
     TYPE,
@@ -40,7 +46,6 @@ from .terms import (
     Var,
     free_indices,
     pick_fresh,
-    shift,
 )
 from .typecheck import CubeSpec, SortPair, cube_spec
 
@@ -61,8 +66,6 @@ KEYWORDS = frozenset(
     {"forall", "exists", "match", "unify", "calculus", "custom", "where", "Prop", "Type"}
 )
 
-_PUNCT = ("->", ":=", "(", ")", "[", "]", ":", ",", "=", "-")
-
 
 class SourceSpan(Record):
     __slots__ = ("start", "end", "line", "col")
@@ -72,140 +75,112 @@ class SourceSpan(Record):
     line: int
     col: int
 
-    def __init__(self, start: int, end: int, line: int, col: int) -> None:
-        if start > end:
+    def _check(self) -> None:
+        if self.start > self.end:
             raise ValueError("span ends before it starts")
-        _set_start(self, start)
-        _set_end(self, end)
-        _set_line(self, line)
-        _set_col(self, col)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
 
 
-class Token(Record):
-    __slots__ = ("kind", "text", "span")
-    __match_args__ = __slots__
-    kind: str  # "ident" | "kw" | "punct" | "eof"
-    text: str
-    span: SourceSpan
-
-    def __init__(self, kind: str, text: str, span: SourceSpan) -> None:
-        _set_token_kind(self, kind)
-        _set_text(self, text)
-        _set_span(self, span)
+def _span(text: str, start: int, end: int) -> SourceSpan:
+    """The span of text[start:end], with the 1-based line and column of start."""
+    line = text.count("\n", 0, start) + 1
+    return SourceSpan(start, end, line, start - text.rfind("\n", 0, start))
 
 
-_set_start, _set_end, _set_line, _set_col = slot_setters(SourceSpan)
-_set_token_kind, _set_text, _set_span = slot_setters(Token)
+# (kind, text, start, end); kind is "ident", "kw", "punct" or "eof"
+_Tok = tuple[str, str, int, int]
 
 
-def _tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
+def _tokenize(text: str) -> list[_Tok]:
+    toks: list[_Tok] = []
+    i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
+        if ch in " \t\r\n":
             i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p, SourceSpan(i, i + len(p), line, col)))
-                i += len(p)
-                col += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch == "#":
+            j = text.find("\n", i)
+            i = n if j < 0 else j
+        elif ch in "()[]:,=-":
+            j = i + 2 if text.startswith(("->", ":="), i) else i + 1
+            toks.append(("punct", text[i:j], i, j))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, SourceSpan(i, j, line, col)))
-            col += j - i
+            toks.append(("kw" if word in KEYWORDS else "ident", word, i, j))
             i = j
-            continue
-        raise ParseError(
-            f"stray character {ch!r}", span=SourceSpan(i, i + 1, line, col)
-        )
-    toks.append(Token("eof", "", SourceSpan(n, n, line, col)))
+        else:
+            raise ParseError(f"stray character {ch!r}", span=_span(text, i, i + 1))
+    toks.append(("eof", "", n, n))
     return toks
 
 
-# tokens staged for a later parse, and the token that ended them
-_Staged = tuple[list[Token], Token]
-
-
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, text: str, tokens: list[_Tok]):
+        self.text = text
         self.toks = tokens
         self.i = 0
 
-    def peek(self, k: int = 0) -> Token:
+    def error(self, tok: _Tok, message: str, cls: type[CubeError] = ParseError) -> CubeError:
+        return cls(message, span=_span(self.text, tok[2], tok[3]))
+
+    def peek(self, k: int = 0) -> _Tok:
         return self.toks[min(self.i + k, len(self.toks) - 1)]
 
-    def advance(self) -> Token:
+    def advance(self) -> _Tok:
         t = self.toks[self.i]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.i += 1
         return t
 
     def at(self, kind: str, text: str | None = None) -> bool:
         t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
+        return t[0] == kind and (text is None or t[1] == text)
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
+    def expect(self, kind: str, text: str | None = None) -> _Tok:
         t = self.peek()
         if not self.at(kind, text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {t.text or 'end of input'!r}", span=t.span)
+            raise self.error(t, f"expected {text or kind!r}, found {t[1] or 'end of input'!r}")
         return self.advance()
 
     def done(self) -> bool:
-        return self.peek().kind == "eof"
+        return self.peek()[0] == "eof"
 
-    def until(self, kind: str, text: str) -> _Staged:
-        """Skip to the next such token or the end: the skipped tokens and it."""
+    def finish(self, what: str) -> None:
+        if not self.done():
+            tok = self.peek()
+            raise self.error(tok, f"unexpected {tok[1]!r} after {what}")
+
+    def until(self, kind: str, text: str) -> _Parser:
+        """Skip to the next such token or the end.
+
+        Returns a parser over the skipped tokens, whose end of input is
+        the token that stopped them."""
         start = self.i
         while not (self.done() or self.at(kind, text)):
             self.advance()
-        return self.toks[start : self.i], self.peek()
+        _, _, s, e = self.peek()
+        return _Parser(self.text, self.toks[start : self.i] + [("eof", "", s, e)])
 
     # -- terms ------------------------------------------------------------
 
     def term(self, scope: list[str]) -> Term:
         if self.at("punct", "["):
             self.advance()
-            name = self.expect("ident").text
+            name = self.expect("ident")[1]
             self.expect("punct", ":")
             dom = self.term(scope)
             self.expect("punct", "]")
             body = self.term(scope + [name])
             return Lam(dom, body, name)
-        if (
-            self.at("punct", "(")
-            and self.peek(1).kind == "ident"
-            and self.peek(2).kind == "punct"
-            and self.peek(2).text == ":"
-        ):
+        if self.at("punct", "(") and self.peek(1)[0] == "ident" and self.peek(2)[1] == ":":
             self.advance()
-            name = self.expect("ident").text
+            name = self.expect("ident")[1]
             self.expect("punct", ":")
             dom = self.term(scope)
             self.expect("punct", ")")
@@ -214,53 +189,40 @@ class _Parser:
         left = self.app(scope)
         if self.at("punct", "->"):
             self.advance()
-            right = self.term(scope)
-            return Pi(left, shift(right, 1, 0))
+            return Pi(left, self.term(scope + [""]))  # no name resolves to ""
         return left
 
     def app(self, scope: list[str]) -> Term:
         t = self.atom(scope)
-        while self._starts_atom():
+        while self.peek()[0] == "ident" or self.peek()[1] in ("Prop", "Type", "("):
             t = App(t, self.atom(scope))
         return t
 
-    def _starts_atom(self) -> bool:
-        tok = self.peek()
-        if tok.kind == "ident":
-            return True
-        if tok.kind == "kw" and tok.text in ("Prop", "Type"):
-            return True
-        return tok.kind == "punct" and tok.text == "("
-
     def atom(self, scope: list[str]) -> Term:
         tok = self.peek()
-        if tok.kind == "kw" and tok.text == "Prop":
+        kind, text = tok[0], tok[1]
+        if kind == "kw" and text in ("Prop", "Type"):
             self.advance()
-            return PROP
-        if tok.kind == "kw" and tok.text == "Type":
-            self.advance()
-            return TYPE
-        if tok.kind == "ident":
+            return PROP if text == "Prop" else TYPE
+        if kind == "ident":
             self.advance()
             for k in range(len(scope) - 1, -1, -1):
-                if scope[k] == tok.text:
+                if scope[k] == text:
                     return Var(len(scope) - 1 - k)
-            raise UnboundName(f"unbound name {tok.text!r}", span=tok.span)
-        if tok.kind == "punct" and tok.text == "(":
+            raise self.error(tok, f"unbound name {text!r}", UnboundName)
+        if kind == "punct" and text == "(":
             self.advance()
             inner = self.term(scope)
             self.expect("punct", ")")
             return inner
-        raise ParseError(
-            f"expected a term, found {tok.text or 'end of input'!r}", span=tok.span
-        )
+        raise self.error(tok, f"expected a term, found {text or 'end of input'!r}")
 
     # -- calculus header --------------------------------------------------
 
     def calculus(self) -> CubeSpec:
         self.expect("kw", "calculus")
         tok = self.peek()
-        if tok.kind == "kw" and tok.text == "custom":
+        if self.at("kw", "custom"):
             self.advance()
             self.expect("punct", "(")
             pairs: set[SortPair] = set()
@@ -274,18 +236,18 @@ class _Parser:
             try:
                 return CubeSpec(frozenset(pairs))
             except ValueError as e:
-                raise ParseError(str(e), span=tok.span) from None
-        if tok.kind == "ident":
+                raise self.error(tok, str(e)) from None
+        if tok[0] == "ident":
             self.advance()
-            name = tok.text
-            while self.at("punct", "-") and self.peek(1).kind == "ident":
+            name = tok[1]
+            while self.at("punct", "-") and self.peek(1)[0] == "ident":
                 self.advance()
-                name += "-" + self.advance().text  # lw-weak, lPw-weak
+                name += "-" + self.advance()[1]  # lw-weak, lPw-weak
             try:
                 return cube_spec(name)
-            except Exception as e:
-                raise ParseError(str(e), span=tok.span) from None
-        raise ParseError("expected a calculus name or custom (...)", span=tok.span)
+            except CubeError as e:
+                raise self.error(tok, str(e)) from None
+        raise self.error(tok, "expected a calculus name or custom (...)")
 
     def _sort_pair(self) -> SortPair:
         s1 = self._sort_name()
@@ -295,19 +257,17 @@ class _Parser:
 
     def _sort_name(self) -> str:
         tok = self.peek()
-        if tok.kind == "kw" and tok.text in ("Prop", "Type"):
+        if tok[0] == "kw" and tok[1] in ("Prop", "Type"):
             self.advance()
-            return tok.text
-        raise ParseError("expected Prop or Type", span=tok.span)
+            return tok[1]
+        raise self.error(tok, "expected Prop or Type")
 
 
 def parse_term(text: str, scope: Sequence[str] = ()) -> Term:
     """Parse one term, resolving names against scope (outermost first)."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text, _tokenize(text))
     t = p.term(list(scope))
-    if not p.done():
-        tok = p.peek()
-        raise ParseError(f"unexpected {tok.text!r} after the term", span=tok.span)
+    p.finish("the term")
     return t
 
 
@@ -326,31 +286,27 @@ class ParsedProblem(Record):
 
 def parse_problem_file(text: str) -> ParsedProblem:
     """Read the file shape; no typechecking happens here."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text, _tokenize(text))
     spec = p.calculus()
     decls: list[QDecl] = []
     scope: list[str] = []
     while p.at("kw", "forall") or p.at("kw", "exists"):
-        quant = Quant.FORALL if p.advance().text == "forall" else Quant.EXISTS
-        name = p.expect("ident").text
+        quant = Quant.FORALL if p.advance()[1] == "forall" else Quant.EXISTS
+        name = p.expect("ident")[1]
         p.expect("punct", ":")
         ty = p.term(scope)
         decls.append(QDecl(quant, ty, name))
         scope.append(name)
     if not (p.at("kw", "match") or p.at("kw", "unify")):
         tok = p.peek()
-        raise ParseError(
-            f"expected a declaration or a goal, found {tok.text or 'end of input'!r}",
-            span=tok.span,
-        )
-    goal_kw = p.advance().text
+        raise p.error(tok, f"expected a declaration or a goal, found {tok[1] or 'end of input'!r}")
+    goal_kw = p.advance()[1]
     lhs = p.term(scope)
     eq = p.expect("punct", "=")
     rhs = p.term(scope)
-    if not p.done():
-        tok = p.peek()
-        raise ParseError(f"unexpected {tok.text!r} after the goal", span=tok.span)
-    return ParsedProblem(spec, QContext(tuple(decls)), lhs, rhs, goal_kw, eq.span)
+    p.finish("the goal")
+    eq_span = _span(text, eq[2], eq[3])
+    return ParsedProblem(spec, QContext(tuple(decls)), lhs, rhs, goal_kw, eq_span)
 
 
 def parse_problem(text: str, spec: CubeSpec | None = None) -> tuple[CubeSpec, Problem]:
@@ -382,60 +338,52 @@ def parse_substitution(text: str, qctx: QContext) -> Substitution:
     scope follow the printer's rule: the innermost declaration with a name
     keeps it, a shadowed one answers to the fresh name printed for it.
     """
-    toks = _tokenize(text)
-    lines: dict[int, list[Token]] = {}
-    for tok in toks:
-        if tok.kind == "eof":
-            continue
-        lines.setdefault(tok.span.line, []).append(tok)
+    # the whole text is tokenized at once, so a stray character is reported
+    # before any other fault, even one on an earlier line; a new line
+    # starts wherever a newline lies between two tokens
+    lines: list[list[_Tok]] = []
+    for tok in _tokenize(text)[:-1]:
+        if lines and text.find("\n", lines[-1][-1][3], tok[2]) < 0:
+            lines[-1].append(tok)
+        else:
+            lines.append([tok])
 
     decl_names = scope_names(qctx)
-    staged: dict[int, tuple[_Staged, list[tuple[str, _Staged]]]] = {}
-    for _, ltoks in sorted(lines.items()):
-        name_tok = ltoks[0]
-        if name_tok.kind != "ident" or len(ltoks) < 2 or ltoks[1].text != ":=":
-            raise ParseError("expected `NAME := term`", span=name_tok.span)
-        last = ltoks[-1].span
-        end = SourceSpan(last.end, last.end, last.line, last.col + last.end - last.start)
-        lp = _Parser(ltoks + [Token("eof", "", end)])
-        lp.i = 2
+    staged: dict[int, tuple[_Parser, list[tuple[str, _Parser]]]] = {}
+    for ltoks in lines:
+        end = ltoks[-1][3]
+        lp = _Parser(text, ltoks + [("eof", "", end, end)])
+        name_tok = lp.advance()
+        if name_tok[0] != "ident" or not lp.at("punct", ":="):
+            raise lp.error(name_tok, "expected `NAME := term`")
+        lp.advance()
         term = lp.until("kw", "where")
-        local_specs: list[tuple[str, _Staged]] = []
+        local_specs: list[tuple[str, _Parser]] = []
         if lp.at("kw", "where"):
             lp.advance()
             while True:
                 lp.expect("kw", "exists")
-                local_name = lp.expect("ident").text
+                local_name = lp.expect("ident")[1]
                 lp.expect("punct", ":")
                 local_specs.append((local_name, lp.until("punct", ",")))
                 if lp.done():
                     break
                 lp.advance()
-        if name_tok.text not in decl_names:
-            raise UnboundName(
-                f"{name_tok.text!r} is not declared in the context", span=name_tok.span
-            )
-        pos = decl_names.index(name_tok.text)
+        name = name_tok[1]
+        if name not in decl_names:
+            raise lp.error(name_tok, f"{name!r} is not declared in the context", UnboundName)
+        pos = decl_names.index(name)
         if qctx.decls[pos].quant is not Quant.EXISTS:
-            raise ParseError(
-                f"{name_tok.text!r} is universal and cannot be bound",
-                span=name_tok.span,
-            )
+            raise lp.error(name_tok, f"{name!r} is universal and cannot be bound")
         if pos in staged:
-            raise ParseError(
-                f"{name_tok.text!r} is bound twice", span=name_tok.span
-            )
+            raise lp.error(name_tok, f"{name!r} is bound twice")
         staged[pos] = (term, local_specs)
 
-    def parse_toks(toks: _Staged, scope: list[str]) -> Term:
-        ts, stop = toks
-        if not ts:
-            raise ParseError("missing term", span=stop.span)
-        sub = _Parser(ts + [Token("eof", "", stop.span)])
+    def parse_staged(sub: _Parser, scope: list[str]) -> Term:
+        if sub.done():
+            raise sub.error(sub.peek(), "missing term")
         t = sub.term(scope)
-        if not sub.done():
-            tok = sub.peek()
-            raise ParseError(f"unexpected {tok.text!r} after the term", span=tok.span)
+        sub.finish("the term")
         return t
 
     triples: list[SubstTriple] = []
@@ -444,14 +392,14 @@ def parse_substitution(text: str, qctx: QContext) -> Substitution:
         if pos not in staged:
             image.append(d.name)
             continue
-        term_toks, local_specs = staged[pos]
+        term, local_specs = staged[pos]
         local_decls: list[QDecl] = []
-        for local_name, ty_toks in local_specs:
-            ty = parse_toks(ty_toks, _distinct_names(image))
-            local_decls.append(QDecl(Quant.EXISTS, ty, local_name))
+        for local_name, ty in local_specs:
+            ty_term = parse_staged(ty, _distinct_names(image))
+            local_decls.append(QDecl(Quant.EXISTS, ty_term, local_name))
             image.append(local_name)
-        term = parse_toks(term_toks, _distinct_names(image))
-        triples.append(SubstTriple(pos, QContext(tuple(local_decls)), term))
+        body = parse_staged(term, _distinct_names(image))
+        triples.append(SubstTriple(pos, QContext(tuple(local_decls)), body))
     return Substitution(qctx, tuple(triples))
 
 
@@ -482,7 +430,8 @@ def _pt(t: Term, scope: list[str], level: int) -> str:
             return f"({s})" if level > _TERM else s
         case Pi(dom, cod, hint):
             if 0 not in free_indices(cod):
-                s = f"{_pt(dom, scope, _APP)} -> {_pt(shift(cod, -1, 0), scope, _TERM)}"
+                # cod never names the binder, and pick_fresh never picks ""
+                s = f"{_pt(dom, scope, _APP)} -> {_pt(cod, scope + [''], _TERM)}"
             else:
                 name = pick_fresh(hint, set(scope) | KEYWORDS)
                 s = f"({name}:{_pt(dom, scope, _TERM)}){_pt(cod, scope + [name], _TERM)}"

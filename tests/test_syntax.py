@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from functools import reduce
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES
-from cubematch.errors import ParseError, ProblemError, UnboundName
+from cubematch.errors import CubeError, ParseError, ProblemError, UnboundName
 from cubematch.problems import (
     ProblemKind,
     QContext,
@@ -20,6 +22,7 @@ from cubematch.problems import (
 from cubematch.syntax import (
     SourceSpan,
     parse_problem,
+    parse_problem_file,
     parse_substitution,
     parse_term,
     print_problem,
@@ -308,3 +311,70 @@ def test_spans_stay_within_input() -> None:
 def test_source_span_sanity() -> None:
     with pytest.raises(ValueError):
         SourceSpan(3, 1, 1, 1)
+
+
+def test_a_defect_in_the_calculus_lookup_is_not_a_parse_error(monkeypatch) -> None:
+    def broken(name: str):
+        raise RuntimeError("defect")
+
+    monkeypatch.setattr("cubematch.syntax.cube_spec", broken)
+    with pytest.raises(RuntimeError, match="defect"):
+        parse_problem_file("calculus lP\nforall U : Prop\nmatch U = U\n")
+
+
+_FIXTURE_LINES = sorted(
+    {line for f in sorted(FIXTURES.iterdir()) for line in f.read_text().splitlines()}
+)
+_JUNK = list("()[]:,=-#@ \t_xU") + ["->", ":=", "where", "exists", "match", "# c", "\n"]
+
+
+@st.composite
+def _junk_files(draw) -> str:
+    """Fixture lines in any order, edited by insertions and deletions."""
+    lines = draw(st.lists(st.sampled_from(_FIXTURE_LINES), min_size=2, max_size=8))
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[k])))
+        if draw(st.booleans()):
+            lines[k] = lines[k][:at] + draw(st.sampled_from(_JUNK)) + lines[k][at:]
+        else:
+            lines[k] = lines[k][:at] + lines[k][at + draw(st.integers(1, 3)) :]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_junk_files())
+def test_every_error_span_is_the_line_and_column_of_its_offset(text: str) -> None:
+    qctx = parse_problem((FIXTURES / "thm1_target.prob").read_text())[1].qctx
+    for parse in (parse_problem_file, lambda t: parse_substitution(t, qctx)):
+        try:
+            parse(text)
+        except CubeError as e:
+            span = e.span
+            assert span is not None
+            assert 0 <= span.start <= span.end <= len(text)
+            assert span.line == text.count("\n", 0, span.start) + 1
+            assert span.col == span.start - text.rfind("\n", 0, span.start)
+
+
+@pytest.mark.parametrize("n", [1, 50, 400])
+def test_a_long_arrow_chain_parses_and_prints(n: int) -> None:
+    text = " -> ".join(["U"] * n)
+    t = parse_term(text, ["U"])
+    assert t == reduce(lambda cod, dom: arrow(dom, cod), [Var(0)] * n)
+    assert print_term(t, ["U"]) == text
+
+
+def test_an_arrow_under_a_binder_skips_one_index() -> None:
+    t = parse_term("(x:U) P x -> P x", ["U", "P"])
+    p_x = App(Var(1), Var(0))
+    assert t == Pi(Var(1), arrow(p_x, p_x), "x")
+    assert t.cod.cod == App(Var(2), Var(1))
+    assert print_term(t, ["U", "P"]) == "(x:U)P x -> P x"
+
+
+def test_a_stray_character_is_reported_before_an_earlier_line_fault() -> None:
+    _, p = parse_problem((FIXTURES / "term_source.prob").read_text())
+    with pytest.raises(ParseError, match="stray character") as exc:
+        parse_substitution("Q := a\nF := [x:U]x @\n", p.qctx)
+    assert str(exc.value.span) == "2:13"
