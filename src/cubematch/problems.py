@@ -4,7 +4,9 @@ A quantified context marks each declaration universal (a parameter) or
 existential (an unknown).  A substitution maps existential slots to
 replacement terms, each with a local all-existential context spliced in
 at the slot; applying it re-numbers the remaining slots accordingly, so
-substituted terms live in the image context.
+substituted terms live in the image context.  `image_env` gives the same
+image without a copy, as an environment for the reduction machine;
+`is_solution` and `search` convert under it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     TypingError,
 )
 from .record import Record, slot_setters
-from .reduction import beta_eta_normalize, equivalent
+from .reduction import beta_eta_normalize, normalize_under
 from .terms import (
     PROP,
     App,
@@ -256,6 +258,40 @@ def apply_subst_in_prefix(s: Substitution, t: Term, length: int) -> Term:
     return go(t, 0)
 
 
+def image_entry(s: Substitution, pos: int, term: Term | None = None) -> tuple | int:
+    """Slot pos of s.qctx as an entry of the environment under which the
+    reduction machine reads a term over s.qctx as its image under s.
+
+    This is the image numbering that `normalize_under` and `rigid_clash`
+    read by: image slot j, counted inward from the innermost, has level
+    -1 - j, as the machine numbers an outer context.  An unbound slot is
+    the level of its image slot.  A bound slot is its replacement, or term
+    in its place, which lives over the image of the slots before pos
+    followed by its local context: a bare variable is the level of the slot
+    it names, so that no closure holds one, and anything else the closure
+    of the term over those slots' levels, innermost first.
+    """
+    cum = s._cum
+    img = cum[-1]
+    tr = s._by_pos.get(pos)
+    if tr is None:
+        return cum[pos] - img
+    if term is None:
+        term = tr.term
+    levels = range(cum[pos + 1] - 1 - img, -1 - img, -1)
+    if type(term) is Var:
+        return levels[term.index]
+    return term, tuple(levels), len(levels)
+
+
+def image_env(s: Substitution) -> tuple:
+    """The environment that reads a term over s.qctx as its image under s:
+    `image_entry` of every slot, innermost first.  Normalizing t under it
+    takes the steps, and spends the fuel, that normalizing apply_subst(s, t)
+    does, but copies nothing beforehand."""
+    return tuple(image_entry(s, q) for q in range(len(s.qctx) - 1, -1, -1))
+
+
 def is_closed(t: Term, qctx: QContext) -> bool:
     """Free slots all universal, with recursively closed declared types."""
     length = len(qctx)
@@ -316,7 +352,10 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
                     check="sort",
                 ) from e
             image.append(QDecl(Quant.EXISTS, gd.ty, gd.name))
-        target = beta_eta_normalize(shift(ty_img, len(tr.local), 0))
+        # ty_img is over the image before the local context: index i is slot
+        # i + len(tr.local) of the image so far, at level -1 - i - len(tr.local)
+        levels = tuple(range(-1 - len(tr.local), -1 - len(image), -1))
+        target = normalize_under(ty_img, levels)
         try:
             ok = scope.check(tr.term, target)
         except TypingError as e:
@@ -461,14 +500,20 @@ def _infer_side(scope: Scope, t: Term, side: str) -> Term:
 
 
 def is_solution(s: Substitution, p: Problem, spec: CubeSpec) -> bool:
-    """Well-typed for the problem's context, and the sides convert."""
+    """Well-typed for the problem's context, and the sides convert.
+
+    The sides are converted as their images under s without being copied:
+    each is normalized under `image_env(s)`, which binds every bound slot
+    to its replacement, in the steps and fuel of normalizing the copies.
+    """
     if s.qctx != p.qctx:
         raise ValueError("substitution was built for a different context")
     try:
         subst_well_typed(s, p.qctx, spec)
     except SubstitutionError:
         return False
-    return equivalent(apply_subst(s, p.lhs), apply_subst(s, p.rhs))
+    env = image_env(s)
+    return normalize_under(p.lhs, env) == normalize_under(p.rhs, env)
 
 
 def _base_chain(ctx_len: int, arity: int) -> Term:

@@ -32,9 +32,20 @@ chain of closures one link longer at each step and reach its budget in
 quadratic time.  So a closure in an environment never holds a bare
 variable.
 
+The machine can also start from a non-empty environment, as Crégut's
+strongly reducing Krivine machine does ("Strongly reducing variants of
+the Krivine abstract machine", HOSC 20(3), 2007): `normalize_under(t,
+env)` reads t with its free indices bound to env's entries.  A term's
+image under a substitution is read this way, without being copied: each
+replaced slot is bound to the closure of its replacement and each kept
+slot to its level.  It takes the steps of normalizing the copy.
+`instantiate` binds one slot; `search` converts each leaf, and
+`problems.is_solution` a substitution's two sides, under the environment
+of the whole substitution.
+
 `rigid_clash`, the test `search` puts each leaf through before conversion,
 compares two terms' rigid heads on the same machine, with the same steps
-and fuel, without reading back.
+and fuel, without reading back, under an environment too.
 """
 
 from __future__ import annotations
@@ -216,7 +227,16 @@ def _eta_redex(body: Term) -> bool:
     return type(arg) is Var and arg.index == 0 and 0 not in free_indices(body.fn)
 
 
-def _normalize(t: Term, env: tuple) -> Term:
+def normalize_under(t: Term, env: tuple) -> Term:
+    """The beta-eta normal form of t with its free index i bound to env[i].
+
+    env is an environment as the machine keeps one, read back at depth 0: a
+    level -1 - j stands for slot j of the outer context, and a closure
+    (term, env', n) for that term, itself read under env'.  No closure may
+    hold a bare variable; bind its level instead.  The same steps are
+    taken, and the same fuel spent, as in normalizing t with every bound
+    index replaced by what it is bound to.
+    """
     fuel = _BUDGET.get() or Fuel()
     try:
         return _nf(t, env, len(env), 0, fuel)
@@ -233,7 +253,7 @@ def beta_eta_normalize(t: Term) -> Term:
     Each step spends one unit of the enclosing `with Fuel(...)` block's
     budget, or of a default Fuel of this call's own outside any block.
     """
-    return _normalize(t, ())
+    return normalize_under(t, ())
 
 
 def instantiate(cod: Term, arg: Term) -> Term:
@@ -243,7 +263,7 @@ def instantiate(cod: Term, arg: Term) -> Term:
     instead of being replaced; the typing of a dependent application and
     search's dependent spines instantiate a codomain this way.
     """
-    return _normalize(cod, (-1 - arg.index if type(arg) is Var else (arg, (), 0),))
+    return normalize_under(cod, (-1 - arg.index if type(arg) is Var else (arg, (), 0),))
 
 
 def equivalent(t1: Term, t2: Term) -> bool:
@@ -266,11 +286,13 @@ def _head(e: tuple | int, fuel: Fuel) -> tuple:
     return t, env, n, args
 
 
-def rigid_clash(t1: Term, t2: Term) -> bool:
-    """True when t1 and t2 certainly have different beta-eta normal forms.
+def rigid_clash(t1: Term, t2: Term, env: tuple = ()) -> bool:
+    """True when t1 and t2, both read under env as `normalize_under` reads
+    a term, certainly have different beta-eta normal forms.
 
     A work item is a pair of environment entries and the number d of
-    products entered above them; both sides start as (t, (), 0) at depth 0.
+    products entered above them; both sides start as (t, env, len(env)) at
+    depth 0.
     Each side's head is run to weak head form and the heads are compared:
     class (variable, sort or product), level or tag, and the number of
     arguments.  A product pushes its domains, then its codomains with the
@@ -283,7 +305,8 @@ def rigid_clash(t1: Term, t2: Term) -> bool:
     any block.  Nothing recurses, so deep terms cost no stack.
     """
     fuel = _BUDGET.get() or Fuel()
-    todo: list = [((t1, (), 0), (t2, (), 0), 0)]
+    n = len(env)
+    todo: list = [((t1, env, n), (t2, env, n), 0)]
     while todo:
         a, b, d = todo.pop()
         if type(a) is tuple and type(b) is tuple and a[0] is b[0] and a[1] is b[1]:

@@ -13,9 +13,11 @@ order is deterministic: size first, then the printed form.
 
 `solve_bounded` tests the assignments level by level, a level being the
 size of an assignment's largest candidate, and stops after the first
-level that fills `max_solutions`.  Before full conversion, a leaf goes
-through `reduction.rigid_clash`, a cheap rigid-spine refutation of its two
-sides on the normalizer's own machine.
+level that fills `max_solutions`.  A leaf is never a copy of the problem:
+its two sides are read under an environment that binds each unknown to
+its candidate (`problems.image_env`).  Before conversion under that
+environment, a leaf goes through `reduction.rigid_clash`, a cheap
+rigid-spine refutation of its two sides on the normalizer's own machine.
 
 Size here counts choice nodes: abstraction domains are dictated by the
 target type and cost nothing, everything else costs one node.
@@ -23,9 +25,18 @@ target type and cost nothing, everything else costs one node.
 
 from __future__ import annotations
 
-from .problems import Problem, QContext, QDecl, SubstTriple, Substitution, is_solution
+from .problems import (
+    Problem,
+    QContext,
+    QDecl,
+    SubstTriple,
+    Substitution,
+    image_entry,
+    image_env,
+    is_solution,
+)
 from .record import Record
-from .reduction import beta_eta_normalize, equivalent, instantiate, rigid_clash
+from .reduction import beta_eta_normalize, instantiate, normalize_under, rigid_clash
 from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, shift, subst
 from .typecheck import CubeSpec, Scope
 
@@ -198,23 +209,26 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     """Assign enumerated candidates to the unknowns in declaration order
     and keep the assignments that verify as solutions.
 
-    Each chosen candidate is substituted into the rest of the problem, the
-    later declared types and both sides, which drops the unknown's slot;
-    the next unknown's candidates come from the prefix that remains.  The
-    last unknown's candidates are not substituted at once: each leaf is
-    recorded under its level, the largest candidate size in its
-    assignment.  The levels are then tested in ascending order, and the
-    search stops after the first level at which max_solutions have been
-    found; every solution of a higher level would sort after them.
+    Each chosen candidate is substituted into the later declared types,
+    which drops the unknown's slot; the next unknown's candidates come from
+    the prefix that remains.  The sides are never substituted into.  At
+    the last unknown, the environment of the assignment so far, completed
+    by its first candidate, is built once (`problems.image_env`); each
+    candidate then makes one leaf, that environment with the last
+    unknown's entry bound to it.  A leaf is recorded under its level, the
+    largest candidate size in its assignment.  The levels are then tested in ascending order,
+    and the search stops after the first level at which max_solutions have
+    been found; every solution of a higher level would sort after them.
 
-    A full assignment is first tested for conversion of the two sides,
-    after a rigid-spine refutation that rejects most leaves without
-    normalizing them (its head steps draw on the same `with Fuel(...)`
-    budget as conversion); only one that converts becomes a Substitution,
-    verified in full with is_solution, so every returned solution is
-    re-verified.  Testing conversion first drops no solution: each
-    candidate was checked against its slot's instantiated type, so every
-    assignment is well-typed.
+    A leaf reads both sides under its environment, as their images under
+    the assignment, without copying them.  It goes first through a
+    rigid-spine refutation that rejects most leaves without normalizing
+    them, then through conversion; both draw on the same `with Fuel(...)`
+    budget and spend what they would on substituted copies.  Only a leaf
+    whose sides convert becomes a Substitution, verified in full with
+    is_solution, so every returned solution is re-verified.  Testing
+    conversion first drops no solution: each candidate was checked against
+    its slot's instantiated type, so every assignment is well-typed.
 
     Sound but deliberately incomplete beyond the budget.  The result order
     sorts by largest component first, so enlarging the size budget only
@@ -224,20 +238,24 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     last = len(ex_positions) - 1
     found: list[Substitution] = []
     cand_cache: dict[tuple[QContext, Term], list[tuple[Term, int]]] = {}
-    # level -> leaves: (sides before the last fill, its index, prefix), candidate
-    leaves: dict[int, list[tuple[tuple[Term, Term, int, tuple[Term, ...]], Term]]] = {}
+    # level -> leaves: (the entries inside and outside the last unknown's,
+    # the substitution that numbers them, the earlier candidates), candidate
+    leaves: dict[int, list[tuple[tuple, Term]]] = {}
 
-    def test(lhs: Term, rhs: Term, chosen: tuple[Term, ...]) -> None:
-        if rigid_clash(lhs, rhs) or not equivalent(lhs, rhs):
-            return
+    def substitution(chosen: tuple[Term, ...]) -> Substitution:
         triples = (SubstTriple(q, QContext(), c) for q, c in zip(ex_positions, chosen))
-        s = Substitution(p.qctx, tuple(triples))
+        return Substitution(p.qctx, tuple(triples))
+
+    def test(env: tuple, chosen: tuple[Term, ...]) -> None:
+        if rigid_clash(p.lhs, p.rhs, env):
+            return
+        if normalize_under(p.lhs, env) != normalize_under(p.rhs, env):
+            return
+        s = substitution(chosen)
         if is_solution(s, p, spec):
             found.append(s)
 
-    def dfs(
-        decls: tuple[QDecl, ...], lhs: Term, rhs: Term, chosen: tuple[Term, ...], level: int
-    ) -> None:
+    def dfs(decls: tuple[QDecl, ...], chosen: tuple[Term, ...], level: int) -> None:
         i = len(chosen)
         r = ex_positions[i] - i  # the earlier unknowns' slots are gone
         key = (QContext(decls[:r]), decls[r].ty)
@@ -246,32 +264,31 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
             cands = cand_cache[key] = [
                 (c, decision_size(c)) for c in enumerate_candidates(*key, budget, spec)
             ]
-        k = len(decls) - 1 - r
+        if not cands:
+            return
         if i == last:
-            node = (lhs, rhs, k, chosen)
+            s = substitution(chosen + (cands[0][0],))
+            env = image_env(s)
+            k = len(env) - 1 - ex_positions[i]
+            node = (env[:k], env[k + 1 :], s, chosen)
             for cand, size in cands:
                 leaves.setdefault(max(level, size), []).append((node, cand))
             return
         for cand, size in cands:
-            # the j-th later declaration sees slot r as Var(j), the sides as Var(k)
+            # the j-th later declaration sees slot r as Var(j)
             later = tuple(
                 QDecl(d.quant, _fill(d.ty, j, cand), d.name) for j, d in enumerate(decls[r + 1 :])
             )
-            dfs(
-                decls[:r] + later,
-                _fill(lhs, k, cand),
-                _fill(rhs, k, cand),
-                chosen + (cand,),
-                max(level, size),
-            )
+            dfs(decls[:r] + later, chosen + (cand,), max(level, size))
 
     if last < 0:
-        test(p.lhs, p.rhs, ())
+        test((), ())
     else:
-        dfs(p.qctx.decls, p.lhs, p.rhs, (), 0)
+        dfs(p.qctx.decls, (), 0)
         for level in sorted(leaves):
-            for (lhs, rhs, k, chosen), cand in leaves[level]:
-                test(_fill(lhs, k, cand), _fill(rhs, k, cand), chosen + (cand,))
+            for (inner, outer, s, chosen), cand in leaves[level]:
+                entry = image_entry(s, ex_positions[last], cand)
+                test(inner + (entry,) + outer, chosen + (cand,))
             if len(found) >= budget.max_solutions:
                 break
 

@@ -44,7 +44,6 @@ from .terms import (
     Sort,
     Term,
     Var,
-    free_indices,
     pick_fresh,
 )
 from .typecheck import CubeSpec, SortPair, cube_spec
@@ -410,33 +409,92 @@ _TERM, _APP, _ATOM = 0, 1, 2
 
 def print_term(t: Term, scope: Sequence[str] = ()) -> str:
     """Render t against scope; parsing the result gives back t."""
-    return _pt(t, list(scope), _TERM)
+    out: list[str] = []
+    _pt(t, list(scope), _TERM, _used_binders(t), out)
+    return "".join(out)
 
 
-def _pt(t: Term, scope: list[str], level: int) -> str:
+def _used_binders(t: Term) -> set[int]:
+    """The ids of the binders in t that some variable of their scope names.
+
+    One pass on an explicit stack, so the printer asks whether a product is
+    an arrow in constant time instead of walking its codomain.  An item is
+    a subterm, its depth, and the binder it is the scope of, if any; path[j]
+    is the binder at depth j above the current subterm.
+    """
+    used: set[int] = set()
+    path: list[Term] = []
+    todo: list[tuple[Term, int, Term | None]] = [(t, 0, None)]
+    while todo:
+        t, depth, binder = todo.pop()
+        if binder is not None:
+            del path[depth - 1 :]
+            path.append(binder)
+        tt = type(t)
+        if tt is Var:
+            if t.index < depth:
+                used.add(id(path[depth - 1 - t.index]))
+        elif tt is App:
+            todo.append((t.arg, depth, None))
+            todo.append((t.fn, depth, None))
+        elif tt is Lam:
+            todo.append((t.body, depth + 1, t))
+            todo.append((t.dom, depth, None))
+        elif tt is Pi:
+            todo.append((t.cod, depth + 1, t))
+            todo.append((t.dom, depth, None))
+    return used
+
+
+def _pt(t: Term, scope: list[str], level: int, used: set[int], out: list[str]) -> None:
+    """Append the text of t to out; scope grows and shrinks back in place."""
     match t:
         case Sort(tag):
-            return tag
+            out.append(tag)
         case Var(k):
             if k >= len(scope):
                 raise ValueError(f"unbound index {k} while printing")
-            return scope[len(scope) - 1 - k]
+            out.append(scope[len(scope) - 1 - k])
         case App(fn, arg):
-            s = f"{_pt(fn, scope, _APP)} {_pt(arg, scope, _ATOM)}"
-            return f"({s})" if level > _APP else s
+            if level > _APP:
+                out.append("(")
+            _pt(fn, scope, _APP, used, out)
+            out.append(" ")
+            _pt(arg, scope, _ATOM, used, out)
+            if level > _APP:
+                out.append(")")
         case Lam(dom, body, hint):
+            if level > _TERM:
+                out.append("(")
             name = pick_fresh(hint, set(scope) | KEYWORDS)
-            s = f"[{name}:{_pt(dom, scope, _TERM)}]{_pt(body, scope + [name], _TERM)}"
-            return f"({s})" if level > _TERM else s
+            out.append(f"[{name}:")
+            _pt(dom, scope, _TERM, used, out)
+            out.append("]")
+            scope.append(name)
+            _pt(body, scope, _TERM, used, out)
+            scope.pop()
+            if level > _TERM:
+                out.append(")")
         case Pi(dom, cod, hint):
-            if 0 not in free_indices(cod):
+            if level > _TERM:
+                out.append("(")
+            if id(t) not in used:
                 # cod never names the binder, and pick_fresh never picks ""
-                s = f"{_pt(dom, scope, _APP)} -> {_pt(cod, scope + [''], _TERM)}"
+                name = ""
+                _pt(dom, scope, _APP, used, out)
+                out.append(" -> ")
             else:
                 name = pick_fresh(hint, set(scope) | KEYWORDS)
-                s = f"({name}:{_pt(dom, scope, _TERM)}){_pt(cod, scope + [name], _TERM)}"
-            return f"({s})" if level > _TERM else s
-    raise AssertionError("unreachable")
+                out.append(f"({name}:")
+                _pt(dom, scope, _TERM, used, out)
+                out.append(")")
+            scope.append(name)
+            _pt(cod, scope, _TERM, used, out)
+            scope.pop()
+            if level > _TERM:
+                out.append(")")
+        case _:
+            raise AssertionError("unreachable")
 
 
 def _distinct_names(names: Sequence[str | None]) -> list[str]:

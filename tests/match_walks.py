@@ -9,13 +9,34 @@ synthesizer keeps no memo.  Term equality and `describe` are recursive
 the package's walks, and agreement with the package
 (tests/test_walk_equivalence.py, tests/test_terms.py) is a real
 cross-check.
+
+The search oracle at the end keeps the leaf path that copies: each chosen
+candidate is substituted into both sides, and the copies are refuted and
+converted on the package's machine, so the two paths can be compared on
+results and on the fuel spent from one `with Fuel(...)` budget.
 """
 
 from __future__ import annotations
 
-from cubematch.errors import FuelExhausted, NoRuleApplies, NotAType, SortPairMissing, TypeHasNoType
-from cubematch.problems import Substitution
-from cubematch.reduction import DEFAULT_MAX_STEPS, Fuel
+from cubematch.errors import (
+    FuelExhausted,
+    NoRuleApplies,
+    NotAType,
+    SortPairMissing,
+    SubstitutionError,
+    TypeHasNoType,
+)
+from cubematch.problems import (
+    Problem,
+    QContext,
+    QDecl,
+    SubstTriple,
+    Substitution,
+    subst_well_typed,
+)
+from cubematch.reduction import DEFAULT_MAX_STEPS, Fuel, equivalent
+from cubematch.reduction import rigid_clash as machine_rigid_clash
+from cubematch.search import SearchBudget, decision_size, enumerate_candidates
 from cubematch.terms import TYPE, App, Lam, Pi, Sort, Term, Var
 from cubematch.typecheck import Context, CubeSpec, pair_text
 
@@ -374,3 +395,86 @@ def apply_subst_in_prefix(s: Substitution, t: Term, length: int) -> Term:
 
 def apply_subst(s: Substitution, t: Term) -> Term:
     return apply_subst_in_prefix(s, t, len(s.qctx))
+
+
+def is_solution(s: Substitution, p: Problem, spec: CubeSpec) -> bool:
+    """Well-typed, and the copied images of the two sides convert."""
+    if s.qctx != p.qctx:
+        raise ValueError("substitution was built for a different context")
+    try:
+        subst_well_typed(s, p.qctx, spec)
+    except SubstitutionError:
+        return False
+    return equivalent(apply_subst(s, p.lhs), apply_subst(s, p.rhs))
+
+
+# -- search --------------------------------------------------------------------
+
+
+def _fill(t: Term, k: int, cand: Term) -> Term:
+    """t with Var(k) replaced by cand, which lives k slots further out."""
+    return subst(t, k, shift(cand, k, 0))
+
+
+def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Substitution]:
+    """The search with the leaf path that copies.
+
+    Each chosen candidate is substituted into the later declared types and
+    into both sides; the last unknown's candidates are substituted into the
+    sides leaf by leaf, level by level, and each pair of copies is refuted
+    and converted on the package's machine before is_solution above.
+    """
+    ex_positions = p.qctx.existential_positions()
+    last = len(ex_positions) - 1
+    found: list[Substitution] = []
+    cand_cache: dict = {}
+    leaves: dict[int, list] = {}
+
+    def test(lhs: Term, rhs: Term, chosen: tuple[Term, ...]) -> None:
+        if machine_rigid_clash(lhs, rhs) or not equivalent(lhs, rhs):
+            return
+        triples = (SubstTriple(q, QContext(), c) for q, c in zip(ex_positions, chosen))
+        s = Substitution(p.qctx, tuple(triples))
+        if is_solution(s, p, spec):
+            found.append(s)
+
+    def dfs(decls: tuple[QDecl, ...], lhs: Term, rhs: Term, chosen: tuple[Term, ...], level: int) -> None:
+        i = len(chosen)
+        r = ex_positions[i] - i
+        key = (QContext(decls[:r]), decls[r].ty)
+        if key not in cand_cache:
+            cand_cache[key] = [
+                (c, decision_size(c)) for c in enumerate_candidates(*key, budget, spec)
+            ]
+        k = len(decls) - 1 - r
+        for cand, size in cand_cache[key]:
+            if i == last:
+                leaves.setdefault(max(level, size), []).append((lhs, rhs, k, chosen, cand))
+                continue
+            later = tuple(
+                QDecl(d.quant, _fill(d.ty, j, cand), d.name) for j, d in enumerate(decls[r + 1 :])
+            )
+            dfs(
+                decls[:r] + later,
+                _fill(lhs, k, cand),
+                _fill(rhs, k, cand),
+                chosen + (cand,),
+                max(level, size),
+            )
+
+    if last < 0:
+        test(p.lhs, p.rhs, ())
+    else:
+        dfs(p.qctx.decls, p.lhs, p.rhs, (), 0)
+        for level in sorted(leaves):
+            for lhs, rhs, k, chosen, cand in leaves[level]:
+                test(_fill(lhs, k, cand), _fill(rhs, k, cand), chosen + (cand,))
+            if len(found) >= budget.max_solutions:
+                break
+
+    def sol_key(s: Substitution) -> tuple:
+        sizes = [decision_size(tr.term) for tr in s.triples] or [0]
+        return max(sizes), sum(sizes), tuple(describe(tr.term) for tr in s.triples)
+
+    found.sort(key=sol_key)
+    return found[: budget.max_solutions]

@@ -7,6 +7,8 @@ from random import Random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import match_walks as old
+from cubematch import search
 from cubematch.errors import CubeError
 from cubematch.problems import (
     Problem,
@@ -17,10 +19,11 @@ from cubematch.problems import (
     SubstTriple,
     Substitution,
     apply_subst_in_prefix,
+    image_env,
     is_solution,
     make_problem,
 )
-from cubematch.reduction import beta_eta_normalize
+from cubematch.reduction import Fuel, beta_eta_normalize
 from cubematch.search import SearchBudget, decision_size, enumerate_candidates, solve_bounded
 from cubematch.terms import PROP, TYPE, App, Lam, Pi, Sort, Var, arrow, describe, shift, subst
 from cubematch.syntax import parse_problem, parse_term, print_substitution
@@ -481,3 +484,69 @@ def test_oracle_coherence_source_solvable_implies_target_solvable() -> None:
         art = build_thm1(p, lp)
         derived = SearchBudget(max(witness_size, 3), 4)  # transported binding is size 3
         assert solve_bounded(art.target, derived, lp)
+
+
+# -- leaves read under an environment, against the copying leaf path ----------
+
+
+def _spent(solve, p: Problem, budget: SearchBudget, spec, steps: int) -> tuple:
+    """repr of solve's result, or the error's class and message, with the
+    fuel left of one `with Fuel(steps)` block around the whole search."""
+    fuel = Fuel(steps)
+    try:
+        with fuel:
+            out = repr(solve(p, budget, spec))
+    except CubeError as e:
+        out = (type(e), str(e))
+    return out, fuel.left
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.prob")), ids=lambda p: p.name)
+def test_leaves_spend_as_the_copying_path_on_every_fixture(path) -> None:
+    # the small budgets run out part way through some searches
+    spec, p = parse_problem(path.read_text())
+    for size in (4, 6, 8):
+        budget = SearchBudget(size, 16)
+        for steps in (3, 10, 10**6):
+            got = _spent(solve_bounded, p, budget, spec, steps)
+            assert got == _spent(old.solve_bounded, p, budget, spec, steps)
+
+
+# unknowns declared before universals, so the environment mixes both kinds
+SCOPED = [
+    SIGNATURE + "exists F : U -> U\nforall c : U\nmatch F (h a) = c\n",
+    SIGNATURE + "exists F : U -> U\nforall k : U -> U\nexists X : U\nunify F (k X) = k (F a)\n",
+    SIGNATURE + "exists X : U\nforall k : U -> U\nexists F : U -> U\nmatch F (h X) = h (k a)\n",
+]
+
+
+def test_leaves_spend_as_the_copying_path_on_random_problems() -> None:
+    lp = cube_spec("lP")
+    rng = Random(16)
+    problems = [random_elementary_problem(rng) for _ in range(40)]
+    problems += [parse_problem(text)[1] for text in SCOPED]
+    for p in problems:
+        for budget in (SearchBudget(5, 8), SearchBudget(6, 2)):
+            for steps in (4, 10**6):
+                got = _spent(solve_bounded, p, budget, lp, steps)
+                assert got == _spent(old.solve_bounded, p, budget, lp, steps)
+
+
+def test_a_bare_variable_candidate_is_bound_as_a_level(monkeypatch, lw, type_source) -> None:
+    # [forall A:Prop; exists X:Prop] X = A: the candidate A enters the
+    # environment as A's level, -1, and never as a closure around Var(0)
+    envs: list[tuple] = []
+    real = search.rigid_clash
+
+    def spy(t1, t2, env=()):
+        envs.append(env)
+        return real(t1, t2, env)
+
+    monkeypatch.setattr(search, "rigid_clash", spy)
+    found = solve_bounded(type_source, SearchBudget(3, 8), lw)
+    assert [print_substitution(s) for s in found] == ["X := A\n"]
+    assert (-1, -1) in envs
+    assert len(envs) > 1
+    for env in envs:
+        assert all(type(e) is int or type(e[0]) is not Var for e in env)
+    assert image_env(found[0]) == (-1, -1)

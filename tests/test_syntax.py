@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from functools import reduce
 from random import Random
 
@@ -363,6 +364,22 @@ def test_a_long_arrow_chain_parses_and_prints(n: int) -> None:
     t = parse_term(text, ["U"])
     assert t == reduce(lambda cod, dom: arrow(dom, cod), [Var(0)] * n)
     assert print_term(t, ["U"]) == text
+
+
+def test_printing_an_arrow_chain_takes_time_linear_in_its_length() -> None:
+    # The printer decides which binders are used in one pass and writes
+    # into one list, so four times the arrows take about four times as
+    # long; asking free_indices at every product took about sixteen.
+    def best_ms(n: int) -> float:
+        t = reduce(lambda cod, dom: arrow(dom, cod), [Var(0)] * n)
+        times = []
+        for _ in range(7):
+            t0 = time.perf_counter()
+            print_term(t, ["U"])
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert best_ms(400) < 8 * best_ms(100)
 
 
 def test_an_arrow_under_a_binder_skips_one_index() -> None:

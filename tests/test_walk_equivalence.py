@@ -12,10 +12,11 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
+from functools import lru_cache
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import match_walks as old
 from cubematch import problems, reduction, search, terms, typecheck
@@ -28,8 +29,17 @@ from cubematch.problems import (
     Substitution,
     apply_subst,
     apply_subst_in_prefix,
+    image_env,
 )
-from cubematch.reduction import Fuel, beta_eta_normalize, instantiate, is_normal, rigid_clash
+from cubematch.reduction import (
+    Fuel,
+    beta_eta_normalize,
+    equivalent,
+    instantiate,
+    is_normal,
+    normalize_under,
+    rigid_clash,
+)
 from cubematch.terms import PROP, TYPE, App, Lam, Pi, Term, Var, app, free_indices, shift, subst
 from cubematch.typecheck import PRESETS, infer_type
 from termgen import base_context, random_elementary_problem, random_well_typed
@@ -43,6 +53,7 @@ props = settings(deadline=None)
 specs = st.sampled_from(sorted(PRESETS))
 
 
+@lru_cache(maxsize=None)
 def raw_terms(indices: int) -> st.SearchStrategy[Term]:
     """Terms of any shape, well-typed or not, with indices below `indices`."""
     leaves = st.one_of(st.integers(0, indices - 1).map(Var), st.sampled_from([PROP, TYPE]))
@@ -58,6 +69,7 @@ def raw_terms(indices: int) -> st.SearchStrategy[Term]:
     )
 
 
+@lru_cache(maxsize=None)
 def redex_terms(indices: int) -> st.SearchStrategy[Term]:
     """Terms like raw_terms, with eta expansions [x:A](g x) and
     self-applications [x:A](x x) planted, so that eta steps and terms
@@ -296,10 +308,10 @@ def test_inferred_types_agree_on_arbitrary_terms(t, spec_name) -> None:
 # ------------- substitutions -------------
 
 
-@props
-@given(randoms, st.data())
-def test_apply_subst_agrees(rng, data) -> None:
-    p = random_elementary_problem(rng)
+def _random_substitution(rng: Random, data, p, replacements) -> Substitution:
+    """A substitution over p.qctx: about a third of the unknowns left
+    unbound, local contexts of up to two declarations, and each replacement
+    drawn by replacements(n) over the n slots it lives in."""
     triples: list[SubstTriple] = []
     image_len = 0
     for q, d in enumerate(p.qctx.decls):
@@ -312,10 +324,17 @@ def test_apply_subst_agrees(rng, data) -> None:
                 for i in range(rng.randrange(3))
             )
         )
-        term = data.draw(raw_terms(image_len + len(local) + 1))
+        term = data.draw(replacements(image_len + len(local)))
         triples.append(SubstTriple(q, local, term))
         image_len += len(local)
-    s = Substitution(p.qctx, tuple(triples))
+    return Substitution(p.qctx, tuple(triples))
+
+
+@props
+@given(randoms, st.data())
+def test_apply_subst_agrees(rng, data) -> None:
+    p = random_elementary_problem(rng)
+    s = _random_substitution(rng, data, p, lambda n: raw_terms(n + 1))
     extra = data.draw(raw_terms(len(p.qctx) + 2))
     for t in (p.lhs, p.rhs, extra):
         assert _outcome(apply_subst, s, t) == _outcome(old.apply_subst, s, t)
@@ -325,6 +344,81 @@ def test_apply_subst_agrees(rng, data) -> None:
         assert repr(apply_subst_in_prefix(s, d.ty, q)) == repr(
             old.apply_subst_in_prefix(s, d.ty, q)
         )
+
+
+def _within(f, budget: Fuel):
+    """f() inside a `with budget:` block."""
+    with budget:
+        return f()
+
+
+@lru_cache(maxsize=None)
+def _replacements(n: int) -> st.SearchStrategy[Term]:
+    """Replacements over n >= 1 slots: bare variables, arbitrary terms, and
+    terms with head redexes, eta redexes and self-applications."""
+    head_redexes = st.builds(
+        lambda a, b, x: App(Lam(a, b), x), raw_terms(n), redex_terms(n + 1), redex_terms(n)
+    )
+    return st.one_of(st.integers(0, n - 1).map(Var), raw_terms(n), redex_terms(n), head_redexes)
+
+
+def _beta_normal(t: Term) -> bool:
+    match t:
+        case App(Lam(), _):
+            return False
+        case App(fn, arg) | Lam(fn, arg) | Pi(fn, arg):
+            return _beta_normal(fn) and _beta_normal(arg)
+    return True
+
+
+@props
+@given(randoms, st.data(), st.integers(1, 12))
+def test_reading_under_the_image_environment_spends_as_the_copies(rng, data, steps) -> None:
+    """Conversion and the leaf refutation of two sides read under image_env(s)
+    give the verdict or error, and leave the fuel, of the same calls on the
+    sides' copies apply_subst(s, ·) read under no environment.
+
+    The refutation skips a pair that is one term under one environment.
+    Under image_env(s) every occurrence of a slot reaches its replacement as
+    one such term, while the copies are separate objects; comparing a
+    replacement that is beta-normal spends nothing, so the refutation is
+    compared only when every replacement is.
+    """
+    p = random_elementary_problem(rng)
+    assume(p.qctx.existential_positions())
+    s = _random_substitution(rng, data, p, _replacements)
+    env = image_env(s)
+    assert len(env) == len(p.qctx)
+    assert all(type(e) is int or type(e[0]) is not Var for e in env)
+    n = len(p.qctx)
+    pairs = [(p.lhs, p.rhs), (data.draw(redex_terms(n)), data.draw(redex_terms(n)))]
+    normal = all(_beta_normal(tr.term) for tr in s.triples)
+    for lhs, rhs in pairs:
+        copies = apply_subst(s, lhs), apply_subst(s, rhs)
+        checks = [
+            (
+                lambda: normalize_under(lhs, env) == normalize_under(rhs, env),
+                lambda: equivalent(*copies),
+            )
+        ]
+        if normal:
+            checks.append((lambda: rigid_clash(lhs, rhs, env), lambda: rigid_clash(*copies)))
+        for under_env, on_copies in checks:
+            fuel, copy_fuel = Fuel(steps), Fuel(steps)
+            assert _outcome(_within, under_env, fuel) == _outcome(_within, on_copies, copy_fuel)
+            assert fuel.left == copy_fuel.left
+
+
+@props
+@given(redex_terms(6), st.integers(0, 3), st.integers(1, 60))
+def test_reading_under_offset_levels_spends_as_shifting(t, k, steps) -> None:
+    """Normalizing t under the levels -1 - k, -2 - k, ... is normalizing
+    shift(t, k, 0): the same result, with hints, and the same fuel left."""
+    levels = tuple(range(-1 - k, -7 - k, -1))
+    fuel, shift_fuel = Fuel(steps), Fuel(steps)
+    got = _outcome(_within, lambda: normalize_under(t, levels), fuel)
+    assert got == _outcome(_within, lambda: beta_eta_normalize(shift(t, k, 0)), shift_fuel)
+    assert fuel.left == shift_fuel.left
 
 
 # ------------- the walks dispatch on type(t) -------------
