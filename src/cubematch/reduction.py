@@ -54,7 +54,7 @@ from contextvars import ContextVar, Token
 
 from .errors import FuelExhausted, NotNormal
 from .record import Record
-from .terms import App, Lam, Pi, Term, Var, free_indices, shift, spine
+from .terms import VARS, App, Lam, Pi, Term, Var, free_indices, shift, spine
 
 __all__ = [
     "Fuel",
@@ -165,18 +165,18 @@ def _nf(t: Term, env: tuple, n: int, d: int, fuel: Fuel) -> Term:
     Each abstraction is checked for an eta redex once its parts are normal,
     so the eta contractions are those of one bottom-up pass over the beta
     normal form.  A subterm whose reading changes nothing is handed back as
-    the same object.
+    the same object.  A variable that reads back as a variable, a free
+    index or one bound to a level, is the shared node `VARS` holds for its
+    new index; an argument that is such a variable is read in place, with
+    no call for it.
     """
     tt = type(t)
     if tt is Var:
         i = t.index
-        if i >= n:
-            k = d + i - n
-            return t if k == i else Var(k)
-        e = env[i]
+        e = env[i] if i < n else n - 1 - i
         if type(e) is int:
             k = d - 1 - e
-            return t if k == i else Var(k)
+            return VARS.get(k) or Var(k)
         t, env, n = e  # a closure never holds a bare variable
         tt = type(t)
     if tt is App:
@@ -192,13 +192,24 @@ def _nf(t: Term, env: tuple, n: int, d: int, fuel: Fuel) -> Term:
             out = _nf(head, henv, hn, d, fuel)
             for e in reversed(args):
                 if type(e) is int:
-                    out = App(out, Var(d - 1 - e))
+                    k = d - 1 - e
+                    out = App(out, VARS.get(k) or Var(k))
                 else:
                     out = App(out, _nf(e[0], e[1], e[2], d, fuel))
             return out
         out = _nf(head, env, n, d, fuel)
         for node in reversed(nodes):
-            arg = _nf(node.arg, env, n, d, fuel)
+            arg = node.arg
+            if type(arg) is Var:
+                i = arg.index
+                e = env[i] if i < n else n - 1 - i
+                if type(e) is int:
+                    k = d - 1 - e
+                    arg = VARS.get(k) or Var(k)
+                else:
+                    arg = _nf(e[0], e[1], e[2], d, fuel)
+            else:
+                arg = _nf(arg, env, n, d, fuel)
             out = node if out is node.fn and arg is node.arg else App(out, arg)
         return out
     if tt is Lam:

@@ -41,7 +41,6 @@ from .terms import (
     App,
     Lam,
     Pi,
-    Sort,
     Term,
     Var,
     pick_fresh,
@@ -410,8 +409,60 @@ _TERM, _APP, _ATOM = 0, 1, 2
 def print_term(t: Term, scope: Sequence[str] = ()) -> str:
     """Render t against scope; parsing the result gives back t."""
     out: list[str] = []
-    _pt(t, list(scope), _TERM, _used_binders(t), out)
+    _pt(t, _Scope(scope), _used_binders(t), out)
     return "".join(out)
+
+
+class _Scope:
+    """The printer's display names, innermost last, kept in step with the
+    set of names a binder's fresh name must avoid.
+
+    `fresh(hint)` is `pick_fresh(hint, set(names) | KEYWORDS)`, without
+    building that set or scanning suffixes from 0: `low[base]` is a suffix
+    below which every base+suffix is taken.  A scan raises it to where it
+    stopped, and a pop lowers it for every base the popped name could be
+    made from.  An arrow's binder is named "", which no fresh name can be.
+    """
+
+    __slots__ = ("names", "taken", "low")
+
+    def __init__(self, names: Sequence[str]) -> None:
+        self.names = list(names)
+        self.taken = set(names) | KEYWORDS
+        self.low: dict[str, int] = {}
+
+    def fresh(self, hint: str | None) -> str:
+        taken = self.taken
+        if hint and hint not in taken:
+            return hint
+        base = hint or "x"
+        i = self.low.get(base, 0)
+        while f"{base}{i}" in taken:
+            i += 1
+        self.low[base] = i
+        return f"{base}{i}"
+
+    def push(self, name: str) -> None:
+        """Enter a binder named `fresh` or ""; a fresh name is never taken."""
+        self.names.append(name)
+        if name:
+            self.taken.add(name)
+
+    def pop(self) -> None:
+        name = self.names.pop()
+        if not name:
+            return
+        self.taken.remove(name)
+        low = self.low
+        # name is base + str(i) at each split before a run of its last
+        # digits that has no leading zero
+        j = len(name)
+        while j > 1 and "0" <= name[j - 1] <= "9":
+            j -= 1
+            if name[j] != "0" or j == len(name) - 1:
+                base, i = name[:j], int(name[j:])
+                if low.get(base, 0) > i:
+                    low[base] = i
 
 
 def _used_binders(t: Term) -> set[int]:
@@ -446,55 +497,55 @@ def _used_binders(t: Term) -> set[int]:
     return used
 
 
-def _pt(t: Term, scope: list[str], level: int, used: set[int], out: list[str]) -> None:
-    """Append the text of t to out; scope grows and shrinks back in place."""
-    match t:
-        case Sort(tag):
-            out.append(tag)
-        case Var(k):
-            if k >= len(scope):
-                raise ValueError(f"unbound index {k} while printing")
-            out.append(scope[len(scope) - 1 - k])
-        case App(fn, arg):
-            if level > _APP:
-                out.append("(")
-            _pt(fn, scope, _APP, used, out)
-            out.append(" ")
-            _pt(arg, scope, _ATOM, used, out)
-            if level > _APP:
-                out.append(")")
-        case Lam(dom, body, hint):
-            if level > _TERM:
-                out.append("(")
-            name = pick_fresh(hint, set(scope) | KEYWORDS)
-            out.append(f"[{name}:")
-            _pt(dom, scope, _TERM, used, out)
-            out.append("]")
-            scope.append(name)
-            _pt(body, scope, _TERM, used, out)
+def _pt(t: Term, scope: _Scope, used: set[int], out: list[str]) -> None:
+    """Append the text of t to out; scope grows and shrinks back in place.
+
+    The walk runs on an explicit stack, so no depth of term exhausts the
+    Python stack.  An item is a term with its precedence level, a string
+    to write, a binder name to enter as a 1-tuple, or None to leave the
+    innermost binder.
+    """
+    todo: list = [(t, _TERM)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if item is None:
             scope.pop()
-            if level > _TERM:
-                out.append(")")
-        case Pi(dom, cod, hint):
+            continue
+        if len(item) == 1:
+            scope.push(item[0])
+            continue
+        t, level = item
+        tt = type(t)
+        if tt is Var:
+            names = scope.names
+            if t.index >= len(names):
+                raise ValueError(f"unbound index {t.index} while printing")
+            out.append(names[-1 - t.index])
+        elif tt is App:
+            if level > _APP:
+                out.append("(")
+                todo.append(")")
+            todo += [(t.arg, _ATOM), " ", (t.fn, _APP)]
+        elif tt is Lam or tt is Pi:
             if level > _TERM:
                 out.append("(")
-            if id(t) not in used:
-                # cod never names the binder, and pick_fresh never picks ""
-                name = ""
-                _pt(dom, scope, _APP, used, out)
-                out.append(" -> ")
+                todo.append(")")
+            if tt is Lam:
+                name = scope.fresh(t.hint)
+                out.append(f"[{name}:")
+                todo += [None, (t.body, _TERM), (name,), "]", (t.dom, _TERM)]
+            elif id(t) not in used:
+                # cod never names the binder
+                todo += [None, (t.cod, _TERM), ("",), " -> ", (t.dom, _APP)]
             else:
-                name = pick_fresh(hint, set(scope) | KEYWORDS)
+                name = scope.fresh(t.hint)
                 out.append(f"({name}:")
-                _pt(dom, scope, _TERM, used, out)
-                out.append(")")
-            scope.append(name)
-            _pt(cod, scope, _TERM, used, out)
-            scope.pop()
-            if level > _TERM:
-                out.append(")")
-        case _:
-            raise AssertionError("unreachable")
+                todo += [None, (t.cod, _TERM), (name,), ")", (t.dom, _TERM)]
+        else:
+            out.append(t.tag)
 
 
 def _distinct_names(names: Sequence[str | None]) -> list[str]:

@@ -16,6 +16,17 @@ on an explicit stack, so the depth of a term is not limited by Python's
 recursion limit.  `copy`, `deepcopy` and `pickle` rebuild a node through
 its constructor, without the cached hash.
 
+The leaves are interned: there is one `Var` node per index and one `Sort`
+node per tag in the process, so `Var(k) is Var(k)`, `Sort("Prop") is
+PROP`, and leaf `==` is identity.  The nodes live in per-process tables
+filled on demand, through `dict.setdefault`, so two threads building the
+same fresh index get one node, and `Var(10**9)` builds that one node
+alone.  The variable table is public as `VARS`, index to node, for walks
+that read a node back by index: `VARS.get(k) or Var(k)` costs a dict
+lookup where `Var(k)` costs a constructor call.  Only `Var` writes to it.
+Copies and unpickled leaves are the shared nodes too, since they are
+built through the constructor.
+
 The kernel's recursive walks (here, in `reduction`, `typecheck`,
 `problems` and `search`) dispatch on `type(t) is Var/App/Lam/Pi` and read
 fields directly rather than using structural `match`, which costs an
@@ -27,6 +38,7 @@ a normal term allocates nothing.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Collection
 
 from .record import Record, slot_setters
@@ -55,8 +67,9 @@ __all__ = [
 class _Node(Record):
     """What the five constructors share: `==` and `hash` up to binder hints.
 
-    Immutability, the `repr`, and pickling by constructor call come from
-    `Record`; the cached hash is not a field, so it is never pickled."""
+    The leaves, being interned, replace `==` by identity.  Immutability,
+    the `repr`, and pickling by constructor call come from `Record`; the
+    cached hash is not a field, so it is never pickled."""
 
     __slots__ = ("_hash",)
 
@@ -90,11 +103,7 @@ class _Node(Record):
                         todo.append(b.body)
                     a, b = a.dom, b.dom
                     continue
-                if ta is Var:
-                    if a.index != b.index:
-                        return False
-                elif a.tag != b.tag:
-                    return False
+                return False  # two distinct leaves: leaves are interned
             if not todo:
                 return True
             b = todo.pop()
@@ -108,38 +117,48 @@ class _Node(Record):
 
 
 class Sort(_Node):
-    """One of the two sorts, tagged "Prop" or "Type"."""
+    """One of the two sorts, tagged "Prop" or "Type"; one node per tag."""
 
     __slots__ = ("tag",)
     __match_args__ = __slots__
     tag: str
 
-    def __init__(self, tag: str) -> None:
+    def __new__(cls, tag: str) -> Sort:
         if tag not in ("Prop", "Type"):
             raise ValueError(f"bad sort tag: {tag!r}")
-        _set_tag(self, tag)
+        node = _SORTS.get(tag)
+        if node is None:
+            node = object.__new__(cls)
+            _set_tag(node, tag)
+            node = _SORTS.setdefault(tag, node)
+        return node
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (type(other) is Sort and self.tag == other.tag)
-
+    __init__ = object.__init__
+    __eq__ = object.__eq__
     __hash__ = _Node.__hash__
 
 
 class Var(_Node):
-    """A de Bruijn index (always non-negative)."""
+    """A de Bruijn index (always non-negative); one node per index."""
 
     __slots__ = ("index",)
     __match_args__ = __slots__
     index: int
 
-    def __init__(self, index: int) -> None:
-        if index < 0:
-            raise ValueError(f"negative de Bruijn index: {index}")
-        _set_index(self, index)
+    def __new__(cls, index: int) -> Var:
+        node = VARS.get(index)
+        if node is None:
+            # the node is shared: keep no int subclass such as bool in it
+            index = operator.index(index)
+            if index < 0:
+                raise ValueError(f"negative de Bruijn index: {index}")
+            node = object.__new__(cls)
+            _set_index(node, index)
+            node = VARS.setdefault(index, node)
+        return node
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (type(other) is Var and self.index == other.index)
-
+    __init__ = object.__init__
+    __eq__ = object.__eq__
     __hash__ = _Node.__hash__
 
 
@@ -190,6 +209,9 @@ class Pi(_Node):
 _set_fn, _set_arg = slot_setters(App)
 _set_lam_dom, _set_body, _set_lam_hint = slot_setters(Lam)
 _set_pi_dom, _set_cod, _set_pi_hint = slot_setters(Pi)
+
+VARS: dict[int, Var] = {}
+_SORTS: dict[str, Sort] = {}
 
 
 def _fill_hash(root: Term) -> int:
@@ -251,7 +273,8 @@ def _shift(t: Term, d: int, cutoff: int) -> Term:
             return t
         if k + d < 0:
             raise ValueError(f"shift would make index {k} negative (d={d})")
-        return Var(k + d)
+        k += d
+        return VARS.get(k) or Var(k)
     if tt is App:
         fn = _shift(t.fn, d, cutoff)
         arg = _shift(t.arg, d, cutoff)
@@ -289,7 +312,8 @@ def subst(t: Term, j: int, s: Term) -> Term:
             if k < j:
                 return t
             if k > j:
-                return Var(t.index - 1)
+                k = t.index - 1
+                return VARS.get(k) or Var(k)
             r = lifted.get(depth)
             if r is None:
                 r = lifted[depth] = _shift(s, depth, 0)

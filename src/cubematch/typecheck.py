@@ -289,7 +289,7 @@ def _infer(scope: Scope, t: Term) -> Term:
             )
         arg = t.arg
         arg_ty = _infer(scope, arg)
-        if arg_ty != fn_ty.dom:
+        if arg_ty is not fn_ty.dom and arg_ty != fn_ty.dom:
             raise NoRuleApplies(
                 f"argument {describe(arg)} has type {describe(arg_ty)},"
                 f" but {describe(fn_ty.dom)} is expected"

@@ -382,6 +382,24 @@ def test_printing_an_arrow_chain_takes_time_linear_in_its_length() -> None:
     assert best_ms(400) < 8 * best_ms(100)
 
 
+def test_printing_nested_binders_of_one_hint_takes_time_linear_in_their_number() -> None:
+    # The printer keeps the taken names in step with its scope and starts
+    # each suffix scan where the last one stopped, so four times the depth
+    # takes about four times as long; rebuilding the set at every binder and
+    # scanning from x0 took about fifteen.
+    def best_ms(n: int) -> float:
+        t = reduce(lambda body, _: Lam(PROP, body, "x"), range(n), Var(0))
+        times = []
+        for _ in range(7):
+            t0 = time.perf_counter()
+            text = print_term(t)
+            times.append(time.perf_counter() - t0)
+        assert text.startswith("[x:Prop][x0:Prop]") and text.endswith(f"[x{n - 2}:Prop]x{n - 2}")
+        return min(times)
+
+    assert best_ms(800) < 8 * best_ms(200)
+
+
 def test_an_arrow_under_a_binder_skips_one_index() -> None:
     t = parse_term("(x:U) P x -> P x", ["U", "P"])
     p_x = App(Var(1), Var(0))

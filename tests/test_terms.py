@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import copy
+import os
 import pickle
+import sys
+import threading
 from random import Random
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, strategies as st
 from cubematch.terms import (
     PROP,
     TYPE,
+    VARS,
     App,
     Lam,
     Pi,
@@ -237,6 +241,8 @@ def test_prop_eq_agrees_with_the_oracle_on_independent_terms(a, b) -> None:
     assert (a != b) is not structural_eq(a, b)
     if a == b:
         assert hash(a) == hash(b)
+    if repr(a) == repr(b):
+        assert structural_eq(a, b)
 
 
 @given(_terms(max_index=1), st.randoms(use_true_random=False))
@@ -245,6 +251,17 @@ def test_prop_eq_agrees_with_the_oracle_on_near_copies(t, rng) -> None:
     assert (t == u) is (u == t) is structural_eq(t, u)
     if t == u:
         assert hash(t) == hash(u)
+
+
+_leaf_nodes = st.one_of(st.integers(0, 3).map(Var), st.sampled_from([PROP, TYPE]))
+
+
+@given(_leaf_nodes, _leaf_nodes)
+def test_prop_leaf_eq_is_identity(a, b) -> None:
+    same = structural_eq(a, b)
+    assert (a is b) is (a == b) is (repr(a) == repr(b)) is same
+    assert (a != b) is not same
+    assert (hash(a) == hash(b)) is same
 
 
 @given(_terms(), st.randoms(use_true_random=False))
@@ -285,6 +302,7 @@ def test_constructors_check_index_and_tag() -> None:
         Var(-1)
     with pytest.raises(ValueError, match="bad sort tag"):
         Sort("Set")
+    assert -1 not in VARS
     assert Sort("Prop") == PROP and hash(Sort("Prop")) == hash(PROP)
 
 
@@ -320,6 +338,71 @@ def test_copy_deepcopy_and_pickle_round_trip(t) -> None:
     for u in copies:
         assert repr(u) == repr(t)
         assert u == t and hash(u) == hash(t)
+        assert _leaves(u) == _leaves(t)
+
+
+def _leaves(t: Term) -> list[int]:
+    """The ids of t's leaf nodes, left to right."""
+    match t:
+        case App(a, b) | Lam(a, b) | Pi(a, b):
+            return _leaves(a) + _leaves(b)
+    return [id(t)]
+
+
+# ------------- interned leaves -------------
+
+
+@pytest.mark.parametrize("k", [0, 7, 10**4, 10**9])
+def test_one_var_node_per_index_built_on_demand(k) -> None:
+    known, size = k in VARS, len(VARS)
+    v = Var(k)
+    assert Var(k) is v and Var(index=k) is v and VARS[k] is v
+    assert len(VARS) == size + (not known)
+    assert v.index == k and repr(v) == f"Var(index={k})"
+
+
+def test_a_fresh_index_is_stored_as_a_plain_int() -> None:
+    class Index(int):
+        pass
+
+    k = 5 * 10**9  # no other test builds it
+    v = Var(Index(k))
+    assert type(v.index) is int and Var(k) is v
+    assert Var(True) is Var(1) and type(Var(True).index) is int
+    with pytest.raises(TypeError):
+        Var(0.5)
+
+
+def test_one_sort_node_per_tag() -> None:
+    assert Sort("Prop") is PROP and Sort("Type") is TYPE
+    assert Sort(tag="Prop") is PROP
+
+
+def test_threads_racing_to_build_fresh_indices_get_one_node_each() -> None:
+    start = 3 * 10**9  # no other test builds these
+    fresh = range(start, start + 2_000)
+    assert not any(k in VARS for k in fresh)
+    workers = (os.cpu_count() or 1) + 1
+    gate = threading.Barrier(workers)
+    built: list[list[Var]] = [[] for _ in range(workers)]
+
+    def build(out: list[Var]) -> None:
+        gate.wait(timeout=10)
+        out += [Var(k) for k in fresh]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in built]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for k, nodes in zip(fresh, zip(*built, strict=True)):
+        assert all(v is VARS[k] for v in nodes)
 
 
 # ------------- deep terms -------------
@@ -348,3 +431,31 @@ def test_eq_and_hash_need_no_recursion_on_deep_terms(kind) -> None:
     assert a != c and not a == c
     assert hash(a) == hash(b)
     assert hash(c) == hash(_deep(kind, Var(1)))
+
+
+def _with_a_deep_stack(f):
+    """f(), in a thread with stack and recursion limit enough for the
+    oracle's recursive walks, and the recursive `repr`, on DEEP levels."""
+    out: list = []
+    limit, size = sys.getrecursionlimit(), threading.stack_size(256 << 20)
+    sys.setrecursionlimit(limit + 4 * DEEP)
+    try:
+        th = threading.Thread(target=lambda: out.append(f()))
+        th.start()
+        th.join(timeout=60)
+    finally:
+        threading.stack_size(size)
+        sys.setrecursionlimit(limit)
+    assert not th.is_alive() and len(out) == 1
+    return out[0]
+
+
+@pytest.mark.parametrize("kind", ["left spine", "Pi chain", "Lam body"])
+def test_eq_hash_and_repr_agree_with_the_oracle_on_deep_terms(kind) -> None:
+    a, b, c = _deep(kind, Var(0)), _deep(kind, Var(0)), _deep(kind, Var(1))
+    same, differ = _with_a_deep_stack(lambda: (structural_eq(a, b), structural_eq(a, c)))
+    assert same and not differ
+    assert (a == b) is same and (a == c) is differ
+    assert hash(a) == hash(b)
+    ra, rb, rc = _with_a_deep_stack(lambda: (repr(a), repr(b), repr(c)))
+    assert ra == rb and ra != rc

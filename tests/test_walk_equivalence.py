@@ -169,6 +169,40 @@ def test_instantiation_spends_the_same_steps_as_substitution(cod, arg, steps) ->
     _spends_as_substitution(lambda: instantiate(cod, arg), old.subst(cod, 0, arg), steps)
 
 
+@st.composite
+def variable_argument_redexes(draw) -> Term:
+    """[y1:Prop]...[yo:Prop](([x1:Prop]...[xk:Prop] h v1 ... vm) M1 ... Mj).
+
+    The inner spine's head h is rigid, a y or a free index, and its
+    arguments v are variables.  Read back, each v is a free index, a level
+    (a y, or an x bound to a variable M or left unconsumed) or a closure (an
+    x bound to any other M, such as a redex), read under the x binders
+    left unconsumed.
+    """
+    outer, k = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    variables = st.integers(0, outer + k + 1).map(Var)
+    head = draw(st.integers(k, outer + k + 1).map(Var))
+    t = app(head, *draw(st.lists(variables, min_size=1, max_size=4)))
+    for _ in range(k):
+        t = Lam(PROP, t, draw(st.sampled_from(HINTS)))
+    args = redex_terms(outer + 2)
+    outside = st.one_of(
+        st.integers(0, outer + 1).map(Var),
+        args,
+        st.builds(lambda a, b: App(Lam(PROP, a), b), args, args),
+    )
+    t = app(t, *draw(st.lists(outside, min_size=1, max_size=k + 1)))
+    for _ in range(outer):
+        t = Lam(PROP, t)
+    return t
+
+
+@settings(deadline=None, max_examples=400)
+@given(variable_argument_redexes(), st.integers(1, 60))
+def test_variable_arguments_read_back_as_substitution_gives_them(t, steps) -> None:
+    _spends_as_substitution(lambda: beta_eta_normalize(t), t, steps)
+
+
 SHARED = 100  # Var(SHARED + i) in a drawn term stands for shared subterm i
 
 _atoms = st.one_of(st.integers(0, 5).map(Var), st.sampled_from([PROP, TYPE]))
