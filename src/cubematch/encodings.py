@@ -152,10 +152,11 @@ def _point_type(roles: tuple[str, ...], j: int, point: Term) -> Term:
     return App(Var(j - 1 - roles.index("P")), point) if "P" in roles else point
 
 
-def _hooked(roles: tuple[str, ...], u: Term) -> Term:
-    """A[h u] under the binder h one slot past G; u is lifted past both."""
-    j = len(roles) + 4
-    return _point_type(roles, j, App(Var(0), shift(u, j, 0)))
+def _hooked(roles: tuple[str, ...], u: Term, d: int = 0) -> Term:
+    """A[h u] under the binder h one slot past G and d binders more; u is
+    lifted past them all, in one shift."""
+    j = len(roles) + 4 + d
+    return _point_type(roles, j, App(Var(d), shift(u, j, 0)))
 
 
 def _fresh_names(source: Problem, roles: tuple[str, ...]) -> dict[str, str]:
@@ -202,7 +203,7 @@ def _build(kind: ArtifactKind, source: Problem, spec: CubeSpec) -> ReductionArti
     a = [_point_type(roles, j, Var(j - 1 - z)) for j in range(k, k + 3)]
     types += [a[0], a[1], arrow(a[2], arrow(a[2], a[2]))]
     bb = _base(row, g + k + 3)
-    hooked = arrow(_hooked(roles, source.lhs), _hooked(roles, source.rhs))
+    hooked = Pi(_hooked(roles, source.lhs), _hooked(roles, source.rhs, 1))
     types.append(Pi(arrow(bb, bb), hooked, "h"))
     block = tuple(
         QDecl(Quant.EXISTS if role == "f" else Quant.FORALL, ty, names[role])

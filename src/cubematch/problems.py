@@ -258,21 +258,27 @@ def apply_subst_in_prefix(s: Substitution, t: Term, length: int) -> Term:
     return go(t, 0)
 
 
-def image_entry(s: Substitution, pos: int, term: Term | None = None) -> tuple | int:
+def image_entry(
+    s: Substitution, pos: int, term: Term | None = None, img: int | None = None
+) -> tuple | int:
     """Slot pos of s.qctx as an entry of the environment under which the
     reduction machine reads a term over s.qctx as its image under s.
 
     This is the image numbering that `normalize_under` and `rigid_clash`
-    read by: image slot j, counted inward from the innermost, has level
-    -1 - j, as the machine numbers an outer context.  An unbound slot is
-    the level of its image slot.  A bound slot is its replacement, or term
-    in its place, which lives over the image of the slots before pos
-    followed by its local context: a bare variable is the level of the slot
-    it names, so that no closure holds one, and anything else the closure
-    of the term over those slots' levels, innermost first.
+    read by: of an image of img slots (the whole image by default), image
+    slot j, counted inward from the innermost, has level -1 - j, as the
+    machine numbers an outer context.  img may stop short of the whole
+    image, at the end of a bound slot's local context, so that a term over
+    the slots before that one is read under the image built so far.  An
+    unbound slot is the level of its image slot.  A bound slot is its
+    replacement, or term in its place, which lives over the image of the
+    slots before pos followed by its local context: a bare variable is the
+    level of the slot it names, so that no closure holds one, and anything
+    else the closure of the term over those slots' levels, innermost first.
     """
     cum = s._cum
-    img = cum[-1]
+    if img is None:
+        img = cum[-1]
     tr = s._by_pos.get(pos)
     if tr is None:
         return cum[pos] - img
@@ -322,15 +328,23 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
     over the image so far plus that local context.  One typing scope
     follows the image as it grows, so each image type is sorted and
     normalized once.
+
+    A kept slot's instantiated type is built as a term with
+    `apply_subst_in_prefix`, since the scope declares it and the image
+    context holds it.  A bound slot's is not: its declared type is
+    normalized under the environment of its prefix's image, each slot's
+    `image_entry` against the image so far, local context included, in the
+    steps and fuel of normalizing the copy.  A declared type with an index
+    past its prefix raises ValueError, as building the copy would.
     """
     if s.qctx != qctx:
         raise ValueError("substitution was built for a different context")
     scope = Scope((), spec)
     image: list[QDecl] = []
     for q, d in enumerate(qctx.decls):
-        ty_img = apply_subst_in_prefix(s, d.ty, q)
         tr = s.triple_at(q)
         if tr is None:
+            ty_img = apply_subst_in_prefix(s, d.ty, q)
             try:
                 scope.declare(ty_img)
             except TypingError as e:
@@ -341,6 +355,11 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
                 ) from e
             image.append(QDecl(d.quant, ty_img, d.name))
             continue
+        escaping = [i for i in free_indices(d.ty) if i >= q]
+        if escaping:
+            raise ValueError(
+                f"index {max(escaping)} escapes the quantified context ({q} slots)"
+            )
         for gd in tr.local:
             try:
                 scope.declare(gd.ty)
@@ -352,10 +371,9 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
                     check="sort",
                 ) from e
             image.append(QDecl(Quant.EXISTS, gd.ty, gd.name))
-        # ty_img is over the image before the local context: index i is slot
-        # i + len(tr.local) of the image so far, at level -1 - i - len(tr.local)
-        levels = tuple(range(-1 - len(tr.local), -1 - len(image), -1))
-        target = normalize_under(ty_img, levels)
+        img = len(image)
+        env = tuple(image_entry(s, p, img=img) for p in range(q - 1, -1, -1))
+        target = normalize_under(d.ty, env)
         try:
             ok = scope.check(tr.term, target)
         except TypingError as e:

@@ -167,8 +167,8 @@ def _nf(t: Term, env: tuple, n: int, d: int, fuel: Fuel) -> Term:
     normal form.  A subterm whose reading changes nothing is handed back as
     the same object.  A variable that reads back as a variable, a free
     index or one bound to a level, is the shared node `VARS` holds for its
-    new index; an argument that is such a variable is read in place, with
-    no call for it.
+    new index; a rigid head or an argument that is such a variable is read
+    in place, with no call for it.
     """
     tt = type(t)
     if tt is Var:
@@ -197,7 +197,12 @@ def _nf(t: Term, env: tuple, n: int, d: int, fuel: Fuel) -> Term:
                 else:
                     out = App(out, _nf(e[0], e[1], e[2], d, fuel))
             return out
-        out = _nf(head, env, n, d, fuel)
+        if th is Var:  # rigid: free, or bound to a level
+            i = head.index
+            k = d - 1 - (env[i] if i < n else n - 1 - i)
+            out = VARS.get(k) or Var(k)
+        else:
+            out = _nf(head, env, n, d, fuel)
         for node in reversed(nodes):
             arg = node.arg
             if type(arg) is Var:

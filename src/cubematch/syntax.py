@@ -43,7 +43,6 @@ from .terms import (
     Pi,
     Term,
     Var,
-    pick_fresh,
 )
 from .typecheck import CubeSpec, SortPair, cube_spec
 
@@ -559,10 +558,18 @@ def _distinct_names(names: Sequence[str | None]) -> list[str]:
     """
     innermost = {n: i for i, n in enumerate(names)}
     taken = {n for n in names if n} | KEYWORDS
+    # below low[base], every base+suffix is taken; taken only grows
+    low: dict[str, int] = {}
     out: list[str] = []
     for i, n in enumerate(names):
         if n is None or n in KEYWORDS or innermost[n] != i:
-            n = pick_fresh(n, taken)
+            # pick_fresh(n, taken), whose hint is taken or empty here
+            base = n or "x"
+            j = low.get(base, 0)
+            while f"{base}{j}" in taken:
+                j += 1
+            low[base] = j + 1
+            n = f"{base}{j}"
             taken.add(n)
         out.append(n)
     return out

@@ -3,6 +3,19 @@
 A calculus is a rule set R of sort pairs steering product formation; the
 synthesis rules are syntax-directed, so one pass computes the (normal-form)
 type when it exists and a precise error when it does not.
+
+Each term is typed once.  In the cube every synthesized type other than
+Type has a sort, and a product has its codomain's sort, so an
+abstraction's type has its body's sort and an application spine's type
+the sort of its head's type.  An abstraction takes its body's sort that
+way, from the body's synthesis, instead of inferring the body's type
+again: a slot keeps the sort `Scope.declare` found for its type, a nested
+abstraction passes its own up, and the type Prop of a product or of Prop
+has sort Type.  It falls back to `Scope.sort` on the body's type only
+where that sort is not known: for a spine headed by a trusted slot (one a
+`Scope` is built over, or a binder `search` enters with `Scope.push`) or
+by an abstraction, a redex, and for a body whose type is Type, which has
+none and so fails there.  Every other subterm is typed without its sort.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from .errors import (
 )
 from .record import Record
 from .reduction import beta_eta_normalize, instantiate
-from .terms import TYPE, App, Lam, Pi, Sort, Term, Var, describe, free_indices, shift
+from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, free_indices, shift
 
 __all__ = [
     "SortPair",
@@ -200,17 +213,21 @@ class Scope:
     `declare` (sort check, then push the normal form), `infer` and `check`.
 
     Every slot holds a normal type: the constructor normalizes the caller's
-    trusted types, and every later slot is pushed normal.  Each slot
-    memoises the shifted copies lookup hands out, keyed by distance, and
-    lower memoises lowered codomains.  A typing error abandons the scope,
-    so pushes need no matching pop then.  Its normalizations draw on the
-    enclosing `with Fuel(...)` budget; a scope holds no budget of its own.
+    trusted types, and every later slot is pushed normal.  A slot entered
+    by `declare` also keeps the sort that declare found for its type; a
+    trusted slot, from the constructor or from `push`, keeps None, as its
+    sort is not known.  Each slot memoises the shifted copies lookup hands
+    out, keyed by distance, and lower memoises lowered codomains.  A typing
+    error abandons the scope, so pushes need no matching pop then.  Its
+    normalizations draw on the enclosing `with Fuel(...)` budget; a scope
+    holds no budget of its own.
     """
 
-    __slots__ = ("tys", "shifted", "lowered", "spec")
+    __slots__ = ("tys", "sorts", "shifted", "lowered", "spec")
 
     def __init__(self, decls: tuple[Decl, ...], spec: CubeSpec):
         self.tys: list[Term] = [beta_eta_normalize(d.ty) for d in decls]
+        self.sorts: list[Sort | None] = [None] * len(decls)
         self.shifted: list[dict[int, Term] | None] = [None] * len(decls)
         self.lowered: dict[int, tuple[Pi, Term | None]] = {}
         self.spec = spec
@@ -218,7 +235,9 @@ class Scope:
     def declare(self, ty: Term) -> Sort:
         """Check that ty is a type here, then push its normal form; its sort."""
         s = self.sort(ty)
-        self.push(beta_eta_normalize(ty))
+        self.tys.append(beta_eta_normalize(ty))
+        self.sorts.append(s)
+        self.shifted.append(None)
         return s
 
     def infer(self, t: Term) -> Term:
@@ -232,17 +251,20 @@ class Scope:
     def sort(self, T: Term) -> Sort:
         """The sort of T; errors when T is not a type."""
         ty = _infer(self, T)
-        if not isinstance(ty, Sort):
+        if type(ty) is not Sort:
             raise NotAType(f"{describe(T)} has type {describe(ty)}, not a sort")
         return ty
 
     def push(self, nf: Term) -> None:
-        """Enter a binder or declaration whose type nf is already normal."""
+        """Enter a binder or declaration whose type nf is already normal and
+        trusted; its sort is not known."""
         self.tys.append(nf)
+        self.sorts.append(None)
         self.shifted.append(None)
 
     def pop(self) -> None:
         self.tys.pop()
+        self.sorts.pop()
         self.shifted.pop()
 
     def lookup(self, k: int) -> Term:
@@ -277,18 +299,21 @@ class Scope:
 
 
 def _infer(scope: Scope, t: Term) -> Term:
+    """t's normal-form type.  A variable function or argument has its type
+    read from the scope in place."""
     tt = type(t)
     if tt is Var:
         return scope.lookup(t.index)
     if tt is App:
-        fn_ty = _infer(scope, t.fn)
+        fn = t.fn
+        fn_ty = scope.lookup(fn.index) if type(fn) is Var else _infer(scope, fn)
         if type(fn_ty) is not Pi:
             raise NoRuleApplies(
-                f"cannot apply {describe(t.fn)}: its type {describe(fn_ty)}"
+                f"cannot apply {describe(fn)}: its type {describe(fn_ty)}"
                 " is not a product"
             )
         arg = t.arg
-        arg_ty = _infer(scope, arg)
+        arg_ty = scope.lookup(arg.index) if type(arg) is Var else _infer(scope, arg)
         if arg_ty is not fn_ty.dom and arg_ty != fn_ty.dom:
             raise NoRuleApplies(
                 f"argument {describe(arg)} has type {describe(arg_ty)},"
@@ -299,19 +324,7 @@ def _infer(scope: Scope, t: Term) -> Term:
             return instantiate(fn_ty.cod, arg)
         return lowered
     if tt is Lam:
-        s1 = scope.declare(t.dom)
-        nf_dom = scope.tys[-1]
-        body_ty = _infer(scope, t.body)
-        s2 = scope.sort(body_ty)
-        scope.pop()
-        pair = (s1.tag, s2.tag)
-        if not scope.spec.allows(pair):
-            raise SortPairMissing(
-                pair,
-                f"abstraction {describe(t)} would live in a product needing"
-                f" the sort pair {pair_text(pair)}, which {scope.spec.label()} lacks",
-            )
-        return Pi(nf_dom, body_ty, t.hint)
+        return _abstraction(scope, t)[0]
     if tt is Pi:
         s1 = scope.declare(t.dom)
         s2 = scope.sort(t.cod)
@@ -329,3 +342,45 @@ def _infer(scope: Scope, t: Term) -> Term:
             return TYPE
         raise TypeHasNoType("the sort Type has no type")
     raise AssertionError("unreachable")
+
+
+def _abstraction(scope: Scope, t: Lam) -> tuple[Pi, Sort]:
+    """The type of the abstraction t, and that type's sort: its body's.
+
+    The body's sort comes from the body's synthesis, as the cube's rules
+    give it: an abstraction's type has its body's sort and a product its
+    codomain's, so an application spine's type has the sort of its head's
+    type, which for a variable head is the sort its slot keeps; the type
+    Prop of a product or of Prop has sort Type.  Where that is not known,
+    for a slot that keeps no sort, a spine headed by an abstraction (a
+    redex) and the type Type, the body's type is sorted with `Scope.sort`,
+    which raises `TypeHasNoType` for Type.
+    """
+    s1 = scope.declare(t.dom)
+    nf_dom = scope.tys[-1]
+    body = t.body
+    if type(body) is Lam:
+        body_ty, s2 = _abstraction(scope, body)
+    else:
+        body_ty = _infer(scope, body)
+        head = body
+        while type(head) is App:
+            head = head.fn
+        th = type(head)
+        if th is Var:
+            s2 = scope.sorts[len(scope.sorts) - 1 - head.index]
+        elif th is Lam:
+            s2 = None
+        else:
+            s2 = TYPE if body_ty is PROP else None
+        if s2 is None:
+            s2 = scope.sort(body_ty)
+    scope.pop()
+    pair = (s1.tag, s2.tag)
+    if not scope.spec.allows(pair):
+        raise SortPairMissing(
+            pair,
+            f"abstraction {describe(t)} would live in a product needing"
+            f" the sort pair {pair_text(pair)}, which {scope.spec.label()} lacks",
+        )
+    return Pi(nf_dom, body_ty, t.hint), s2

@@ -10,10 +10,12 @@ the package's walks, and agreement with the package
 (tests/test_walk_equivalence.py, tests/test_terms.py) is a real
 cross-check.
 
-The search oracle at the end keeps the leaf path that copies: each chosen
-candidate is substituted into both sides, and the copies are refuted and
-converted on the package's machine, so the two paths can be compared on
-results and on the fuel spent from one `with Fuel(...)` budget.
+The substitution check and the search oracle at the end keep the paths
+that copy: `subst_well_typed` builds a bound slot's instantiated type as a
+copy before normalizing it, and each chosen candidate is substituted into
+both sides, and the copies are refuted and converted on the package's
+machine, so the two paths can be compared on results and on the fuel spent
+from one `with Fuel(...)` budget.
 """
 
 from __future__ import annotations
@@ -25,20 +27,21 @@ from cubematch.errors import (
     SortPairMissing,
     SubstitutionError,
     TypeHasNoType,
+    TypingError,
 )
 from cubematch.problems import (
     Problem,
     QContext,
     QDecl,
+    Quant,
     SubstTriple,
     Substitution,
-    subst_well_typed,
 )
-from cubematch.reduction import DEFAULT_MAX_STEPS, Fuel, equivalent
+from cubematch.reduction import DEFAULT_MAX_STEPS, Fuel, equivalent, normalize_under
 from cubematch.reduction import rigid_clash as machine_rigid_clash
 from cubematch.search import SearchBudget, decision_size, enumerate_candidates
 from cubematch.terms import TYPE, App, Lam, Pi, Sort, Term, Var
-from cubematch.typecheck import Context, CubeSpec, pair_text
+from cubematch.typecheck import Context, CubeSpec, Scope, pair_text
 
 
 class Tank:
@@ -397,8 +400,63 @@ def apply_subst(s: Substitution, t: Term) -> Term:
     return apply_subst_in_prefix(s, t, len(s.qctx))
 
 
+def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContext:
+    """The well-typedness check that copies: every slot's instantiated type
+    is built with apply_subst_in_prefix, a bound slot's too, and a bound
+    slot's copy is normalized under the levels that skip its local context,
+    before its replacement is checked against it in the package's scope."""
+    if s.qctx != qctx:
+        raise ValueError("substitution was built for a different context")
+    scope = Scope((), spec)
+    image: list[QDecl] = []
+    for q, d in enumerate(qctx.decls):
+        ty_img = apply_subst_in_prefix(s, d.ty, q)
+        tr = s.triple_at(q)
+        if tr is None:
+            try:
+                scope.declare(ty_img)
+            except TypingError as e:
+                raise SubstitutionError(
+                    f"declaration {q}: instantiated type is ill-sorted: {e.message}",
+                    position=q,
+                    check="sort",
+                ) from e
+            image.append(QDecl(d.quant, ty_img, d.name))
+            continue
+        for gd in tr.local:
+            try:
+                scope.declare(gd.ty)
+            except TypingError as e:
+                raise SubstitutionError(
+                    f"declaration {q}: local context entry is ill-sorted:"
+                    f" {e.message}",
+                    position=q,
+                    check="sort",
+                ) from e
+            image.append(QDecl(Quant.EXISTS, gd.ty, gd.name))
+        levels = tuple(range(-1 - len(tr.local), -1 - len(image), -1))
+        target = normalize_under(ty_img, levels)
+        try:
+            ok = scope.check(tr.term, target)
+        except TypingError as e:
+            raise SubstitutionError(
+                f"declaration {q}: replacement is ill-typed: {e.message}",
+                position=q,
+                check="instantiation",
+            ) from e
+        if not ok:
+            raise SubstitutionError(
+                f"declaration {q}: replacement {describe(tr.term)} does not"
+                " have the instantiated declared type",
+                position=q,
+                check="instantiation",
+            )
+    return QContext(tuple(image))
+
+
 def is_solution(s: Substitution, p: Problem, spec: CubeSpec) -> bool:
-    """Well-typed, and the copied images of the two sides convert."""
+    """Well-typed by the copying check above, and the copied images of the
+    two sides convert."""
     if s.qctx != p.qctx:
         raise ValueError("substitution was built for a different context")
     try:

@@ -21,7 +21,9 @@ from cubematch.problems import (
     is_solution,
 )
 from cubematch.syntax import (
+    KEYWORDS,
     SourceSpan,
+    _distinct_names,
     parse_problem,
     parse_problem_file,
     parse_substitution,
@@ -30,7 +32,7 @@ from cubematch.syntax import (
     print_substitution,
     print_term,
 )
-from cubematch.terms import PROP, TYPE, App, Lam, Pi, Var, app, arrow
+from cubematch.terms import PROP, TYPE, App, Lam, Pi, Var, app, arrow, pick_fresh
 from cubematch.typecheck import ALL_PAIRS, PP, PRESETS, PT, CubeSpec
 from termgen import base_context, random_well_typed
 
@@ -398,6 +400,50 @@ def test_printing_nested_binders_of_one_hint_takes_time_linear_in_their_number()
         return min(times)
 
     assert best_ms(800) < 8 * best_ms(200)
+
+
+def _distinct_names_by_scanning(names: list[str | None]) -> list[str]:
+    """The naming rule with each fresh name from pick_fresh, which scans
+    suffixes from 0."""
+    innermost = {n: i for i, n in enumerate(names)}
+    taken = {n for n in names if n} | KEYWORDS
+    out = []
+    for i, n in enumerate(names):
+        if n is None or n in KEYWORDS or innermost[n] != i:
+            n = pick_fresh(n, taken)
+            taken.add(n)
+        out.append(n)
+    return out
+
+
+_DECL_NAMES = st.one_of(
+    st.none(),
+    st.sampled_from(sorted(KEYWORDS)),
+    st.sampled_from(["", "x", "y", "x0", "x1", "x10", "x01", "y0", "Prop0", "forall1"]),
+    st.from_regex(r"[xy][0-9]{0,2}", fullmatch=True),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_DECL_NAMES, max_size=40))
+def test_distinct_names_follow_the_scanning_rule(names) -> None:
+    assert _distinct_names(names) == _distinct_names_by_scanning(names)
+
+
+def test_naming_unnamed_declarations_takes_time_linear_in_their_number() -> None:
+    # Each base's suffix scan starts where its last one stopped, so eight
+    # times the declarations take about eight times as long; scanning from
+    # x0 for each took about forty.
+    def best_ms(n: int) -> float:
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            names = _distinct_names([None] * n)
+            times.append(time.perf_counter() - t0)
+        assert names[-1] == f"x{n - 1}"
+        return min(times)
+
+    assert best_ms(4000) < 16 * best_ms(500)
 
 
 def test_an_arrow_under_a_binder_skips_one_index() -> None:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+import time
+from functools import reduce
 from itertools import combinations
 from random import Random
 
 import pytest
 
+from cubematch import typecheck
 from cubematch.errors import (
     ContextError,
     CubeError,
@@ -16,14 +20,17 @@ from cubematch.errors import (
     TypeHasNoType,
 )
 from cubematch.reduction import beta_eta_normalize, equivalent
+from cubematch.syntax import parse_term
 from cubematch.terms import PROP, TYPE, App, Lam, Pi, Var, app, arrow
 from cubematch.typecheck import (
     PP,
+    Scope,
     PT,
     TP,
     TT,
     Context,
     CubeSpec,
+    Decl,
     PRESETS,
     check_type,
     cube_spec,
@@ -191,3 +198,70 @@ def test_subject_reduction_and_uniqueness_smoke() -> None:
         ty = infer_type(ctx, t, lp)
         assert equivalent(infer_type(ctx, beta_eta_normalize(t), lp), ty)
         assert infer_type(ctx, t, lp) == ty  # deterministic, already normal
+
+
+def test_typing_nested_abstractions_takes_time_linear_in_their_number() -> None:
+    # An abstraction takes its body's sort from the body's synthesis, so
+    # four times the nesting takes about four times as long; sorting each
+    # body's type again took about sixteen.
+    ctx = Context().extended(PROP, "U")
+    lp = cube_spec("lP")
+
+    def best_ms(n: int) -> float:
+        # [x:U][x:U]...[x:U]x, each domain U seen from its own depth
+        t = reduce(lambda body, i: Lam(Var(i), body, "x"), reversed(range(n)), Var(0))
+        times = []
+        for _ in range(7):
+            t0 = time.perf_counter()
+            ty = infer_type(ctx, t, lp)
+            times.append(time.perf_counter() - t0)
+        assert ty == reduce(lambda cod, i: Pi(Var(i), cod, "x"), reversed(range(n)), Var(n))
+        return min(times)
+
+    assert best_ms(300) < 8 * best_ms(75)
+
+
+def test_typing_handles_450_nested_products() -> None:
+    # (x:U)(x:U)...(x:U)U: two frames per level, within the default limit
+    limit = sys.getrecursionlimit()
+    t = reduce(lambda cod, i: Pi(Var(i), cod), reversed(range(450)), Var(450))
+    assert infer_type(Context().extended(PROP, "U"), t, cube_spec("lP")) == PROP
+    assert sys.getrecursionlimit() == limit
+
+
+_SORTED_NAMES = ["U", "a", "P", "h"]
+_SORTED_CTX = Context(
+    tuple(
+        Decl(parse_term(ty, _SORTED_NAMES[:q]), name)
+        for q, (name, ty) in enumerate(
+            zip(_SORTED_NAMES, ["Prop", "U", "U -> Prop", "(u:U)P u"])
+        )
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "text, sort",
+    [
+        ("[x:U]x", PROP),  # a binder's sort
+        ("[X:Prop]X", TYPE),
+        ("[x:U]P x", TYPE),  # a context slot's sort
+        ("[x:U]h x", PROP),  # a dependent application
+        ("[x:U]([y:U]P y) x", TYPE),  # a redex: sorted again
+        ("[x:U]([y:U]y) x", PROP),
+        ("[x:U](y:U)P y", TYPE),  # a product's type Prop
+        ("[x:U][y:U]P x", TYPE),  # an abstraction's body
+        ("[x:U]Prop", TypeHasNoType),  # Type has no sort
+        ("[x:U](y:U)Prop", TypeHasNoType),
+    ],
+)
+def test_an_abstraction_takes_its_body_sort_from_synthesis(text, sort) -> None:
+    t = parse_term(text, _SORTED_NAMES)
+    coc = cube_spec("coc")
+    # declared slots keep their sorts; trusted ones are sorted where needed
+    for scope in (wf_context(_SORTED_CTX, coc), Scope(_SORTED_CTX.decls, coc)):
+        if isinstance(sort, type):
+            with pytest.raises(sort):
+                typecheck._abstraction(scope, t)
+        else:
+            assert typecheck._abstraction(scope, t) == (infer_type(_SORTED_CTX, t, coc), sort)

@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import match_walks as old
 from cubematch import problems, reduction, search, terms, typecheck
-from cubematch.errors import CubeError, FuelExhausted
+from cubematch.errors import ContextError, CubeError, FuelExhausted
 from cubematch.problems import (
     QContext,
     QDecl,
@@ -30,6 +30,7 @@ from cubematch.problems import (
     apply_subst,
     apply_subst_in_prefix,
     image_env,
+    subst_well_typed,
 )
 from cubematch.reduction import (
     Fuel,
@@ -40,8 +41,10 @@ from cubematch.reduction import (
     normalize_under,
     rigid_clash,
 )
-from cubematch.terms import PROP, TYPE, App, Lam, Pi, Term, Var, app, free_indices, shift, subst
-from cubematch.typecheck import PRESETS, infer_type
+from cubematch.terms import PROP, TYPE, App, Lam, Pi, Term, Var, app, arrow, free_indices, shift, subst
+from cubematch.syntax import parse_problem, parse_term
+from cubematch.typecheck import PRESETS, check_type, infer_type, sort_of, wf_context
+from conftest import FIXTURES
 from termgen import base_context, random_elementary_problem, random_well_typed
 from test_kernel_invariants import _expand_domains, _expanded_context, _swap_argument
 
@@ -339,6 +342,99 @@ def test_inferred_types_agree_on_arbitrary_terms(t, spec_name) -> None:
     assert _outcome(infer_type, ctx, t, spec) == _outcome(old.infer_type, ctx, t, spec)
 
 
+def _nested_abstraction(rng: Random) -> Term:
+    """[x1:A1]...[xn:An]body over base_context(), n from 1 to 4; x1 is a
+    predicate in half the draws.
+
+    Each domain and the body are drawn over base_context() and the binders
+    before them: elements of U, propositions, a predicate P : U -> Prop,
+    proofs of (P u), dependent products (u:U)(P u), function types and
+    variables; the body may also be Prop or a kind, whose type Type has no
+    sort, a polymorphic product, a dependent application (h u) of some
+    h : (u:U)(P u), or a redex.  Nothing checks that the parts fit the
+    calculus.
+    """
+    roles: list[str] = []
+
+    def at(pos: int) -> Var:
+        """Slot pos of base_context() and the binders, outermost first."""
+        return Var(BASE + len(roles) - 1 - pos)
+
+    def bound(role: str) -> list[Var]:
+        return [at(BASE + i) for i, r in enumerate(roles) if r == role]
+
+    def element() -> Term:
+        u = rng.choice([at(2), *bound("elem")])  # a : U, or a binder of type U
+        return App(at(4), u) if rng.random() < 0.3 else u  # f : U -> U
+
+    doms: list[Term] = []
+    for i in range(rng.randint(1, 4)):
+        u = at(0)
+        if i == 0 and rng.random() < 0.5:
+            roles.append("pred")
+            doms.append(Pi(u, PROP))
+            continue
+        pool = [("elem", u), ("prop", PROP), ("pred", Pi(u, PROP)), ("fun", arrow(u, u))]
+        for pred in bound("pred"):
+            pool += [("proof", App(pred, element())), ("dep", Pi(u, App(shift(pred, 1, 0), Var(0))))]
+        pool += [("proof", x) for x in bound("prop")]
+        role, dom = rng.choice(pool)
+        roles.append(role)
+        doms.append(dom)
+    u = at(0)
+    preds, deps = bound("pred"), bound("dep")
+    kinds = ["sort", "product", "predicate", "dependent", "redex", "variable", "element"]
+    kind = rng.choice(kinds)
+    if kind == "sort":
+        body = rng.choice([PROP, Pi(u, PROP)])  # Prop, or a kind
+    elif kind == "product":
+        bodies = [arrow(u, u), Pi(PROP, Var(0))]
+        bodies += [Pi(u, App(shift(pred, 1, 0), Var(0))) for pred in preds]
+        body = rng.choice(bodies)
+    elif kind == "predicate" and preds:
+        body = App(rng.choice(preds), element())  # a type, of sort Type
+    elif kind == "dependent" and deps:
+        body = App(rng.choice(deps), element())  # a proof, of sort Prop
+    elif kind == "redex":
+        # ([y:U](P y)) u, a type, or ([y:U]y) u
+        inner = [Var(0), *(App(shift(pred, 1, 0), Var(0)) for pred in preds)]
+        body = App(Lam(u, rng.choice(inner)), element())
+    elif kind == "variable":
+        body = Var(rng.randrange(len(roles)))
+    else:
+        body = element()
+    for dom in reversed(doms):
+        body = Lam(dom, body, rng.choice(HINTS))
+    return body
+
+
+@settings(deadline=None, max_examples=500)
+@given(randoms, specs)
+def test_typing_nested_abstractions_agrees_with_the_oracle(rng, spec_name) -> None:
+    """infer_type, check_type and sort_of give the oracle's type, or raise
+    its error, where the abstractions take their bodies' sorts from
+    synthesis and the oracle sorts each body's type again."""
+    ctx, spec = _expanded_context(rng), PRESETS[spec_name]
+    t = _nested_abstraction(rng)
+    if rng.random() < 0.5:
+        t = _expand_domains(t, BASE, rng)
+    want = _outcome(old.infer_type, ctx, t, spec)
+    assert _outcome(infer_type, ctx, t, spec) == want
+    assert _outcome(sort_of, ctx, t, spec) == _outcome(old._Scope(ctx, spec, None).sort, t)
+    if isinstance(want, str):
+        ty = old.infer_type(ctx, t, spec)
+        assert check_type(ctx, t, ty, spec)
+        assert not check_type(ctx, t, PROP, spec)
+        try:
+            scope = wf_context(ctx, spec)
+        except ContextError:
+            return
+        # every slot declared, so the sort synthesis returns is known
+        assert typecheck._abstraction(scope, t) == (ty, old._Scope(ctx, spec, None).sort(ty))
+    else:
+        assert _outcome(check_type, ctx, t, PROP, spec) == want
+
+
 # ------------- substitutions -------------
 
 
@@ -455,6 +551,99 @@ def test_reading_under_offset_levels_spends_as_shifting(t, k, steps) -> None:
     assert fuel.left == shift_fuel.left
 
 
+# Replacements for the unknowns of the target fixtures, over the image of
+# the slots before them: solutions, solutions with redexes planted, and
+# near misses.  One that names a bound slot is not drawn when that slot is
+# bound.
+_GOOD = {
+    "thm1_target.prob": {
+        "F": ["[x:U]x", "[x:U]([y:U]y) x", "[x:U]a", "([g:U -> U]g) ([x:U]x)"],
+        "f": [
+            "[x1:U -> U][x2:P (x1 a)]x2",
+            "[x1:U -> U][x2:P (x1 (([y:U]y) a))]x2",
+            "[x1:U -> U][x2:P (x1 (F a))]x2",
+        ],
+    },
+    "erratum_target.prob": {
+        "X": ["A", "([Y:Prop]Y) A", "A -> A"],
+        "f": [
+            "[h:Prop -> Prop][x:P (h A)]x",
+            "[h:Prop -> Prop][x:P (h X)]x",
+            "[h:Prop -> Prop][x:P (h (([Y:Prop]Y) A))]x",
+        ],
+    },
+    "thm2_invalid_target.prob": {
+        "X": ["A", "([Y:Prop]Y) A"],
+        "f": ["[h:Prop -> Prop][x:h A]x", "[h:Prop -> Prop][x:h X]x"],
+    },
+}
+
+
+@lru_cache(maxsize=None)
+def _target_fixture(name: str):
+    return parse_problem((FIXTURES / name).read_text())
+
+
+def _fixture_substitution(rng: Random, data, p, good: dict[str, list[str]]) -> Substitution:
+    """A substitution over p.qctx: about a third of the unknowns left
+    unbound, local contexts of up to two declarations (Prop, the outermost
+    slot, or a term of any shape), and each replacement one of good's for
+    that unknown, read over the image so far, or drawn by _replacements."""
+    triples: list[SubstTriple] = []
+    image: list[str] = []
+    for q, d in enumerate(p.qctx.decls):
+        if d.quant is Quant.FORALL or rng.random() < 0.3:
+            image.append(d.name)
+            continue
+        local: list[QDecl] = []
+        for i in range(rng.randrange(3)):
+            n = len(image) + i
+            ty = rng.choice([PROP, Var(n - 1), data.draw(raw_terms(n))])
+            local.append(QDecl(Quant.EXISTS, ty, f"l{q}x{i}"))
+        scope = image + [gd.name for gd in local]
+        term = None
+        if good.get(d.name) and rng.random() < 0.7:
+            try:
+                term = parse_term(rng.choice(good[d.name]), scope)
+            except CubeError:
+                pass
+        if term is None:
+            term = data.draw(_replacements(len(scope)))
+        triples.append(SubstTriple(q, QContext(tuple(local)), term))
+        image = scope
+    return Substitution(p.qctx, tuple(triples))
+
+
+@props
+@given(randoms, st.data(), st.integers(1, 12), st.sampled_from([*sorted(_GOOD), None]))
+def test_bound_slot_targets_read_in_place_spend_as_the_copies(rng, data, steps, fixture) -> None:
+    """subst_well_typed, which reads a bound slot's declared type under the
+    environment of its prefix's image, gives the image context or the
+    error, and leaves the fuel, of the copy in match_walks, which
+    normalizes an apply_subst_in_prefix copy of it."""
+    if fixture is None:
+        spec, p = PRESETS["lP"], random_elementary_problem(rng)
+        s = _random_substitution(rng, data, p, _replacements)
+    else:
+        spec, p = _target_fixture(fixture)
+        s = _fixture_substitution(rng, data, p, _GOOD[fixture])
+    fuel, copy_fuel = Fuel(steps), Fuel(steps)
+    got = _outcome(_within, lambda: subst_well_typed(s, p.qctx, spec), fuel)
+    assert got == _outcome(_within, lambda: old.subst_well_typed(s, p.qctx, spec), copy_fuel)
+    assert fuel.left == copy_fuel.left
+
+
+def test_a_bound_slot_type_past_its_prefix_raises_as_the_copy_does() -> None:
+    # F : #2 over a one-slot prefix; under the local context [X:Prop, x:X]
+    # the escaping index would read as X, which x inhabits
+    qctx = QContext((QDecl(Quant.FORALL, PROP, "U"), QDecl(Quant.EXISTS, Var(2), "F")))
+    local = QContext((QDecl(Quant.EXISTS, PROP, "X"), QDecl(Quant.EXISTS, Var(0), "x")))
+    s = Substitution(qctx, (SubstTriple(1, local, Var(0)),))
+    got = _outcome(subst_well_typed, s, qctx, PRESETS["lP"])
+    assert got == _outcome(old.subst_well_typed, s, qctx, PRESETS["lP"])
+    assert got == (ValueError, "index 2 escapes the quantified context (1 slots)")
+
+
 # ------------- the walks dispatch on type(t) -------------
 
 WALKS = [
@@ -469,6 +658,7 @@ WALKS = [
     reduction._nf,
     reduction.is_normal,
     typecheck._infer,
+    typecheck._abstraction,
     problems.apply_subst_in_prefix,
     problems._order,
     search.decision_size,
