@@ -27,7 +27,6 @@ from .record import Record, slot_setters
 from .reduction import beta_eta_normalize, normalize_under
 from .terms import (
     PROP,
-    App,
     Lam,
     Pi,
     Sort,
@@ -36,6 +35,7 @@ from .terms import (
     arrow,
     describe,
     free_indices,
+    map_free,
     shift,
     spine,
 )
@@ -218,44 +218,21 @@ def apply_subst_in_prefix(s: Substitution, t: Term, length: int) -> Term:
     img = s.slots_before(lim)
     by_pos, cum = s._by_pos, s._cum
 
-    def go(t: Term, depth: int) -> Term:
-        tt = type(t)
-        if tt is Var:
-            k = t.index
-            if k < depth:
-                return t
-            pos = lim - 1 - (k - depth)
-            if pos < 0:
-                raise ValueError(
-                    f"index {k} escapes the quantified context ({lim} slots)"
-                )
-            tr = by_pos.get(pos)
-            if tr is None:
-                k_img = img - 1 - cum[pos] + depth
-                return t if k_img == k else Var(k_img)
-            inner = cum[pos] + len(tr.local)
-            return shift(tr.term, img - inner + depth, 0)
-        if tt is App:
-            fn = go(t.fn, depth)
-            arg = go(t.arg, depth)
-            if fn is t.fn and arg is t.arg:
-                return t
-            return App(fn, arg)
-        if tt is Lam:
-            dom = go(t.dom, depth)
-            body = go(t.body, depth + 1)
-            if dom is t.dom and body is t.body:
-                return t
-            return Lam(dom, body, t.hint)
-        if tt is Pi:
-            dom = go(t.dom, depth)
-            cod = go(t.cod, depth + 1)
-            if dom is t.dom and cod is t.cod:
-                return t
-            return Pi(dom, cod, t.hint)
-        return t
+    def on_var(v: Var, depth: int) -> Term:
+        k = v.index
+        pos = lim - 1 - (k - depth)
+        if pos < 0:
+            raise ValueError(
+                f"index {k} escapes the quantified context ({lim} slots)"
+            )
+        tr = by_pos.get(pos)
+        if tr is None:
+            k_img = img - 1 - cum[pos] + depth
+            return v if k_img == k else Var(k_img)
+        inner = cum[pos] + len(tr.local)
+        return shift(tr.term, img - inner + depth, 0)
 
-    return go(t, 0)
+    return map_free(t, on_var)
 
 
 def image_entry(

@@ -557,20 +557,13 @@ def _distinct_names(names: Sequence[str | None]) -> list[str]:
     one rule, over the full context and over each binding's image scope.
     """
     innermost = {n: i for i, n in enumerate(names)}
-    taken = {n for n in names if n} | KEYWORDS
-    # below low[base], every base+suffix is taken; taken only grows
-    low: dict[str, int] = {}
+    # every given name is taken from the start; the scope is never popped
+    scope = _Scope([n for n in names if n])
     out: list[str] = []
     for i, n in enumerate(names):
         if n is None or n in KEYWORDS or innermost[n] != i:
-            # pick_fresh(n, taken), whose hint is taken or empty here
-            base = n or "x"
-            j = low.get(base, 0)
-            while f"{base}{j}" in taken:
-                j += 1
-            low[base] = j + 1
-            n = f"{base}{j}"
-            taken.add(n)
+            n = scope.fresh(n)
+            scope.push(n)
         out.append(n)
     return out
 

@@ -34,12 +34,18 @@ isinstance check and a field unpacking per node.  A walk that rebuilds
 terms hands back its input object when it changes nothing, so unchanged
 subterms stay physically shared: `shift(t, 0, c) is t`, and normalizing
 a normal term allocates nothing.
+
+`map_free(t, on_var)` is the one rebuild walk: `subst`, `free_indices`
+and `problems.apply_subst_in_prefix` are each a variable rule passed to
+it.  It is public, outside `__all__` like `VARS`, for `problems`.  Only
+`shift` keeps a specialised walk, `_shift`: it is the hottest walk, and
+a call per variable through a callback slows it measurably.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 
 from .record import Record, slot_setters
 
@@ -266,6 +272,9 @@ def shift(t: Term, d: int, cutoff: int = 0) -> Term:
 
 
 def _shift(t: Term, d: int, cutoff: int) -> Term:
+    # map_free with the shift rule written in: `Scope.lookup`,
+    # `Scope.lower` and the eta step make this the hottest walk, and
+    # map_free's callback slowed `verify-large` measurably (ROADMAP.md).
     tt = type(t)
     if tt is Var:
         k = t.index
@@ -296,6 +305,37 @@ def _shift(t: Term, d: int, cutoff: int) -> Term:
     return t
 
 
+def map_free(t: Term, on_var: Callable[[Var, int], Term], depth: int = 0) -> Term:
+    """t with each free variable v, met under depth binders, replaced by
+    on_var(v, depth); unchanged subterms are handed back as the same object.
+
+    A variable is free when its index is at least its depth, which counts
+    the binders above it in t from the given depth.
+    """
+    tt = type(t)
+    if tt is Var:
+        return t if t.index < depth else on_var(t, depth)
+    if tt is App:
+        fn = map_free(t.fn, on_var, depth)
+        arg = map_free(t.arg, on_var, depth)
+        if fn is t.fn and arg is t.arg:
+            return t
+        return App(fn, arg)
+    if tt is Lam:
+        dom = map_free(t.dom, on_var, depth)
+        body = map_free(t.body, on_var, depth + 1)
+        if dom is t.dom and body is t.body:
+            return t
+        return Lam(dom, body, t.hint)
+    if tt is Pi:
+        dom = map_free(t.dom, on_var, depth)
+        cod = map_free(t.cod, on_var, depth + 1)
+        if dom is t.dom and cod is t.cod:
+            return t
+        return Pi(dom, cod, t.hint)
+    return t
+
+
 def subst(t: Term, j: int, s: Term) -> Term:
     """Replace index j by s, dropping higher indices by one.
 
@@ -305,62 +345,30 @@ def subst(t: Term, j: int, s: Term) -> Term:
     # s is shifted under binders only where j occurs, once per depth
     lifted: dict[int, Term] = {0: s}
 
-    def go(t: Term, depth: int) -> Term:
-        tt = type(t)
-        if tt is Var:
-            k = t.index - depth
-            if k < j:
-                return t
-            if k > j:
-                k = t.index - 1
-                return VARS.get(k) or Var(k)
-            r = lifted.get(depth)
-            if r is None:
-                r = lifted[depth] = _shift(s, depth, 0)
-            return r
-        if tt is App:
-            fn = go(t.fn, depth)
-            arg = go(t.arg, depth)
-            if fn is t.fn and arg is t.arg:
-                return t
-            return App(fn, arg)
-        if tt is Lam:
-            dom = go(t.dom, depth)
-            body = go(t.body, depth + 1)
-            if dom is t.dom and body is t.body:
-                return t
-            return Lam(dom, body, t.hint)
-        if tt is Pi:
-            dom = go(t.dom, depth)
-            cod = go(t.cod, depth + 1)
-            if dom is t.dom and cod is t.cod:
-                return t
-            return Pi(dom, cod, t.hint)
-        return t
+    def on_var(v: Var, depth: int) -> Term:
+        k = v.index - depth
+        if k < j:
+            return v
+        if k > j:
+            k = v.index - 1
+            return VARS.get(k) or Var(k)
+        r = lifted.get(depth)
+        if r is None:
+            r = lifted[depth] = _shift(s, depth, 0)
+        return r
 
-    return go(t, 0)
+    return map_free(t, on_var)
 
 
 def free_indices(t: Term) -> set[int]:
     """Context slots referenced by t, adjusted across binders."""
     out: set[int] = set()
 
-    def walk(t: Term, depth: int) -> None:
-        tt = type(t)
-        if tt is Var:
-            if t.index >= depth:
-                out.add(t.index - depth)
-        elif tt is App:
-            walk(t.fn, depth)
-            walk(t.arg, depth)
-        elif tt is Lam:
-            walk(t.dom, depth)
-            walk(t.body, depth + 1)
-        elif tt is Pi:
-            walk(t.dom, depth)
-            walk(t.cod, depth + 1)
+    def on_var(v: Var, depth: int) -> Term:
+        out.add(v.index - depth)
+        return v
 
-    walk(t, 0)
+    map_free(t, on_var)
     return out
 
 

@@ -124,6 +124,8 @@ def test_shift_subst_and_free_indices_agree(t, s, d, c, j) -> None:
     assert is_normal(t) == old.is_normal(t)
     assert terms.describe(t) == old.describe(t)
     assert shift(t, 0, c) is t
+    if all(k < j for k in free_indices(t)):
+        assert subst(t, j, s) is t
 
 
 # ------------- reduction -------------
@@ -474,6 +476,12 @@ def test_apply_subst_agrees(rng, data) -> None:
         assert repr(apply_subst_in_prefix(s, d.ty, q)) == repr(
             old.apply_subst_in_prefix(s, d.ty, q)
         )
+    # a term reaching only slots after every bound one is its own image
+    bound = max((tr.pos for tr in s.triples), default=-1)
+    over = [(d.ty, q) for q, d in enumerate(p.qctx.decls)]
+    for t, q in over + [(p.lhs, len(p.qctx)), (p.rhs, len(p.qctx))]:
+        if all(q - 1 - k > bound for k in free_indices(t)):
+            assert apply_subst_in_prefix(s, t, q) is t
 
 
 def _within(f, budget: Fuel):
@@ -651,6 +659,7 @@ WALKS = [
     terms._shift,
     terms.subst,
     terms.free_indices,
+    terms.map_free,
     terms.describe,
     reduction._apply,
     reduction._head,
