@@ -7,9 +7,11 @@ sort types additionally admit sorts and products as inhabitants.  Sizes
 are enumerated in increasing order and each candidate is generated once,
 at its exact size.  Generation is goal-directed and memoised: a head is
 expanded only if its product chain can end in the target, and each
-sub-enumeration runs once per `enumerate_candidates` call.  Every result
-is re-verified with the typechecker before being returned, and the output
-order is deterministic: size first, then the printed form.
+sub-enumeration runs once per `enumerate_candidates` call, keyed by the
+identities of its target and of the binder types pushed above the
+declared ones.  Every result is re-verified with the typechecker before
+being returned, and the output order is deterministic: size first, then
+the printed form.
 
 `solve_bounded` tests the assignments level by level, a level being the
 size of an assignment's largest candidate, and stops after the first
@@ -67,27 +69,6 @@ def decision_size(t: Term) -> int:
     return 1
 
 
-def _hints(t: Term) -> tuple[str | None, ...]:
-    """The binder hints of t in preorder; `==` and `hash` ignore them."""
-    out: list[str | None] = []
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        tt = type(t)
-        if tt is App:
-            todo.append(t.arg)
-            todo.append(t.fn)
-        elif tt is Lam:
-            out.append(t.hint)
-            todo.append(t.body)
-            todo.append(t.dom)
-        elif tt is Pi:
-            out.append(t.hint)
-            todo.append(t.cod)
-            todo.append(t.dom)
-    return tuple(out)
-
-
 def enumerate_candidates(
     qctx: QContext, T: Term, budget: SearchBudget, spec: CubeSpec
 ) -> list[Term]:
@@ -106,29 +87,23 @@ def enumerate_candidates(
     dependent one is instantiated and normalized.  gen and spines return
     whole lists, so each pops every binder it pushes before returning.
 
-    gen is memoised for the duration of this call.  Its key is the binder
-    types pushed above the declared ones, the target and the size, each
-    term paired with its binder hints: `==` ignores hints, but a generated
-    abstraction takes its hint from the target, so a hint-blind key could
-    hand out a term that prints differently.  A memoised list is shared
-    by every caller and never mutated.  A head is expanded only if its
-    product chain, lowered link by link, reaches the target; a dependent
-    link keeps the head, since its instances are not known in advance.
+    gen is memoised for the duration of this call.  Its key is the size
+    and the ids of the target and of the binder types pushed above the
+    declared ones.  Identity, not `==`, because `==` ignores binder hints
+    and a generated abstraction takes its hint from the target.  Each entry
+    holds the objects whose ids its key names, so no id can be reused
+    while the memo lives.  A memoised list is shared by every caller and
+    never mutated.  A head is expanded only if its product chain, lowered
+    link by link, reaches the target; a dependent link keeps the head,
+    since its instances are not known in advance.
     """
     target = beta_eta_normalize(T)
     scope = Scope(qctx.plain().decls, spec)
     unknowns = set(qctx.existential_positions())
-    # the binder types pushed above the declared ones, with their hints
-    pushed: list[tuple[Term, tuple[str | None, ...]]] = []
-    memo: dict[tuple, list[Term]] = {}
-
-    def enter(nf: Term) -> None:
-        scope.push(nf)
-        pushed.append((nf, _hints(nf)))
-
-    def leave() -> None:
-        scope.pop()
-        pushed.pop()
+    base = len(scope.tys)  # the declared slots; binder types are pushed above
+    # key -> (inhabitants, the objects whose ids the key holds); holding
+    # them keeps every id in a key from being reused while the memo lives
+    memo: dict[tuple[int, ...], tuple[list[Term], tuple[Term, ...]]] = {}
 
     def reaches(ty: Term, tn: Term) -> bool:
         """ty's product chain can end in tn."""
@@ -144,15 +119,17 @@ def enumerate_candidates(
         """The inhabitants of tn of exactly this size; shared, never mutate."""
         if size <= 0:
             return []
-        key = (tuple(pushed), tn, _hints(tn), size)
-        out = memo.get(key)
-        if out is not None:
-            return out
-        if isinstance(tn, Pi):
-            enter(tn.dom)
+        held = (tn, *scope.tys[base:])
+        key = (size, *map(id, held))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit[0]
+        if type(tn) is Pi:
+            scope.push(tn.dom)
             bodies = gen(tn.cod, size - 1)
-            leave()
-            out = memo[key] = [Lam(tn.dom, body, tn.hint) for body in bodies]
+            scope.pop()
+            out = [Lam(tn.dom, body, tn.hint) for body in bodies]
+            memo[key] = out, held
             return out
         out = []
         depth = len(scope.tys)
@@ -162,7 +139,7 @@ def enumerate_candidates(
                 head_ty = scope.lookup(k)
                 if reaches(head_ty, tn):
                     spines(Var(k), head_ty, tn, size - 1, out)
-        if isinstance(tn, Sort):
+        if type(tn) is Sort:
             if tn == TYPE and size == 1:
                 out.append(PROP)
             for s1, s2 in spec.rules:
@@ -170,11 +147,11 @@ def enumerate_candidates(
                     continue
                 for dom_size in range(1, size - 1):
                     for dom in gen(Sort(s1), dom_size):
-                        enter(beta_eta_normalize(dom))
+                        scope.push(beta_eta_normalize(dom))
                         cods = gen(tn, size - 1 - dom_size)
-                        leave()
+                        scope.pop()
                         out.extend(Pi(dom, cod) for cod in cods)
-        memo[key] = out
+        memo[key] = out, held
         return out
 
     def spines(head: Term, head_ty: Term, target: Term, size: int, out: list[Term]) -> None:
@@ -183,7 +160,7 @@ def enumerate_candidates(
             if size == 0:
                 out.append(head)
             return
-        if not isinstance(head_ty, Pi):
+        if type(head_ty) is not Pi:
             return
         lowered = scope.lower(head_ty)
         for arg_size in range(1, size):

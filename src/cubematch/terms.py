@@ -388,7 +388,7 @@ def app(fn: Term, *args: Term) -> Term:
 def spine(t: Term) -> tuple[Term, tuple[Term, ...]]:
     """Unfold applications into (head, args) with args in application order."""
     args: list[Term] = []
-    while isinstance(t, App):
+    while type(t) is App:
         args.append(t.arg)
         t = t.fn
     return t, tuple(reversed(args))

@@ -340,7 +340,28 @@ def test_solve_keeps_the_binder_hints_of_each_head(capsys, tmp_path) -> None:
     )
 
 
-REPEATED_A = "calculus lP\nforall U : Prop\nforall a : U\nforall a : U\nexists F : U\n"
+@pytest.mark.parametrize(
+    "fixture, proof",
+    [
+        ("erratum_target.prob", "[h:Prop -> Prop][x0:P (h A)]x0"),
+        ("thm2_invalid_target.prob", "[h:Prop -> Prop][x0:h A]x0"),
+    ],
+)
+def test_solve_prints_the_one_target_solution_with_its_binder_names(capsys, fixture, proof) -> None:
+    code, out = run(capsys, "solve", fx(fixture), "--size", "8")
+    assert code == 0
+    assert out == (
+        "solve: yes\n"
+        "# solution 0\n"
+        "X := A\n"
+        f"f := {proof}\n"
+        "count: 1\n"
+        "max_term_size: 8\n"
+        "exhaustive_within_budget: True\n"
+    )
+
+
+REPEATED_A ="calculus lP\nforall U : Prop\nforall a : U\nforall a : U\nexists F : U\n"
 
 
 @pytest.mark.parametrize("goal, count", [("match F = a", 1), ("unify F = F", 2)])

@@ -205,7 +205,8 @@ def test_dependent_head_codomains_match_normalizing_every_codomain(lp) -> None:
 
 # Optional declarations after U : Prop, in context order, in surface syntax.
 # F is an unknown and never a head; p is a dependent head; k takes a product
-# argument before another argument; in lw the declarations over P are
+# argument before another argument; m and n take arguments whose types
+# differ only in their binder hints; in lw the declarations over P are
 # ill-formed and dropped.
 SIGNATURE_POOL = (
     (Quant.FORALL, "a", "U"),
@@ -216,6 +217,8 @@ SIGNATURE_POOL = (
     (Quant.FORALL, "P", "U -> Prop"),
     (Quant.FORALL, "p", "(x:U) P x"),
     (Quant.FORALL, "c", "P a"),
+    (Quant.FORALL, "m", "((u:U) U) -> U"),
+    (Quant.FORALL, "n", "((v:U) U) -> U"),
 )
 TARGETS = ("U", "U -> U", "(U -> U) -> U", "P a", "(x:U) P (f x)", "Prop", "Prop -> Prop")
 
@@ -246,13 +249,16 @@ def _signature(picks: list[bool], spec) -> QContext:
 @example(picks=[True] * len(SIGNATURE_POOL), calculus="lP", target="P a", size=5)
 @example(picks=[True] * len(SIGNATURE_POOL), calculus="coc", target="Prop", size=5)
 @example(picks=[True] * len(SIGNATURE_POOL), calculus="lw", target="Prop -> Prop", size=5)
+@example(picks=[True] + [False] * 7 + [True, True], calculus="lP", target="U", size=4)
 def test_exact_size_enumeration_matches_normalizing_every_codomain(
     picks: list[bool], calculus: str, target: str, size: int
 ) -> None:
     """Generation by exact size gives the reference's list, order and hints
     included.  The first example catches a term yielded while its binder is
     still pushed: k's argument [x:U]... then reaches a caller that builds
-    k's next argument under x, and only a of the three candidates is left."""
+    k's next argument under x, and only a of the three candidates is left.
+    The last catches a memo blind to hints: n's argument [v:U]... must not
+    be handed m's [u:U]..., which `==` does not tell apart."""
     spec = cube_spec(calculus)
     q = _signature(picks, spec)
     try:

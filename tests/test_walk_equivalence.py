@@ -661,6 +661,7 @@ WALKS = [
     terms.free_indices,
     terms.map_free,
     terms.describe,
+    terms.spine,
     reduction._apply,
     reduction._head,
     reduction.rigid_clash,
@@ -671,10 +672,29 @@ WALKS = [
     problems.apply_subst_in_prefix,
     problems._order,
     search.decision_size,
+    search.enumerate_candidates,
 ]
+TERM_CLASSES = {"Term", "Var", "Sort", "App", "Lam", "Pi"}
+
+
+def _names_a_term_class(node: ast.expr) -> bool:
+    """node is a term class, or a tuple holding one."""
+    if isinstance(node, ast.Tuple):
+        return any(_names_a_term_class(e) for e in node.elts)
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in TERM_CLASSES
 
 
 @pytest.mark.parametrize("walk", WALKS, ids=lambda f: f"{f.__module__}.{f.__name__}")
 def test_kernel_walks_use_no_match_statement(walk) -> None:
+    """No `match` and no `isinstance(t, App)`: the walks test `type(t)`."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(walk)))
     assert not any(isinstance(node, ast.Match) for node in ast.walk(tree))
+    isinstance_calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and len(node.args) == 2
+    ]
+    assert not any(_names_a_term_class(call.args[1]) for call in isinstance_calls)
