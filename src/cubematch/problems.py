@@ -4,9 +4,17 @@ A quantified context marks each declaration universal (a parameter) or
 existential (an unknown).  A substitution maps existential slots to
 replacement terms, each with a local all-existential context spliced in
 at the slot; applying it re-numbers the remaining slots accordingly, so
-substituted terms live in the image context.  `image_env` gives the same
-image without a copy, as an environment for the reduction machine;
-`is_solution` and `search` convert under it.
+substituted terms live in the image context.
+
+The reduction machine reads a substitution's effect without a copy,
+under an environment that binds each bound slot to its replacement, in
+one of two numberings.  `comparison_env` reads in the problem's own
+numbering: a kept slot reads back as its own index, so a side that is
+normal and mentions no bound slot reads back as itself.  `is_solution`
+and `search` compare two sides under it; since the numbering is
+injective, their verdicts are those of the image copies.
+`subst_well_typed` types in a scope over the image, so it reads a bound
+slot's declared type in the image's numbering, through `image_entry`.
 """
 
 from __future__ import annotations
@@ -235,44 +243,87 @@ def apply_subst_in_prefix(s: Substitution, t: Term, length: int) -> Term:
     return map_free(t, on_var)
 
 
-def image_entry(
-    s: Substitution, pos: int, term: Term | None = None, img: int | None = None
-) -> tuple | int:
-    """Slot pos of s.qctx as an entry of the environment under which the
+def replacement_entry(term: Term, levels: tuple[int, ...]) -> tuple | int:
+    """The environment entry that binds a slot to term, which lives over
+    the slots whose levels are `levels`, innermost first: a bare variable
+    is the level of the slot it names, so that no closure holds one, and
+    anything else the closure of the term over those levels."""
+    if type(term) is Var:
+        return levels[term.index]
+    return term, levels, len(levels)
+
+
+def image_entry(s: Substitution, pos: int, img: int) -> tuple | int:
+    """Slot pos of s.qctx as an entry of an environment under which the
     reduction machine reads a term over s.qctx as its image under s.
 
-    This is the image numbering that `normalize_under` and `rigid_clash`
-    read by: of an image of img slots (the whole image by default), image
-    slot j, counted inward from the innermost, has level -1 - j, as the
-    machine numbers an outer context.  img may stop short of the whole
-    image, at the end of a bound slot's local context, so that a term over
-    the slots before that one is read under the image built so far.  An
-    unbound slot is the level of its image slot.  A bound slot is its
-    replacement, or term in its place, which lives over the image of the
-    slots before pos followed by its local context: a bare variable is the
-    level of the slot it names, so that no closure holds one, and anything
-    else the closure of the term over those slots' levels, innermost first.
+    This is the image numbering: of an image of img slots, image slot j,
+    counted inward from the innermost, has level -1 - j, as the machine
+    numbers an outer context.  img may stop short of the whole image, at
+    the end of a bound slot's local context, so that a term over the slots
+    before that one is read under the image built so far.  An unbound slot
+    is the level of its image slot.  A bound slot is the `replacement_entry`
+    of its replacement, which lives over the image of the slots before pos
+    followed by its local context.
     """
     cum = s._cum
-    if img is None:
-        img = cum[-1]
     tr = s._by_pos.get(pos)
     if tr is None:
         return cum[pos] - img
-    if term is None:
-        term = tr.term
-    levels = range(cum[pos + 1] - 1 - img, -1 - img, -1)
-    if type(term) is Var:
-        return levels[term.index]
-    return term, tuple(levels), len(levels)
+    return replacement_entry(tr.term, tuple(range(cum[pos + 1] - 1 - img, -1 - img, -1)))
 
 
-def image_env(s: Substitution) -> tuple:
-    """The environment that reads a term over s.qctx as its image under s:
-    `image_entry` of every slot, innermost first.  Normalizing t under it
-    takes the steps, and spends the fuel, that normalizing apply_subst(s, t)
-    does, but copies nothing beforehand."""
-    return tuple(image_entry(s, q) for q in range(len(s.qctx) - 1, -1, -1))
+def comparison_levels(s: Substitution) -> dict[int, tuple[int, ...]]:
+    """For each bound slot of s, the levels its replacement is read over in
+    the problem's own numbering, innermost first.
+
+    Of L = len(s.qctx) slots, a kept slot q has level q - L, so it reads
+    back at depth 0 as its own index L - 1 - q, and each local-context slot
+    a fresh level below -L, in image order.  A replacement lives over the
+    image of the slots before its own followed by its local context, and
+    is read over those image slots' levels.  The map from image slots to
+    levels is injective, so two terms read under `comparison_env` are equal
+    exactly when their images are.  Each image slot's level is computed
+    once.  Each bound slot gets a tuple of its own, as `image_entry` gives
+    one: `rigid_clash` skips a pair that is one term under one environment
+    object, so sharing one between two slots could change its fuel.
+    """
+    length = len(s.qctx)
+    by_pos = s._by_pos
+    seen: list[int] = []  # levels of the image slots so far, outermost first
+    fresh = -length
+    out: dict[int, tuple[int, ...]] = {}
+    for q in range(length):
+        tr = by_pos.get(q)
+        if tr is None:
+            seen.append(q - length)
+            continue
+        for _ in tr.local:
+            fresh -= 1
+            seen.append(fresh)
+        out[q] = tuple(reversed(seen))
+    return out
+
+
+def comparison_env(
+    s: Substitution, levels: dict[int, tuple[int, ...]] | None = None
+) -> tuple:
+    """The environment that reads a term over s.qctx as its image under s,
+    in the problem's own numbering, innermost first: a kept slot q is the
+    level q - L, a bound slot the `replacement_entry` of its replacement
+    over its `comparison_levels`, which a caller that needs them too may
+    pass in.  Normalizing t under it takes the steps, and spends the fuel,
+    that normalizing apply_subst(s, t) does, and gives that normal form
+    with each image slot renumbered injectively; a normal t that mentions
+    no bound slot reads back as t itself, with nothing allocated."""
+    if levels is None:
+        levels = comparison_levels(s)
+    length = len(s.qctx)
+    by_pos = s._by_pos
+    return tuple(
+        q - length if q not in levels else replacement_entry(by_pos[q].term, levels[q])
+        for q in range(length - 1, -1, -1)
+    )
 
 
 def is_closed(t: Term, qctx: QContext) -> bool:
@@ -311,7 +362,9 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
     context holds it.  A bound slot's is not: its declared type is
     normalized under the environment of its prefix's image, each slot's
     `image_entry` against the image so far, local context included, in the
-    steps and fuel of normalizing the copy.  A declared type with an index
+    steps and fuel of normalizing the copy.  It reads in the image's
+    numbering, not the problem's, because the target is checked in the
+    scope, which is over the image.  A declared type with an index
     past its prefix raises ValueError, as building the copy would.
     """
     if s.qctx != qctx:
@@ -498,8 +551,13 @@ def is_solution(s: Substitution, p: Problem, spec: CubeSpec) -> bool:
     """Well-typed for the problem's context, and the sides convert.
 
     The sides are converted as their images under s without being copied:
-    each is normalized under `image_env(s)`, which binds every bound slot
-    to its replacement, in the steps and fuel of normalizing the copies.
+    each is normalized under `comparison_env(s)`, which binds every bound
+    slot to its replacement, in the steps and fuel of normalizing the
+    copies.  It reads in the problem's own numbering, not the image's, so
+    a side that is normal and mentions no bound slot, such as a matching
+    problem's right side, reads back as the same object; the verdict is
+    the copies', since the renumbering is injective.  The well-typedness
+    check reads in the image's numbering.
     """
     if s.qctx != p.qctx:
         raise ValueError("substitution was built for a different context")
@@ -507,7 +565,7 @@ def is_solution(s: Substitution, p: Problem, spec: CubeSpec) -> bool:
         subst_well_typed(s, p.qctx, spec)
     except SubstitutionError:
         return False
-    env = image_env(s)
+    env = comparison_env(s)
     return normalize_under(p.lhs, env) == normalize_under(p.rhs, env)
 
 

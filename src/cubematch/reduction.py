@@ -38,10 +38,16 @@ the Krivine abstract machine", HOSC 20(3), 2007): `normalize_under(t,
 env)` reads t with its free indices bound to env's entries.  A term's
 image under a substitution is read this way, without being copied: each
 replaced slot is bound to the closure of its replacement and each kept
-slot to its level.  It takes the steps of normalizing the copy.
-`instantiate` binds one slot; `search` converts each leaf, and
-`problems.is_solution` a substitution's two sides, under the environment
-of the whole substitution.
+slot to a level.  It takes the steps of normalizing the copy.  The levels
+may number the image's slots (`problems.image_entry`, which
+`subst_well_typed` reads a declared type under, for a scope over the
+image) or any other way that gives no two image slots one level: the
+readback then differs only by that renumbering, and `==` and
+`rigid_clash` give the same verdicts.  `search` converts each leaf, and
+`problems.is_solution` a substitution's two sides, under
+`problems.comparison_env`, which gives a kept slot the level that reads
+back as its own index in the problem, so a normal side that mentions no
+replaced slot is handed back as it is.  `instantiate` binds one slot.
 
 `rigid_clash`, the test `search` puts each leaf through before conversion,
 compares two terms' rigid heads on the same machine, with the same steps

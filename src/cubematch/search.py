@@ -17,9 +17,11 @@ the printed form.
 size of an assignment's largest candidate, and stops after the first
 level that fills `max_solutions`.  A leaf is never a copy of the problem:
 its two sides are read under an environment that binds each unknown to
-its candidate (`problems.image_env`).  Before conversion under that
-environment, a leaf goes through `reduction.rigid_clash`, a cheap
-rigid-spine refutation of its two sides on the normalizer's own machine.
+its candidate, in the problem's own numbering (`problems.comparison_env`),
+so a side that is normal and mentions no unknown reads back as itself.
+Before conversion under that environment, a leaf goes through
+`reduction.rigid_clash`, a cheap rigid-spine refutation of its two sides
+on the normalizer's own machine.
 
 Size here counts choice nodes: abstraction domains are dictated by the
 target type and cost nothing, everything else costs one node.
@@ -33,9 +35,10 @@ from .problems import (
     QDecl,
     SubstTriple,
     Substitution,
-    image_entry,
-    image_env,
+    comparison_env,
+    comparison_levels,
     is_solution,
+    replacement_entry,
 )
 from .record import Record
 from .reduction import beta_eta_normalize, instantiate, normalize_under, rigid_clash
@@ -189,13 +192,18 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     Each chosen candidate is substituted into the later declared types,
     which drops the unknown's slot; the next unknown's candidates come from
     the prefix that remains.  The sides are never substituted into.  At
-    the last unknown, the environment of the assignment so far, completed
-    by its first candidate, is built once (`problems.image_env`); each
-    candidate then makes one leaf, that environment with the last
-    unknown's entry bound to it.  A leaf is recorded under its level, the
-    largest candidate size in its assignment.  The levels are then tested in ascending order,
-    and the search stops after the first level at which max_solutions have
-    been found; every solution of a higher level would sort after them.
+    the last unknown, the comparison environment of the assignment so far,
+    completed by its first candidate, is built once per node, in the
+    problem's own numbering (`problems.comparison_env`), together with the
+    machine levels the last unknown's candidates are read over
+    (`problems.comparison_levels`); each candidate then makes one leaf,
+    that environment with the last unknown's entry bound to it over those
+    machine levels.  So every leaf's environment is the comparison
+    environment of its own assignment.  A leaf is recorded under its
+    level, the largest candidate size in its assignment.  The levels are
+    then tested in ascending order, and the search stops after the first
+    level at which max_solutions have been found; every solution of a
+    higher level would sort after them.
 
     A leaf reads both sides under its environment, as their images under
     the assignment, without copying them.  It goes first through a
@@ -216,7 +224,8 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     found: list[Substitution] = []
     cand_cache: dict[tuple[QContext, Term], list[tuple[Term, int]]] = {}
     # level -> leaves: (the entries inside and outside the last unknown's,
-    # the substitution that numbers them, the earlier candidates), candidate
+    # the machine levels its candidates are read over, the earlier
+    # candidates), candidate
     leaves: dict[int, list[tuple[tuple, Term]]] = {}
 
     def substitution(chosen: tuple[Term, ...]) -> Substitution:
@@ -245,9 +254,10 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
             return
         if i == last:
             s = substitution(chosen + (cands[0][0],))
-            env = image_env(s)
+            over = comparison_levels(s)
+            env = comparison_env(s, over)
             k = len(env) - 1 - ex_positions[i]
-            node = (env[:k], env[k + 1 :], s, chosen)
+            node = (env[:k], env[k + 1 :], over[ex_positions[i]], chosen)
             for cand, size in cands:
                 leaves.setdefault(max(level, size), []).append((node, cand))
             return
@@ -263,8 +273,8 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     else:
         dfs(p.qctx.decls, (), 0)
         for level in sorted(leaves):
-            for (inner, outer, s, chosen), cand in leaves[level]:
-                entry = image_entry(s, ex_positions[last], cand)
+            for (inner, outer, over, chosen), cand in leaves[level]:
+                entry = replacement_entry(cand, over)
                 test(inner + (entry,) + outer, chosen + (cand,))
             if len(found) >= budget.max_solutions:
                 break

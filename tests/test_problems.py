@@ -19,6 +19,7 @@ from cubematch.problems import (
     SubstTriple,
     Substitution,
     apply_subst,
+    comparison_env,
     is_closed,
     is_solution,
     is_term_elementary,
@@ -27,7 +28,9 @@ from cubematch.problems import (
     order,
     subst_well_typed,
 )
-from cubematch.terms import PROP, TYPE, App, Lam, Pi, Term, Var, arrow, shift
+from cubematch.encodings import GoldfarbShapes, goldfarb_numeral
+from cubematch.reduction import normalize_under
+from cubematch.terms import PROP, TYPE, App, Lam, Pi, Term, Var, app, arrow, shift
 from cubematch.typecheck import cube_spec, infer_type, wf_context
 from termgen import random_elementary_problem
 
@@ -336,6 +339,25 @@ def test_solutions_survive_normalizing_the_sides(lp, term_source) -> None:
     p2 = make_problem(q, expanded, Var(1), lp)
     ident = Substitution(q, (SubstTriple(2, QContext(), Lam(Var(1), Var(0), "x")),))
     assert is_solution(ident, p2, lp) == is_solution(ident, term_source, lp)
+
+
+@pytest.mark.parametrize("n", [0, 1, 24, 198])
+def test_a_closed_normal_side_reads_back_as_itself(n) -> None:
+    # [U:Prop, a:U, g:U->U->U, exists F:U->U] (F a) = g a (... (g a a)):
+    # F is bound, so the image drops its slot, but the comparison reads the
+    # right side in the problem's own numbering and hands it back unchanged
+    stlc = cube_spec("stlc")
+    shapes = GoldfarbShapes.standard()
+    qctx = shapes.qctx.extended(Quant.EXISTS, arrow(Var(2), Var(2)), "F")
+    rhs: Term = Var(2)
+    for _ in range(n):
+        rhs = app(Var(1), Var(2), rhs)
+    p = make_problem(qctx, App(Var(0), Var(2)), rhs, stlc)
+    s = Substitution(qctx, (SubstTriple(3, QContext(), goldfarb_numeral(n, shapes)),))
+    env = comparison_env(s)
+    assert normalize_under(p.rhs, env) is p.rhs
+    assert normalize_under(p.lhs, env) == p.rhs
+    assert is_solution(s, p, stlc)
 
 
 # ------------- elementarity -------------

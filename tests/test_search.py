@@ -19,13 +19,13 @@ from cubematch.problems import (
     SubstTriple,
     Substitution,
     apply_subst_in_prefix,
-    image_env,
+    comparison_env,
     is_solution,
     make_problem,
 )
 from cubematch.reduction import Fuel, beta_eta_normalize
 from cubematch.search import SearchBudget, decision_size, enumerate_candidates, solve_bounded
-from cubematch.terms import PROP, TYPE, App, Lam, Pi, Sort, Var, arrow, describe, shift, subst
+from cubematch.terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, arrow, describe, shift, subst
 from cubematch.syntax import parse_problem, parse_term, print_substitution
 from cubematch.typecheck import check_type, cube_spec, sort_of, wf_context
 from conftest import FIXTURES
@@ -540,7 +540,8 @@ def test_leaves_spend_as_the_copying_path_on_random_problems() -> None:
 
 def test_a_bare_variable_candidate_is_bound_as_a_level(monkeypatch, lw, type_source) -> None:
     # [forall A:Prop; exists X:Prop] X = A: the candidate A enters the
-    # environment as A's level, -1, and never as a closure around Var(0)
+    # environment as A's level in the problem's own numbering, slot 0 of 2,
+    # so -2, and never as a closure around Var(0)
     envs: list[tuple] = []
     real = search.rigid_clash
 
@@ -551,8 +552,60 @@ def test_a_bare_variable_candidate_is_bound_as_a_level(monkeypatch, lw, type_sou
     monkeypatch.setattr(search, "rigid_clash", spy)
     found = solve_bounded(type_source, SearchBudget(3, 8), lw)
     assert [print_substitution(s) for s in found] == ["X := A\n"]
-    assert (-1, -1) in envs
+    assert (-2, -2) in envs
     assert len(envs) > 1
     for env in envs:
         assert all(type(e) is int or type(e[0]) is not Var for e in env)
-    assert image_env(found[0]) == (-1, -1)
+    assert comparison_env(found[0]) == (-2, -2)
+
+
+def test_every_leaf_reads_under_its_assignments_comparison_env(monkeypatch) -> None:
+    # the last unknown's levels are cached per search node; each leaf's
+    # environment must still be the one is_solution builds for the leaf's
+    # assignment.  The last candidate is taken from the entry the leaf
+    # builds; an earlier one from its closure, or, bound to a level, as the
+    # variable that names that slot in the problem's own numbering.
+    lp = cube_spec("lP")
+    rng = Random(21)
+    problems = [random_elementary_problem(rng) for _ in range(40)]
+    problems += [parse_problem(text)[1] for text in SCOPED]
+    leaves: list[tuple[tuple, Term | None]] = []
+    last: list = []
+    real_entry, real_clash = search.replacement_entry, search.rigid_clash
+
+    def entry_spy(term, levels):
+        last.append(term)
+        return real_entry(term, levels)
+
+    def clash_spy(t1, t2, env=()):
+        leaves.append((env, last.pop() if last else None))
+        return real_clash(t1, t2, env)
+
+    monkeypatch.setattr(search, "replacement_entry", entry_spy)
+    monkeypatch.setattr(search, "rigid_clash", clash_spy)
+    checked = 0
+    for p in problems:
+        leaves.clear()
+        solve_bounded(p, SearchBudget(5, 64), lp)
+        assert not last
+        n = len(p.qctx)
+        unknowns = p.qctx.existential_positions()
+        if not unknowns:
+            assert [env for env, _ in leaves] == [()]
+            continue
+        for env, cand in leaves:
+            chosen = []
+            for q in unknowns[:-1]:
+                e = env[n - 1 - q]
+                if type(e) is int:
+                    # kept slot e + n, counted inward over the kept slots
+                    kept = [r for r in range(e + n + 1, q) if r not in unknowns]
+                    e = Var(len(kept))
+                else:
+                    e = e[0]
+                chosen.append(SubstTriple(q, QContext(), e))
+            chosen.append(SubstTriple(unknowns[-1], QContext(), cand))
+            s = Substitution(p.qctx, tuple(chosen))
+            assert env == comparison_env(s)
+            checked += 1
+    assert checked > 100

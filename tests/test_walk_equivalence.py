@@ -29,7 +29,8 @@ from cubematch.problems import (
     Substitution,
     apply_subst,
     apply_subst_in_prefix,
-    image_env,
+    comparison_env,
+    comparison_levels,
     subst_well_typed,
 )
 from cubematch.reduction import (
@@ -512,23 +513,34 @@ def _beta_normal(t: Term) -> bool:
 @props
 @given(randoms, st.data(), st.integers(1, 12))
 def test_reading_under_the_image_environment_spends_as_the_copies(rng, data, steps) -> None:
-    """Conversion and the leaf refutation of two sides read under image_env(s)
-    give the verdict or error, and leave the fuel, of the same calls on the
-    sides' copies apply_subst(s, ·) read under no environment.
+    """Conversion and the leaf refutation of two sides read under
+    comparison_env(s) give the verdict or error, and leave the fuel, of the
+    same calls on the sides' copies apply_subst(s, ·) read under no
+    environment.
 
-    The refutation skips a pair that is one term under one environment.
-    Under image_env(s) every occurrence of a slot reaches its replacement as
-    one such term, while the copies are separate objects; comparing a
-    replacement that is beta-normal spends nothing, so the refutation is
-    compared only when every replacement is.
+    The environment numbers the image slots in the problem's own numbering,
+    not the image's; the verdicts agree because no two image slots share a
+    level.  The refutation skips a pair that is one term under one
+    environment.  Under comparison_env(s) every occurrence of a slot reaches
+    its replacement as one such term, while the copies are separate
+    objects; comparing a replacement that is beta-normal spends nothing, so
+    the refutation is compared only when every replacement is.
     """
     p = random_elementary_problem(rng)
     assume(p.qctx.existential_positions())
     s = _random_substitution(rng, data, p, _replacements)
-    env = image_env(s)
-    assert len(env) == len(p.qctx)
-    assert all(type(e) is int or type(e[0]) is not Var for e in env)
+    env = comparison_env(s)
     n = len(p.qctx)
+    assert len(env) == n
+    assert all(type(e) is int or type(e[0]) is not Var for e in env)
+    # kept slots read as their own levels, local slots below them; no two
+    # image slots share a level
+    levels = comparison_levels(s)
+    kept = [q - n for q in range(n) if s.triple_at(q) is None]
+    local = [lv for tr in s.triples for lv in levels[tr.pos][: len(tr.local)]]
+    assert len(set(kept + local)) == len(kept) + len(local) == s.image_len
+    assert all(lv < -n for lv in local)
+    assert all(env[n - 1 - q] == q - n for q in range(n) if s.triple_at(q) is None)
     pairs = [(p.lhs, p.rhs), (data.draw(redex_terms(n)), data.draw(redex_terms(n)))]
     normal = all(_beta_normal(tr.term) for tr in s.triples)
     for lhs, rhs in pairs:
@@ -545,6 +557,24 @@ def test_reading_under_the_image_environment_spends_as_the_copies(rng, data, ste
             fuel, copy_fuel = Fuel(steps), Fuel(steps)
             assert _outcome(_within, under_env, fuel) == _outcome(_within, on_copies, copy_fuel)
             assert fuel.left == copy_fuel.left
+
+
+@props
+@given(randoms, st.data())
+def test_a_normal_term_without_bound_slots_reads_back_as_itself(rng, data) -> None:
+    """Under comparison_env(s), a normal term over p.qctx that mentions no
+    slot s binds is handed back as the same object, whatever s removes or
+    splices in before the slots it does mention."""
+    p = random_elementary_problem(rng)
+    assume(p.qctx.existential_positions())
+    s = _random_substitution(rng, data, p, _replacements)
+    env = comparison_env(s)
+    n = len(p.qctx)
+    bound = {tr.pos for tr in s.triples}
+    extra = [data.draw(raw_terms(n)) for _ in range(3)]
+    for t in [p.lhs, p.rhs, *extra]:
+        if is_normal(t) and not any(n - 1 - k in bound for k in free_indices(t)):
+            assert normalize_under(t, env) is t
 
 
 @props
