@@ -43,17 +43,7 @@ from .terms import (
     spine,
     subst,
 )
-from .reduction import (
-    Abstraction,
-    Atomic,
-    Fuel,
-    NormalClass,
-    Product,
-    beta_eta_normalize,
-    classify_normal,
-    equivalent,
-    is_normal,
-)
+from .reduction import Fuel, beta_eta_normalize, equivalent
 from .typecheck import (
     ALL_PAIRS,
     PP,

@@ -7,14 +7,17 @@ at the slot; applying it re-numbers the remaining slots accordingly, so
 substituted terms live in the image context.
 
 The reduction machine reads a substitution's effect without a copy,
-under an environment that binds each bound slot to its replacement, in
-one of two numberings.  `comparison_env` reads in the problem's own
-numbering: a kept slot reads back as its own index, so a side that is
-normal and mentions no bound slot reads back as itself.  `is_solution`
-and `search` compare two sides under it; since the numbering is
-injective, their verdicts are those of the image copies.
-`subst_well_typed` types in a scope over the image, so it reads a bound
-slot's declared type in the image's numbering, through `image_entry`.
+under an environment that binds each bound slot to its replacement
+(`replacement_entry`), in one of two numberings.  `comparison_env` reads
+in the problem's own numbering: a kept slot reads back as its own index,
+so a side that is normal and mentions no bound slot reads back as
+itself.  `is_solution` and `search` compare two sides under it; since the
+numbering is injective, their verdicts are those of the image copies.
+A typing scope over the image needs the image's numbering instead: a
+kept slot is its position in the image, 0 the outermost, and a type is
+read back at the depth of the image built so far.  Such an environment
+only grows as the image does, so `subst_well_typed` keeps one for a
+whole call, and `search.solve_bounded` one per branch of its walk.
 """
 
 from __future__ import annotations
@@ -253,26 +256,6 @@ def replacement_entry(term: Term, levels: tuple[int, ...]) -> tuple | int:
     return term, levels, len(levels)
 
 
-def image_entry(s: Substitution, pos: int, img: int) -> tuple | int:
-    """Slot pos of s.qctx as an entry of an environment under which the
-    reduction machine reads a term over s.qctx as its image under s.
-
-    This is the image numbering: of an image of img slots, image slot j,
-    counted inward from the innermost, has level -1 - j, as the machine
-    numbers an outer context.  img may stop short of the whole image, at
-    the end of a bound slot's local context, so that a term over the slots
-    before that one is read under the image built so far.  An unbound slot
-    is the level of its image slot.  A bound slot is the `replacement_entry`
-    of its replacement, which lives over the image of the slots before pos
-    followed by its local context.
-    """
-    cum = s._cum
-    tr = s._by_pos.get(pos)
-    if tr is None:
-        return cum[pos] - img
-    return replacement_entry(tr.term, tuple(range(cum[pos + 1] - 1 - img, -1 - img, -1)))
-
-
 def comparison_levels(s: Substitution) -> dict[int, tuple[int, ...]]:
     """For each bound slot of s, the levels its replacement is read over in
     the problem's own numbering, innermost first.
@@ -284,9 +267,9 @@ def comparison_levels(s: Substitution) -> dict[int, tuple[int, ...]]:
     is read over those image slots' levels.  The map from image slots to
     levels is injective, so two terms read under `comparison_env` are equal
     exactly when their images are.  Each image slot's level is computed
-    once.  Each bound slot gets a tuple of its own, as `image_entry` gives
-    one: `rigid_clash` skips a pair that is one term under one environment
-    object, so sharing one between two slots could change its fuel.
+    once.  Each bound slot gets a tuple of its own: `rigid_clash` skips a
+    pair that is one term under one environment object, so sharing one
+    between two slots could change its fuel.
     """
     length = len(s.qctx)
     by_pos = s._by_pos
@@ -360,17 +343,21 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
     A kept slot's instantiated type is built as a term with
     `apply_subst_in_prefix`, since the scope declares it and the image
     context holds it.  A bound slot's is not: its declared type is
-    normalized under the environment of its prefix's image, each slot's
-    `image_entry` against the image so far, local context included, in the
-    steps and fuel of normalizing the copy.  It reads in the image's
+    normalized under one environment kept for the whole call, in the
+    image's numbering, in the steps and fuel of normalizing the copy.  A
+    kept slot enters it as its image position and a bound slot as the
+    `replacement_entry` of its replacement, over the image so far, local
+    context included; a type is read back at the depth of the image so
+    far, so the environment is never rebuilt.  It reads in the image's
     numbering, not the problem's, because the target is checked in the
-    scope, which is over the image.  A declared type with an index
-    past its prefix raises ValueError, as building the copy would.
+    scope, which is over the image.  A declared type with an index past
+    its prefix raises ValueError, as building the copy would.
     """
     if s.qctx != qctx:
         raise ValueError("substitution was built for a different context")
     scope = Scope((), spec)
     image: list[QDecl] = []
+    env: tuple = ()  # one entry per slot before q, innermost first
     for q, d in enumerate(qctx.decls):
         tr = s.triple_at(q)
         if tr is None:
@@ -383,6 +370,7 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
                     position=q,
                     check="sort",
                 ) from e
+            env = (len(image),) + env
             image.append(QDecl(d.quant, ty_img, d.name))
             continue
         escaping = [i for i in free_indices(d.ty) if i >= q]
@@ -402,8 +390,7 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
                 ) from e
             image.append(QDecl(Quant.EXISTS, gd.ty, gd.name))
         img = len(image)
-        env = tuple(image_entry(s, p, img=img) for p in range(q - 1, -1, -1))
-        target = normalize_under(d.ty, env)
+        target = normalize_under(d.ty, env, img)
         try:
             ok = scope.check(tr.term, target)
         except TypingError as e:
@@ -419,6 +406,7 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
                 position=q,
                 check="instantiation",
             )
+        env = (replacement_entry(tr.term, tuple(range(img - 1, -1, -1))),) + env
     return QContext(tuple(image))
 
 

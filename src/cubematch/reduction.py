@@ -1,4 +1,4 @@
-"""Beta/eta reduction, normalization, conversion, normal-form classification.
+"""Beta/eta reduction, normalization and conversion.
 
 Strong normalization holds only for well-typed terms (and even there is
 taken on faith), so every normalization draws on a Fuel budget and raises
@@ -39,15 +39,19 @@ env)` reads t with its free indices bound to env's entries.  A term's
 image under a substitution is read this way, without being copied: each
 replaced slot is bound to the closure of its replacement and each kept
 slot to a level.  It takes the steps of normalizing the copy.  The levels
-may number the image's slots (`problems.image_entry`, which
-`subst_well_typed` reads a declared type under, for a scope over the
-image) or any other way that gives no two image slots one level: the
-readback then differs only by that renumbering, and `==` and
-`rigid_clash` give the same verdicts.  `search` converts each leaf, and
-`problems.is_solution` a substitution's two sides, under
-`problems.comparison_env`, which gives a kept slot the level that reads
-back as its own index in the problem, so a normal side that mentions no
-replaced slot is handed back as it is.  `instantiate` binds one slot.
+may number the image's slots by position, 0 the outermost, read back at
+a depth of the image's length, so that the result lives over the image:
+`problems.subst_well_typed` and `search.solve_bounded` read an
+instantiated declared type this way, for a typing scope over the image,
+under one environment that grows by an entry per slot and serves every
+prefix.  Or they may number the slots any other way that gives no two
+image slots one level: the readback then differs only by that
+renumbering, and `==` and `rigid_clash` give the same verdicts.
+`search` converts each leaf, and `problems.is_solution` a substitution's
+two sides, under `problems.comparison_env`, which gives a kept slot the
+level that reads back as its own index in the problem, so a normal side
+that mentions no replaced slot is handed back as it is.  `instantiate`
+binds one slot.
 
 `rigid_clash`, the test `search` puts each leaf through before conversion,
 compares two terms' rigid heads on the same machine, with the same steps
@@ -58,22 +62,10 @@ from __future__ import annotations
 
 from contextvars import ContextVar, Token
 
-from .errors import FuelExhausted, NotNormal
-from .record import Record
-from .terms import VARS, App, Lam, Pi, Term, Var, free_indices, shift, spine
+from .errors import FuelExhausted
+from .terms import VARS, App, Lam, Pi, Term, Var, free_indices, shift
 
-__all__ = [
-    "Fuel",
-    "DEFAULT_MAX_STEPS",
-    "NormalClass",
-    "Abstraction",
-    "Product",
-    "Atomic",
-    "beta_eta_normalize",
-    "equivalent",
-    "is_normal",
-    "classify_normal",
-]
+__all__ = ["Fuel", "DEFAULT_MAX_STEPS", "beta_eta_normalize", "equivalent"]
 
 DEFAULT_MAX_STEPS = 100_000
 
@@ -104,30 +96,6 @@ class Fuel:
 
 
 _BUDGET: ContextVar[Fuel | None] = ContextVar("cubematch_fuel", default=None)
-
-
-class Abstraction(Record):
-    """Normal form starting with a lambda."""
-
-    __slots__ = ()
-
-
-class Product(Record):
-    """Normal form starting with a product."""
-
-    __slots__ = ()
-
-
-class Atomic(Record):
-    """Normal form (head a1 ... an); the head is a variable or a sort."""
-
-    __slots__ = ("head", "args")
-    __match_args__ = __slots__
-    head: Term
-    args: tuple[Term, ...]
-
-
-NormalClass = Abstraction | Product | Atomic
 
 
 def _apply(t: Term, env: tuple, n: int, args: list, fuel: Fuel) -> tuple[Term, tuple, int]:
@@ -249,19 +217,22 @@ def _eta_redex(body: Term) -> bool:
     return type(arg) is Var and arg.index == 0 and 0 not in free_indices(body.fn)
 
 
-def normalize_under(t: Term, env: tuple) -> Term:
+def normalize_under(t: Term, env: tuple, depth: int = 0) -> Term:
     """The beta-eta normal form of t with its free index i bound to env[i].
 
-    env is an environment as the machine keeps one, read back at depth 0: a
-    level -1 - j stands for slot j of the outer context, and a closure
-    (term, env', n) for that term, itself read under env'.  No closure may
-    hold a bare variable; bind its level instead.  The same steps are
-    taken, and the same fuel spent, as in normalizing t with every bound
-    index replaced by what it is bound to.
+    env is an environment as the machine keeps one, read back at `depth`:
+    a level l reads back as the index depth - 1 - l, and a closure
+    (term, env', n) stands for that term, itself read under env'.  At the
+    default depth 0, a level -1 - j stands for slot j of the outer
+    context; an environment whose levels are the positions of a context
+    of k slots, 0 the outermost, reads back over that context at depth k.
+    No closure may hold a bare variable; bind its level instead.  The same
+    steps are taken, and the same fuel spent, as in normalizing t with
+    every bound index replaced by what it is bound to.
     """
     fuel = _BUDGET.get() or Fuel()
     try:
-        return _nf(t, env, len(env), 0, fuel)
+        return _nf(t, env, len(env), depth, fuel)
     except RecursionError:
         raise FuelExhausted("term nests too deeply to normalize") from None
 
@@ -348,28 +319,3 @@ def rigid_clash(t1: Term, t2: Term, env: tuple = ()) -> bool:
         todo.extend([(x, y, d) for x, y in zip(args_a, args_b)])
     return False
 
-
-def is_normal(t: Term) -> bool:
-    """No beta redex and no eta redex anywhere."""
-    tt = type(t)
-    if tt is App:
-        return type(t.fn) is not Lam and is_normal(t.fn) and is_normal(t.arg)
-    if tt is Lam:
-        return not _eta_redex(t.body) and is_normal(t.dom) and is_normal(t.body)
-    if tt is Pi:
-        return is_normal(t.dom) and is_normal(t.cod)
-    return True
-
-
-def classify_normal(t: Term) -> NormalClass:
-    """Split a normal term into abstraction, product, or head and spine."""
-    if not is_normal(t):
-        raise NotNormal("term still has a beta or eta redex")
-    match t:
-        case Lam():
-            return Abstraction()
-        case Pi():
-            return Product()
-        case _:
-            head, args = spine(t)
-            return Atomic(head, args)

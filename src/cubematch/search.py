@@ -7,15 +7,18 @@ sort types additionally admit sorts and products as inhabitants.  Sizes
 are enumerated in increasing order and each candidate is generated once,
 at its exact size.  Generation is goal-directed and memoised: a head is
 expanded only if its product chain can end in the target, and each
-sub-enumeration runs once per `enumerate_candidates` call, keyed by the
-identities of its target and of the binder types pushed above the
-declared ones.  Every result is re-verified with the typechecker before
-being returned, and the output order is deterministic: size first, then
-the printed form.
+sub-enumeration runs once per generation, keyed by the identities of its
+target and of the binder types pushed above the declared ones.  Every
+result is re-verified with the typechecker before being returned, and
+the output order is deterministic: size first, then the printed form.
 
-`solve_bounded` tests the assignments level by level, a level being the
-size of an assignment's largest candidate, and stops after the first
-level that fills `max_solutions`.  A leaf is never a copy of the problem:
+`solve_bounded` walks the declarations in one typing scope over the image
+of the assignment so far and copies none of them: an unknown's target
+and a universal slot's type are read under an environment that binds the
+earlier unknowns to their candidates (`reduction.normalize_under`).  It
+tests the assignments level by level, a level being the size of an
+assignment's largest candidate, and stops after the first level that
+fills `max_solutions`.  A leaf is never a copy of the problem:
 its two sides are read under an environment that binds each unknown to
 its candidate, in the problem's own numbering (`problems.comparison_env`),
 so a side that is normal and mentions no unknown reads back as itself.
@@ -32,7 +35,6 @@ from __future__ import annotations
 from .problems import (
     Problem,
     QContext,
-    QDecl,
     SubstTriple,
     Substitution,
     comparison_env,
@@ -42,7 +44,7 @@ from .problems import (
 )
 from .record import Record
 from .reduction import beta_eta_normalize, instantiate, normalize_under, rigid_clash
-from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, shift, subst
+from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe
 from .typecheck import CubeSpec, Scope
 
 __all__ = ["SearchBudget", "decision_size", "enumerate_candidates", "solve_bounded"]
@@ -78,12 +80,25 @@ def enumerate_candidates(
     """All eta-long beta-normal inhabitants of T over the universal slots,
     within the size budget, verified, in deterministic order.
 
+    Builds a typing scope over qctx, which holds the declared types
+    normalized, normalizes T, and generates in them with `_inhabitants`.
+    """
+    target = beta_eta_normalize(T)
+    scope = Scope(qctx.plain().decls, spec)
+    return _inhabitants(scope, target, budget, frozenset(qctx.existential_positions()))
+
+
+def _inhabitants(
+    scope: Scope, target: Term, budget: SearchBudget, unknowns: frozenset[int] = frozenset()
+) -> list[Term]:
+    """The candidates for target, which is normal, over the slots of scope,
+    but for the positions in unknowns; the scope's slots are left as found.
+
     Generation runs size by size and builds each candidate once, at its
-    exact size, in one typing scope over qctx that then typechecks every
-    candidate against T; each size's batch is sorted by its printed form.
-    The scope holds the declared types normalized, T is normalized once on
-    entry, and generation trusts every target and head type derived from
-    them to be normal.  A generated product domain is the exception: an
+    exact size, in scope, which then typechecks every candidate against
+    target; each size's batch is sorted by its printed form.  Generation
+    trusts every target and head type derived from the scope's types and
+    target to be normal.  A generated product domain is the exception: an
     eta-long domain such as (P [x:U](h x)) holds an eta redex, so it is
     normalized before it enters the scope.  Past an argument, a codomain
     that ignores its binder is lowered, which keeps it normal; only a
@@ -92,7 +107,7 @@ def enumerate_candidates(
 
     gen is memoised for the duration of this call.  Its key is the size
     and the ids of the target and of the binder types pushed above the
-    declared ones.  Identity, not `==`, because `==` ignores binder hints
+    scope's slots.  Identity, not `==`, because `==` ignores binder hints
     and a generated abstraction takes its hint from the target.  Each entry
     holds the objects whose ids its key names, so no id can be reused
     while the memo lives.  A memoised list is shared by every caller and
@@ -100,10 +115,8 @@ def enumerate_candidates(
     link by link, reaches the target; a dependent link keeps the head,
     since its instances are not known in advance.
     """
-    target = beta_eta_normalize(T)
-    scope = Scope(qctx.plain().decls, spec)
-    unknowns = set(qctx.existential_positions())
-    base = len(scope.tys)  # the declared slots; binder types are pushed above
+    spec = scope.spec
+    base = len(scope.tys)  # binder types are pushed above the scope's slots
     # key -> (inhabitants, the objects whose ids the key holds); holding
     # them keeps every id in a key from being reused while the memo lives
     memo: dict[tuple[int, ...], tuple[list[Term], tuple[Term, ...]]] = {}
@@ -177,23 +190,29 @@ def enumerate_candidates(
     for size in range(1, budget.max_term_size + 1):
         batch = sorted(gen(target, size), key=describe)
         found.extend(cand for cand in batch if scope.check(cand, target))
+    # lower's memo keeps alive every binder type it saw pushed and popped
+    # here; a scope that outlives this call, as a search's does, drops them
+    scope.lowered.clear()
     return found
-
-
-def _fill(t: Term, k: int, cand: Term) -> Term:
-    """t with Var(k) replaced by cand, which lives k slots further out."""
-    return subst(t, k, shift(cand, k, 0))
 
 
 def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Substitution]:
     """Assign enumerated candidates to the unknowns in declaration order
     and keep the assignments that verify as solutions.
 
-    Each chosen candidate is substituted into the later declared types,
-    which drops the unknown's slot; the next unknown's candidates come from
-    the prefix that remains.  The sides are never substituted into.  At
-    the last unknown, the comparison environment of the assignment so far,
-    completed by its first candidate, is built once per node, in the
+    The declarations are walked in order in one typing scope over the
+    image of the assignment so far: the universal slots, since each
+    unknown's slot is dropped.  Nothing is copied.  A declared type is read
+    under an environment that binds each earlier unknown to its
+    candidate's `replacement_entry` and each universal slot to its image
+    position, and read back over the image (`normalize_under` at the
+    image's depth).  A universal slot's type is pushed on the scope; an
+    unknown's is its target, whose candidates are generated in the scope
+    and cached by the scope's types and the target.  A type is read at
+    each walk node that reaches it, so a universal slot's type holding a
+    redex spends its fuel once per assignment of the unknowns before it.
+    At the last unknown, the comparison environment of the assignment so
+    far, completed by its first candidate, is built once per node, in the
     problem's own numbering (`problems.comparison_env`), together with the
     machine levels the last unknown's candidates are read over
     (`problems.comparison_levels`); each candidate then makes one leaf,
@@ -219,10 +238,12 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     sorts by largest component first, so enlarging the size budget only
     appends; the list is cut at max_solutions.
     """
+    decls = p.qctx.decls
     ex_positions = p.qctx.existential_positions()
     last = len(ex_positions) - 1
     found: list[Substitution] = []
-    cand_cache: dict[tuple[QContext, Term], list[tuple[Term, int]]] = {}
+    scope = Scope((), spec)
+    cand_cache: dict[tuple[tuple[Term, ...], Term], list[tuple[Term, int]]] = {}
     # level -> leaves: (the entries inside and outside the last unknown's,
     # the machine levels its candidates are read over, the earlier
     # candidates), candidate
@@ -241,18 +262,23 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
         if is_solution(s, p, spec):
             found.append(s)
 
-    def dfs(decls: tuple[QDecl, ...], chosen: tuple[Term, ...], level: int) -> None:
+    def walk(walked: tuple, chosen: tuple[Term, ...], level: int) -> None:
+        """Push the universal slots up to the next unknown and try its
+        candidates; walked binds each slot before them, innermost first."""
         i = len(chosen)
-        r = ex_positions[i] - i  # the earlier unknowns' slots are gone
-        key = (QContext(decls[:r]), decls[r].ty)
+        start = img = len(scope.tys)
+        for q in range(len(walked), ex_positions[i]):
+            scope.push(normalize_under(decls[q].ty, walked, img))
+            walked = (img,) + walked
+            img += 1
+        target = normalize_under(decls[ex_positions[i]].ty, walked, img)
+        key = (tuple(scope.tys), target)
         cands = cand_cache.get(key)
         if cands is None:
             cands = cand_cache[key] = [
-                (c, decision_size(c)) for c in enumerate_candidates(*key, budget, spec)
+                (c, decision_size(c)) for c in _inhabitants(scope, target, budget)
             ]
-        if not cands:
-            return
-        if i == last:
+        if cands and i == last:
             s = substitution(chosen + (cands[0][0],))
             over = comparison_levels(s)
             env = comparison_env(s, over)
@@ -260,18 +286,18 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
             node = (env[:k], env[k + 1 :], over[ex_positions[i]], chosen)
             for cand, size in cands:
                 leaves.setdefault(max(level, size), []).append((node, cand))
-            return
-        for cand, size in cands:
-            # the j-th later declaration sees slot r as Var(j)
-            later = tuple(
-                QDecl(d.quant, _fill(d.ty, j, cand), d.name) for j, d in enumerate(decls[r + 1 :])
-            )
-            dfs(decls[:r] + later, chosen + (cand,), max(level, size))
+        elif cands:
+            levels = tuple(range(img - 1, -1, -1))
+            for cand, size in cands:
+                entry = replacement_entry(cand, levels)
+                walk((entry,) + walked, chosen + (cand,), max(level, size))
+        for _ in range(start, img):
+            scope.pop()
 
     if last < 0:
         test((), ())
     else:
-        dfs(p.qctx.decls, (), 0)
+        walk((), (), 0)
         for level in sorted(leaves):
             for (inner, outer, over, chosen), cand in leaves[level]:
                 entry = replacement_entry(cand, over)

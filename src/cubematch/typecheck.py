@@ -13,9 +13,10 @@ again: a slot keeps the sort `Scope.declare` found for its type, a nested
 abstraction passes its own up, and the type Prop of a product or of Prop
 has sort Type.  It falls back to `Scope.sort` on the body's type only
 where that sort is not known: for a spine headed by a trusted slot (one a
-`Scope` is built over, or a binder `search` enters with `Scope.push`) or
-by an abstraction, a redex, and for a body whose type is Type, which has
-none and so fails there.  Every other subterm is typed without its sort.
+`Scope` is built over, or a binder or declared slot `search` enters with
+`Scope.push`) or by an abstraction, a redex, and for a body whose type is
+Type, which has none and so fails there.  Every other subterm is typed
+without its sort.
 """
 
 from __future__ import annotations
@@ -207,10 +208,11 @@ class Scope:
 
     The package does its typing in these.  `sort_of`, `infer_type` and
     `check_type` use one per call; `wf_context`, `make_problem`,
-    `subst_well_typed` and `enumerate_candidates` keep one for a whole walk
-    over many declarations, sides or candidates, so each declared type is
-    normalized once however often it is looked up.  The operations are
-    `declare` (sort check, then push the normal form), `infer` and `check`.
+    `subst_well_typed`, `enumerate_candidates` and `solve_bounded` keep one
+    for a whole walk over many declarations, sides or candidates, so each
+    declared type is normalized once however often it is looked up.  The
+    operations are `declare` (sort check, then push the normal form),
+    `infer` and `check`.
 
     Every slot holds a normal type: the constructor normalizes the caller's
     trusted types, and every later slot is pushed normal.  A slot entered
@@ -288,7 +290,7 @@ class Scope:
         A normal codomain that ignores its binder stays normal when lowered.
         Memoised by identity, since lookup and lower hand out the same
         objects again along a spine such as (g a b); each entry keeps pi
-        alive, so its id cannot be reused while the scope lives.
+        alive, so its id cannot be reused while the entry lives.
         """
         hit = self.lowered.get(id(pi))
         if hit is None:

@@ -10,12 +10,17 @@ the package's walks, and agreement with the package
 (tests/test_walk_equivalence.py, tests/test_terms.py) is a real
 cross-check.
 
+The normal-form classifier lives here too, since the package has no use
+for it: `classify_normal` splits a normal form into an abstraction, a
+product or a head applied to arguments, as the paper states every normal
+form is.
+
 The substitution check and the search oracle at the end keep the paths
 that copy: `subst_well_typed` builds a bound slot's instantiated type as a
 copy before normalizing it, and each chosen candidate is substituted into
-both sides, and the copies are refuted and converted on the package's
-machine, so the two paths can be compared on results and on the fuel spent
-from one `with Fuel(...)` budget.
+the later declared types and into both sides, and the copies are refuted
+and converted on the package's machine, so the two paths can be compared
+on results and on the fuel spent from one `with Fuel(...)` budget.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from cubematch.errors import (
     FuelExhausted,
     NoRuleApplies,
     NotAType,
+    NotNormal,
     SortPairMissing,
     SubstitutionError,
     TypeHasNoType,
@@ -39,8 +45,9 @@ from cubematch.problems import (
 )
 from cubematch.reduction import DEFAULT_MAX_STEPS, Fuel, equivalent, normalize_under
 from cubematch.reduction import rigid_clash as machine_rigid_clash
+from cubematch.record import Record
 from cubematch.search import SearchBudget, decision_size, enumerate_candidates
-from cubematch.terms import TYPE, App, Lam, Pi, Sort, Term, Var
+from cubematch.terms import TYPE, App, Lam, Pi, Sort, Term, Var, spine
 from cubematch.typecheck import Context, CubeSpec, Scope, pair_text
 
 
@@ -265,6 +272,44 @@ def is_normal(t: Term) -> bool:
             return is_normal(dom) and is_normal(cod)
         case _:
             return True
+
+
+class Abstraction(Record):
+    """Normal form starting with a lambda."""
+
+    __slots__ = ()
+
+
+class Product(Record):
+    """Normal form starting with a product."""
+
+    __slots__ = ()
+
+
+class Atomic(Record):
+    """Normal form (head a1 ... an); the head is a variable or a sort."""
+
+    __slots__ = ("head", "args")
+    __match_args__ = __slots__
+    head: Term
+    args: tuple[Term, ...]
+
+
+NormalClass = Abstraction | Product | Atomic
+
+
+def classify_normal(t: Term) -> NormalClass:
+    """Split a normal term into abstraction, product, or head and spine."""
+    if not is_normal(t):
+        raise NotNormal("term still has a beta or eta redex")
+    match t:
+        case Lam():
+            return Abstraction()
+        case Pi():
+            return Product()
+        case _:
+            head, args = spine(t)
+            return Atomic(head, args)
 
 
 # -- typing --------------------------------------------------------------------

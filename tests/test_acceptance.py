@@ -29,14 +29,10 @@ from cubematch.problems import (
     is_solution,
     make_problem,
 )
-from cubematch.reduction import (
-    beta_eta_normalize,
-    classify_normal,
-    is_normal,
-)
+from cubematch.reduction import beta_eta_normalize
 from cubematch.search import SearchBudget, solve_bounded
 from cubematch.syntax import parse_problem, parse_substitution, print_problem
-from cubematch.terms import PROP, App, Lam, Pi, Var, app, arrow
+from cubematch.terms import PROP, App, Lam, Pi, Sort, Var, app, arrow
 from cubematch.typecheck import (
     PP,
     PT,
@@ -50,6 +46,7 @@ from cubematch.typecheck import (
 )
 from cubematch.encodings import GoldfarbShapes, goldfarb_numeral, goldfarb_solution_shapes, goldfarb_tpl
 from innermost import beta_eta_normalize_innermost
+from match_walks import Atomic, classify_normal, is_normal
 from termgen import random_elementary_problem, random_well_typed
 
 
@@ -206,7 +203,10 @@ def test_criterion_6_confluence_and_idempotence_smoke() -> None:
         ok = ok and a == b
         ok = ok and beta_eta_normalize(a) == a
         ok = ok and is_normal(a)
-        classify_normal(a)
+        # every normal form is an abstraction, a product or a head applied
+        # to arguments, the head a variable or a sort
+        shape = classify_normal(a)
+        ok = ok and (type(shape) is not Atomic or type(shape.head) in (Var, Sort))
     _report(
         "criterion 6: two strategies agree and normalization is idempotent (1000 terms)",
         ok,

@@ -22,7 +22,7 @@ from cubematch.errors import (
     SortPairMissing,
     TypeHasNoType,
 )
-from cubematch.reduction import beta_eta_normalize, equivalent, is_normal
+from cubematch.reduction import beta_eta_normalize, equivalent
 from cubematch.terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, shift, subst
 from cubematch.typecheck import (
     Context,
@@ -33,6 +33,7 @@ from cubematch.typecheck import (
     pair_text,
     wf_context,
 )
+from match_walks import is_normal
 from termgen import base_context, random_well_typed
 
 LP = cube_spec("lP")

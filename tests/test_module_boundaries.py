@@ -1,5 +1,5 @@
 """No package module imports an underscore-prefixed name from a sibling,
-or a name it does not use.
+or a name it does not use, or holds a `match` statement.
 
 A private name is the business of the module that defines it; a module
 that needs another's private plumbing (its budget variable, a head
@@ -62,3 +62,12 @@ def _unused_imports(path: Path) -> list[str]:
 )
 def test_every_imported_name_is_used(path) -> None:
     assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_uses_a_match_statement(path) -> None:
+    # the package dispatches on type(t); structural `match` is the style
+    # of the test oracles in tests/match_walks.py
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Match)]
+    assert lines == []

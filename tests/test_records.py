@@ -1,4 +1,5 @@
-"""The contract of the package's value classes (the records).
+"""The contract of the package's value classes (the records), and of the
+normal-form classes that tests/match_walks.py keeps for the tests.
 
 Every public record keeps the behaviour it had as a frozen dataclass: its
 constructor (positional, keyword, defaults, validation), immutability,
@@ -14,15 +15,12 @@ import pickle
 import pytest
 from cubematch import (
     PROP,
-    Abstraction,
-    Atomic,
     Context,
     CubeSpec,
     Decl,
     GoldfarbShapes,
     Lam,
     OrderValue,
-    Product,
     QContext,
     QDecl,
     Quant,
@@ -40,6 +38,7 @@ from cubematch.encodings import ArtifactKind
 from cubematch.record import Record
 from cubematch.syntax import parse_problem_file
 from cubematch.typecheck import PP, PT, TT
+from match_walks import Abstraction, Atomic, Product
 
 A = QDecl(Quant.FORALL, PROP, "A")
 X = QDecl(Quant.EXISTS, PROP, "X")

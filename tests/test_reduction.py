@@ -14,18 +14,14 @@ import pytest
 from cubematch.errors import FuelExhausted, NotNormal
 from cubematch.reduction import (
     DEFAULT_MAX_STEPS,
-    Abstraction,
-    Atomic,
     Fuel,
-    Product,
     beta_eta_normalize,
-    classify_normal,
     equivalent,
-    is_normal,
     rigid_clash,
 )
 from cubematch.terms import PROP, App, Lam, Pi, Var, app
 from innermost import beta_eta_normalize_innermost
+from match_walks import Abstraction, Atomic, Product, classify_normal, is_normal
 from named_ref import from_debruijn, to_debruijn
 from smallstep import normalize_steps
 from termgen import base_context, random_well_typed

@@ -73,10 +73,8 @@ def test_candidates_are_verified_normal_and_ordered(lp) -> None:
         )
     )
     got = enumerate_candidates(q, Var(2), SearchBudget(7, 64), lp)
-    from cubematch.reduction import is_normal
-
     assert got and all(check_type(q.plain(), c, Var(2), lp) for c in got)
-    assert all(is_normal(c) for c in got)
+    assert all(old.is_normal(c) for c in got)
     sizes = [decision_size(c) for c in got]
     assert sizes == sorted(sizes)
     assert len(set(got)) == len(got)
@@ -538,6 +536,55 @@ def test_leaves_spend_as_the_copying_path_on_random_problems() -> None:
                 assert got == _spent(old.solve_bounded, p, budget, lp, steps)
 
 
+@pytest.mark.parametrize(
+    "text, spent",
+    [
+        # a universal slot whose type mentions an earlier unknown: the walk
+        # reads it under X's entry, the copying path fills X in
+        (
+            "calculus lP\nforall U : Prop\nforall P : U -> Prop\nforall a : U\n"
+            "forall h : U -> U\nexists X : U\nforall c : P X\nexists F : P X -> U\n"
+            "unify F c = h X\n",
+            {
+                3: [(2, 2)] * 3,
+                4: [(6, 6)] * 3,
+                5: [(6, 6), (8, 8), (8, 8)],
+                6: [(6, 6), (13, 13), (13, 13)],
+            },
+        ),
+        # k's type holds a redex and ignores X: the walk reads it once per X
+        # candidate, the copying path once per cache miss of F's candidates,
+        # which X does not change, so the walk spends one step more for each
+        # X candidate after the first (two at size 5: a, h a, h (h a))
+        (
+            "calculus lP\nforall U : Prop\nforall a : U\nforall h : U -> U\nexists X : U\n"
+            "forall k : ([y:U]U -> U) a\nexists F : U -> U\nunify F (k X) = k (h a)\n",
+            {
+                3: [(9, 8)] * 3,
+                4: [(9, 8), (17, 16), (17, 16)],
+                5: [(10, 8), (24, 22), (24, 22)],
+                6: [(10, 8), (57, 55), (57, 55)],
+            },
+        ),
+    ],
+    ids=["type-mentions-an-unknown", "redex-between-unknowns"],
+)
+def test_the_walk_finds_what_the_copying_path_finds(text, spent) -> None:
+    # the same solutions in the same order at every size and max_solutions;
+    # the fuel each path spends, per max_solutions 1, 3 and 1001, is pinned
+    spec, p = parse_problem(text)
+    steps = 10**6
+    for size, pinned in spent.items():
+        got = []
+        for max_solutions in (1, 3, 1001):
+            budget = SearchBudget(size, max_solutions)
+            walk, walk_left = _spent(solve_bounded, p, budget, spec, steps)
+            copy, copy_left = _spent(old.solve_bounded, p, budget, spec, steps)
+            assert walk == copy
+            got.append((steps - walk_left, steps - copy_left))
+        assert got == pinned, size
+
+
 def test_a_bare_variable_candidate_is_bound_as_a_level(monkeypatch, lw, type_source) -> None:
     # [forall A:Prop; exists X:Prop] X = A: the candidate A enters the
     # environment as A's level in the problem's own numbering, slot 0 of 2,
@@ -563,8 +610,10 @@ def test_every_leaf_reads_under_its_assignments_comparison_env(monkeypatch) -> N
     # the last unknown's levels are cached per search node; each leaf's
     # environment must still be the one is_solution builds for the leaf's
     # assignment.  The last candidate is taken from the entry the leaf
-    # builds; an earlier one from its closure, or, bound to a level, as the
-    # variable that names that slot in the problem's own numbering.
+    # builds, the last one built before the leaf's refutation (the walk
+    # also builds entries for the earlier unknowns, which no leaf reads
+    # directly); an earlier one from its closure, or, bound to a level, as
+    # the variable that names that slot in the problem's own numbering.
     lp = cube_spec("lP")
     rng = Random(21)
     problems = [random_elementary_problem(rng) for _ in range(40)]
@@ -578,7 +627,8 @@ def test_every_leaf_reads_under_its_assignments_comparison_env(monkeypatch) -> N
         return real_entry(term, levels)
 
     def clash_spy(t1, t2, env=()):
-        leaves.append((env, last.pop() if last else None))
+        leaves.append((env, last[-1] if last else None))
+        last.clear()
         return real_clash(t1, t2, env)
 
     monkeypatch.setattr(search, "replacement_entry", entry_spy)
@@ -586,8 +636,8 @@ def test_every_leaf_reads_under_its_assignments_comparison_env(monkeypatch) -> N
     checked = 0
     for p in problems:
         leaves.clear()
+        last.clear()
         solve_bounded(p, SearchBudget(5, 64), lp)
-        assert not last
         n = len(p.qctx)
         unknowns = p.qctx.existential_positions()
         if not unknowns:
