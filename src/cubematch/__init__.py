@@ -71,7 +71,6 @@ from .problems import (
     SubstTriple,
     Substitution,
     apply_subst,
-    apply_subst_in_prefix,
     is_closed,
     is_solution,
     is_term_elementary,

@@ -17,7 +17,8 @@ A typing scope over the image needs the image's numbering instead: a
 kept slot is its position in the image, 0 the outermost, and a type is
 read back at the depth of the image built so far.  Such an environment
 only grows as the image does, so `subst_well_typed` keeps one for a
-whole call, and `search.solve_bounded` one per branch of its walk.
+whole call, and `search.solve_bounded` one per branch of its walk;
+neither copies a declared type.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ __all__ = [
     "Problem",
     "is_closed",
     "apply_subst",
-    "apply_subst_in_prefix",
     "subst_well_typed",
     "order",
     "make_problem",
@@ -220,13 +220,8 @@ def apply_subst(s: Substitution, t: Term) -> Term:
     No normalization happens here: replacing F by [x:U]x in (F a) yields
     the redex (([x:U]x) a) for the caller to reduce.
     """
-    return apply_subst_in_prefix(s, t, len(s.qctx))
-
-
-def apply_subst_in_prefix(s: Substitution, t: Term, length: int) -> Term:
-    """Apply s to a term expressed over the first `length` declarations."""
-    lim = length
-    img = s.slots_before(lim)
+    lim = len(s.qctx)
+    img = s.image_len
     by_pos, cum = s._by_pos, s._cum
 
     def on_var(v: Var, depth: int) -> Term:
@@ -340,18 +335,17 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
     follows the image as it grows, so each image type is sorted and
     normalized once.
 
-    A kept slot's instantiated type is built as a term with
-    `apply_subst_in_prefix`, since the scope declares it and the image
-    context holds it.  A bound slot's is not: its declared type is
-    normalized under one environment kept for the whole call, in the
-    image's numbering, in the steps and fuel of normalizing the copy.  A
-    kept slot enters it as its image position and a bound slot as the
-    `replacement_entry` of its replacement, over the image so far, local
-    context included; a type is read back at the depth of the image so
-    far, so the environment is never rebuilt.  It reads in the image's
-    numbering, not the problem's, because the target is checked in the
-    scope, which is over the image.  A declared type with an index past
-    its prefix raises ValueError, as building the copy would.
+    No declared type is copied.  Each is normalized under one environment
+    kept for the whole call, in the image's numbering, in the steps and
+    fuel of normalizing its copy: a kept slot enters it as its image
+    position and a bound slot as the `replacement_entry` of its
+    replacement, over the image so far, local context included, and a
+    type is read back at the depth of the image so far.  A bound slot's
+    normal form is its replacement's target; a kept slot's is what the
+    scope sort-checks and the image holds, which on a well-formed qctx is
+    the verdict on the copy: a well-typed substitution keeps a type's
+    sort, and so does normalizing.  A declared type with a free index
+    past its prefix raises ValueError.
     """
     if s.qctx != qctx:
         raise ValueError("substitution was built for a different context")
@@ -359,9 +353,14 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
     image: list[QDecl] = []
     env: tuple = ()  # one entry per slot before q, innermost first
     for q, d in enumerate(qctx.decls):
+        escaping = [i for i in free_indices(d.ty) if i >= q]
+        if escaping:
+            raise ValueError(
+                f"index {max(escaping)} escapes the quantified context ({q} slots)"
+            )
         tr = s.triple_at(q)
         if tr is None:
-            ty_img = apply_subst_in_prefix(s, d.ty, q)
+            ty_img = normalize_under(d.ty, env, len(image))
             try:
                 scope.declare(ty_img)
             except TypingError as e:
@@ -373,11 +372,6 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
             env = (len(image),) + env
             image.append(QDecl(d.quant, ty_img, d.name))
             continue
-        escaping = [i for i in free_indices(d.ty) if i >= q]
-        if escaping:
-            raise ValueError(
-                f"index {max(escaping)} escapes the quantified context ({q} slots)"
-            )
         for gd in tr.local:
             try:
                 scope.declare(gd.ty)

@@ -36,10 +36,10 @@ subterms stay physically shared: `shift(t, 0, c) is t`, and normalizing
 a normal term allocates nothing.
 
 `map_free(t, on_var)` is the one rebuild walk: `subst`, `free_indices`
-and `problems.apply_subst_in_prefix` are each a variable rule passed to
-it.  It is public, outside `__all__` like `VARS`, for `problems`.  Only
-`shift` keeps a specialised walk, `_shift`: it is the hottest walk, and
-a call per variable through a callback slows it measurably.
+and `problems.apply_subst` are each a variable rule passed to it.  It
+is public, outside `__all__` like `VARS`, for `problems`.  Only `shift`
+keeps a specialised walk, `_shift`: it is the hottest walk, and a call
+per variable through a callback slows it measurably.
 """
 
 from __future__ import annotations

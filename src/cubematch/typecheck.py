@@ -12,11 +12,12 @@ way, from the body's synthesis, instead of inferring the body's type
 again: a slot keeps the sort `Scope.declare` found for its type, a nested
 abstraction passes its own up, and the type Prop of a product or of Prop
 has sort Type.  It falls back to `Scope.sort` on the body's type only
-where that sort is not known: for a spine headed by a trusted slot (one a
-`Scope` is built over, or a binder or declared slot `search` enters with
-`Scope.push`) or by an abstraction, a redex, and for a body whose type is
-Type, which has none and so fails there.  Every other subterm is typed
-without its sort.
+where that sort is not known: for a spine headed by an abstraction, a
+redex, for a body whose type is Type, which has none and so fails there,
+and for a spine headed by a trusted slot (one a `Scope` is built over, or
+a binder or declared slot `search` enters with `Scope.push`) that keeps
+no sort yet.  That sort is then kept in the trusted slot, so it is found
+at most once per slot.  Every other subterm is typed without its sort.
 """
 
 from __future__ import annotations
@@ -217,10 +218,11 @@ class Scope:
     Every slot holds a normal type: the constructor normalizes the caller's
     trusted types, and every later slot is pushed normal.  A slot entered
     by `declare` also keeps the sort that declare found for its type; a
-    trusted slot, from the constructor or from `push`, keeps None, as its
-    sort is not known.  Each slot memoises the shifted copies lookup hands
-    out, keyed by distance, and lower memoises lowered codomains.  A typing
-    error abandons the scope, so pushes need no matching pop then.  Its
+    trusted slot, from the constructor or from `push`, keeps None until an
+    abstraction whose body it heads finds its sort, and then keeps that.
+    Each slot memoises the shifted copies lookup hands out, keyed by
+    distance, and lower memoises lowered codomains.  A typing error
+    abandons the scope, so pushes need no matching pop then.  Its
     normalizations draw on the enclosing `with Fuel(...)` budget; a scope
     holds no budget of its own.
     """
@@ -356,7 +358,8 @@ def _abstraction(scope: Scope, t: Lam) -> tuple[Pi, Sort]:
     Prop of a product or of Prop has sort Type.  Where that is not known,
     for a slot that keeps no sort, a spine headed by an abstraction (a
     redex) and the type Type, the body's type is sorted with `Scope.sort`,
-    which raises `TypeHasNoType` for Type.
+    which raises `TypeHasNoType` for Type; a slot that kept no sort keeps
+    the one found.
     """
     s1 = scope.declare(t.dom)
     nf_dom = scope.tys[-1]
@@ -370,13 +373,14 @@ def _abstraction(scope: Scope, t: Lam) -> tuple[Pi, Sort]:
             head = head.fn
         th = type(head)
         if th is Var:
-            s2 = scope.sorts[len(scope.sorts) - 1 - head.index]
-        elif th is Lam:
-            s2 = None
-        else:
-            s2 = TYPE if body_ty is PROP else None
-        if s2 is None:
+            pos = len(scope.sorts) - 1 - head.index
+            s2 = scope.sorts[pos]
+            if s2 is None:
+                s2 = scope.sorts[pos] = scope.sort(body_ty)
+        elif th is Lam or body_ty is not PROP:
             s2 = scope.sort(body_ty)
+        else:
+            s2 = TYPE
     scope.pop()
     pair = (s1.tag, s2.tag)
     if not scope.spec.allows(pair):

@@ -16,7 +16,7 @@ product or a head applied to arguments, as the paper states every normal
 form is.
 
 The substitution check and the search oracle at the end keep the paths
-that copy: `subst_well_typed` builds a bound slot's instantiated type as a
+that copy: `subst_well_typed` builds each slot's instantiated type as a
 copy before normalizing it, and each chosen candidate is substituted into
 the later declared types and into both sides, and the copies are refuted
 and converted on the package's machine, so the two paths can be compared
@@ -447,9 +447,11 @@ def apply_subst(s: Substitution, t: Term) -> Term:
 
 def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContext:
     """The well-typedness check that copies: every slot's instantiated type
-    is built with apply_subst_in_prefix, a bound slot's too, and a bound
-    slot's copy is normalized under the levels that skip its local context,
-    before its replacement is checked against it in the package's scope."""
+    is built with apply_subst_in_prefix, a bound slot's too.  A kept slot's
+    copy is normalized and the normal form sort-checked in the package's
+    scope, while the image keeps the copy; a bound slot's copy is
+    normalized under the levels that skip its local context, before its
+    replacement is checked against it in that scope."""
     if s.qctx != qctx:
         raise ValueError("substitution was built for a different context")
     scope = Scope((), spec)
@@ -459,7 +461,7 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
         tr = s.triple_at(q)
         if tr is None:
             try:
-                scope.declare(ty_img)
+                scope.declare(normalize_under(ty_img, ()))
             except TypingError as e:
                 raise SubstitutionError(
                     f"declaration {q}: instantiated type is ill-sorted: {e.message}",

@@ -8,7 +8,13 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubematch.errors import NotAType, OrderUndefined, ProblemError, SubstitutionError
+from cubematch.errors import (
+    FuelExhausted,
+    NotAType,
+    OrderUndefined,
+    ProblemError,
+    SubstitutionError,
+)
 from cubematch.problems import (
     INFINITE,
     OrderValue,
@@ -29,7 +35,8 @@ from cubematch.problems import (
     subst_well_typed,
 )
 from cubematch.encodings import GoldfarbShapes, goldfarb_numeral
-from cubematch.reduction import normalize_under
+from cubematch.reduction import Fuel, normalize_under
+from cubematch.syntax import parse_term
 from cubematch.terms import PROP, TYPE, App, Lam, Pi, Term, Var, app, arrow, shift
 from cubematch.typecheck import cube_spec, infer_type, wf_context
 from termgen import random_elementary_problem
@@ -187,6 +194,54 @@ def test_subst_well_typed_accepts_the_identity_binding(lp, term_source) -> None:
     )
     image = subst_well_typed(s, term_source.qctx, lp)
     assert len(image) == 2  # the bound unknown vanished
+
+
+def test_a_kept_slot_is_sorted_in_normal_form(lw) -> None:
+    # X := ([Y:Prop]Y) A leaves f : (h:Prop -> Prop) P (h X) -> P (h A)
+    # with a redex in a domain; the image holds f's normal form, and reading
+    # it takes the one step of normalizing the copy.  Sorting the copy, as
+    # the check did before, normalized that domain again: 2 steps.
+    f_ty = "(h:Prop -> Prop)(P (h X)) -> (P (h A))"
+    qctx = _q(
+        (Quant.FORALL, PROP, "A"),
+        (Quant.EXISTS, PROP, "X"),
+        (Quant.FORALL, arrow(PROP, PROP), "P"),
+        (Quant.EXISTS, parse_term(f_ty, ["A", "X", "P"]), "f"),
+    )
+    x = parse_term("([Y:Prop]Y) A", ["A"])
+    s = Substitution(qctx, (SubstTriple(1, QContext(), x),))
+    fuel = Fuel(10)
+    with fuel:
+        image = subst_well_typed(s, qctx, lw)
+    assert fuel.left == 9
+    nf = parse_term("(h:Prop -> Prop)(P (h A)) -> (P (h A))", ["A", "P"])
+    assert [d.name for d in image] == ["A", "P", "f"]
+    assert image.decls[2].ty == nf
+
+
+@pytest.mark.parametrize(
+    "ty, want",
+    [
+        # ([x:Prop]U) Prop is ill-sorted in lP, but its normal form U is a
+        # type
+        (App(Lam(PROP, Var(1)), PROP), Var(0)),
+        # ([x:Prop]x x) ([x:Prop]x x) is ill-sorted and has no normal form
+        (App(Lam(PROP, App(Var(0), Var(0))), Lam(PROP, App(Var(0), Var(0)))), FuelExhausted),
+    ],
+    ids=["erased-argument", "omega"],
+)
+def test_a_kept_slot_of_an_ill_formed_context_is_normalized_before_it_is_sorted(
+    lp, ty, want
+) -> None:
+    # outside the spec: the context is ill-formed (make_problem rejects it).
+    # Both types raised SubstitutionError when the check sorted their copies.
+    qctx = _q((Quant.FORALL, PROP, "U"), (Quant.FORALL, ty, "c"))
+    with Fuel(50):
+        if isinstance(want, type):
+            with pytest.raises(want):
+                subst_well_typed(Substitution(qctx), qctx, lp)
+        else:
+            assert subst_well_typed(Substitution(qctx), qctx, lp).decls[1].ty == want
 
 
 # ------------- order -------------

@@ -18,7 +18,6 @@ from cubematch.problems import (
     Quant,
     SubstTriple,
     Substitution,
-    apply_subst_in_prefix,
     comparison_env,
     is_solution,
     make_problem,
@@ -349,12 +348,12 @@ def _solve_by_full_verification(p: Problem, budget: SearchBudget, spec) -> list[
         q = todo[0]
         ictx = QContext(
             tuple(
-                QDecl(d.quant, apply_subst_in_prefix(partial, d.ty, r), d.name)
+                QDecl(d.quant, old.apply_subst_in_prefix(partial, d.ty, r), d.name)
                 for r, d in enumerate(p.qctx.decls[:q])
                 if partial.triple_at(r) is None
             )
         )
-        ty = apply_subst_in_prefix(partial, p.qctx.decls[q].ty, q)
+        ty = old.apply_subst_in_prefix(partial, p.qctx.decls[q].ty, q)
         for cand in enumerate_candidates(ictx, ty, budget, spec):
             dfs(triples + (SubstTriple(q, QContext(), cand),))
 

@@ -265,3 +265,44 @@ def test_an_abstraction_takes_its_body_sort_from_synthesis(text, sort) -> None:
                 typecheck._abstraction(scope, t)
         else:
             assert typecheck._abstraction(scope, t) == (infer_type(_SORTED_CTX, t, coc), sort)
+
+
+def test_a_trusted_slot_is_sorted_once_per_scope(monkeypatch) -> None:
+    """An abstraction whose body is headed by a trusted slot sorts the
+    body's type only while that slot keeps no sort, and then keeps the sort
+    in the slot: a spine's type has the sort of its head's type."""
+    coc = cube_spec("coc")
+    texts = ["[x:U]h x", "[x:U]P x", "[x:U][y:P x]h x", "[x:U]P a", "[x:U][y:U]h y", "[x:U]a"]
+    terms = [parse_term(text, _SORTED_NAMES) for text in texts]
+    want = [infer_type(_SORTED_CTX, t, coc) for t in terms]
+    scope = Scope(_SORTED_CTX.decls, coc)
+    calls = {"sort": 0, "declare": 0}
+
+    def counted(name, f):
+        def wrapper(self, ty):
+            calls[name] += 1
+            return f(self, ty)
+
+        return wrapper
+
+    monkeypatch.setattr(Scope, "sort", counted("sort", Scope.sort))
+    monkeypatch.setattr(Scope, "declare", counted("declare", Scope.declare))
+    assert [scope.infer(t) for t in terms] == want
+    # every declare sorts its type once; the rest sort h, P and a once each
+    assert calls["sort"] - calls["declare"] == 3
+    assert scope.sorts == [None, PROP, TYPE, PROP]
+
+
+def test_a_trusted_slot_keeps_the_first_sort_found_for_it() -> None:
+    # outside the spec: the trusted h : (X:Type)X declares a product over
+    # Type, which has no type.  (h Prop) has type Prop, sorted Type, which
+    # h then keeps, so the eta-short body h, whose type has no sort, reads
+    # it.  Sorting that body's type, as each abstraction did before,
+    # raised TypeHasNoType.
+    ctx = Context((Decl(PROP, "A"), Decl(Pi(TYPE, Var(0), "X"), "h")))
+    coc = cube_spec("coc")
+    with pytest.raises(TypeHasNoType):
+        infer_type(ctx, parse_term("[y:Prop]h", ["A", "h"]), coc)
+    t = parse_term("[u:([z:Prop]h Prop) A][y:Prop]h", ["A", "h"])
+    want = parse_term("(u:h Prop)(y:Prop)(X:Type)X", ["A", "h"])
+    assert infer_type(ctx, t, coc) == want

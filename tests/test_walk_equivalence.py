@@ -28,9 +28,9 @@ from cubematch.problems import (
     SubstTriple,
     Substitution,
     apply_subst,
-    apply_subst_in_prefix,
     comparison_env,
     comparison_levels,
+    replacement_entry,
     subst_well_typed,
 )
 from cubematch.reduction import (
@@ -471,16 +471,47 @@ def test_apply_subst_agrees(rng, data) -> None:
         assert _outcome(apply_subst, s, t) == _outcome(old.apply_subst, s, t)
     for t in (p.lhs, p.rhs):
         assert apply_subst(Substitution(p.qctx), t) is t
-    for q, d in enumerate(p.qctx.decls):
-        assert repr(apply_subst_in_prefix(s, d.ty, q)) == repr(
-            old.apply_subst_in_prefix(s, d.ty, q)
-        )
-    # a term reaching only slots after every bound one is its own image
+    # a side reaching only slots after every bound one is its own image
     bound = max((tr.pos for tr in s.triples), default=-1)
-    over = [(d.ty, q) for q, d in enumerate(p.qctx.decls)]
-    for t, q in over + [(p.lhs, len(p.qctx)), (p.rhs, len(p.qctx))]:
-        if all(q - 1 - k > bound for k in free_indices(t)):
-            assert apply_subst_in_prefix(s, t, q) is t
+    n = len(p.qctx)
+    for t in (p.lhs, p.rhs):
+        if all(n - 1 - k > bound for k in free_indices(t)):
+            assert apply_subst(s, t) is t
+    # read in the image's numbering, a normal kept type, or side, whose
+    # slots are kept and sit as far from it in the image as in the
+    # problem reads back as itself
+    for q, (env, img) in _image_envs(s).items():
+        for t in (p.lhs, p.rhs) if q == n else (p.qctx.decls[q].ty,):
+            slots = [q - 1 - k for k in free_indices(t)]
+            if old.is_normal(t) and all(
+                s.triple_at(r) is None and img - s.slots_before(r) == q - r for r in slots
+            ):
+                assert normalize_under(t, env, img) is t
+
+
+def _image_envs(s: Substitution) -> dict[int, tuple[tuple, int]]:
+    """For each kept slot q, and for q = len(s.qctx), the environment
+    subst_well_typed reads q's declared type under, in the image's
+    numbering, and the depth it reads back at: the length of the image of
+    the slots before q.  Slots past a replacement with an index outside its
+    image are left out, since the check stops there."""
+    env: tuple = ()
+    img = 0
+    out: dict[int, tuple[tuple, int]] = {}
+    for q in range(len(s.qctx)):
+        tr = s.triple_at(q)
+        if tr is None:
+            out[q] = env, img
+            env = (img,) + env
+            img += 1
+            continue
+        img += len(tr.local)
+        if any(k >= img for k in free_indices(tr.term)):
+            break
+        env = (replacement_entry(tr.term, tuple(range(img - 1, -1, -1))),) + env
+    else:
+        out[len(s.qctx)] = env, img
+    return out
 
 
 def _within(f, budget: Fuel):
@@ -653,7 +684,7 @@ def _fixture_substitution(rng: Random, data, p, good: dict[str, list[str]]) -> S
 @props
 @given(randoms, st.data(), st.integers(1, 12), st.sampled_from([*sorted(_GOOD), None]))
 def test_bound_slot_targets_read_in_place_spend_as_the_copies(rng, data, steps, fixture) -> None:
-    """subst_well_typed, which reads a bound slot's declared type under the
+    """subst_well_typed, which reads each declared type under the
     environment of its prefix's image, gives the image context or the
     error, and leaves the fuel, of the copy in match_walks, which
     normalizes an apply_subst_in_prefix copy of it."""
@@ -665,8 +696,75 @@ def test_bound_slot_targets_read_in_place_spend_as_the_copies(rng, data, steps, 
         s = _fixture_substitution(rng, data, p, _GOOD[fixture])
     fuel, copy_fuel = Fuel(steps), Fuel(steps)
     got = _outcome(_within, lambda: subst_well_typed(s, p.qctx, spec), fuel)
-    assert got == _outcome(_within, lambda: old.subst_well_typed(s, p.qctx, spec), copy_fuel)
+    assert got == _copying_outcome(s, p.qctx, spec, copy_fuel)
     assert fuel.left == copy_fuel.left
+
+
+def _copying_outcome(s: Substitution, qctx: QContext, spec, fuel: Fuel):
+    """_outcome of old.subst_well_typed within fuel, with each kept slot's
+    copy in the image it returns normalized outside that budget: the
+    package's image holds those normal forms."""
+    try:
+        with fuel:
+            image = iter(old.subst_well_typed(s, qctx, spec))
+    except (CubeError, ValueError) as e:
+        return type(e), str(e)
+    out: list[QDecl] = []
+    for q in range(len(qctx)):
+        tr = s.triple_at(q)
+        if tr is None:
+            d = next(image)
+            out.append(QDecl(d.quant, beta_eta_normalize(d.ty), d.name))
+        else:
+            out.extend(next(image) for _ in tr.local)
+    return repr(QContext(tuple(out)))
+
+
+# A universal slot after each unknown, whose declared type mentions it; e
+# mentions none, d both unknowns.
+_KEPT_OVER_UNKNOWNS = """calculus lP
+forall U : Prop
+forall P : U -> Prop
+forall a : U
+forall h : U -> U
+exists X : U
+forall c : P X
+forall e : P a
+exists F : P X -> U
+forall d : P (F c)
+unify F c = h X
+"""
+_KEPT_GOOD = {
+    "X": ["a", "h a", "([y:U]y) a", "([y:U]h y) (h a)", "([g:U -> U]g a) ([y:U]y)"],
+    "F": ["[x:P X]h X", "[x:P X]([y:U]y) X", "[x:P X]a", "([y:U][x:P X]y) a"],
+}
+
+
+@props
+@given(randoms, st.data(), st.integers(1, 12))
+def test_kept_slots_over_bound_ones_read_in_place_spend_as_the_copies(rng, data, steps) -> None:
+    """A universal slot whose declared type mentions an earlier unknown is
+    read under the environment of its prefix's image and sort-checked in
+    normal form: the image context or the error, and the fuel left, are
+    those of normalizing match_walks' copy.  A normal kept type whose slots
+    are kept and sit as far from it in the image as in the problem is
+    handed back as the same object."""
+    spec, p = parse_problem(_KEPT_OVER_UNKNOWNS)
+    s = _fixture_substitution(rng, data, p, _KEPT_GOOD)
+    fuel, copy_fuel = Fuel(steps), Fuel(steps)
+    got = _outcome(_within, lambda: subst_well_typed(s, p.qctx, spec), fuel)
+    assert got == _copying_outcome(s, p.qctx, spec, copy_fuel)
+    assert fuel.left == copy_fuel.left
+    if isinstance(got, str):
+        image = subst_well_typed(s, p.qctx, spec)
+        for q, d in enumerate(p.qctx.decls):
+            slots = [q - 1 - k for k in free_indices(d.ty)]
+            if s.triple_at(q) is None and all(
+                s.triple_at(r) is None
+                and s.slots_before(q) - s.slots_before(r) == q - r
+                for r in slots
+            ):
+                assert image.decls[s.slots_before(q)].ty is d.ty
 
 
 def test_a_bound_slot_type_past_its_prefix_raises_as_the_copy_does() -> None:
@@ -678,6 +776,20 @@ def test_a_bound_slot_type_past_its_prefix_raises_as_the_copy_does() -> None:
     got = _outcome(subst_well_typed, s, qctx, PRESETS["lP"])
     assert got == _outcome(old.subst_well_typed, s, qctx, PRESETS["lP"])
     assert got == (ValueError, "index 2 escapes the quantified context (1 slots)")
+    # a kept slot: c : #1 over a one-slot prefix, which the copy rejects too
+    qctx = QContext((QDecl(Quant.FORALL, PROP, "U"), QDecl(Quant.FORALL, Var(1), "c")))
+    got = _outcome(subst_well_typed, Substitution(qctx), qctx, PRESETS["lP"])
+    assert got == _outcome(old.subst_well_typed, Substitution(qctx), qctx, PRESETS["lP"])
+    assert got == (ValueError, "index 1 escapes the quantified context (1 slots)")
+    # under a binder the index is counted from the prefix, (x:U) #2 naming
+    # the free index 1; the copy names the index as written, 2
+    qctx = QContext((QDecl(Quant.FORALL, PROP, "U"), QDecl(Quant.FORALL, Pi(Var(0), Var(2)), "c")))
+    got = _outcome(subst_well_typed, Substitution(qctx), qctx, PRESETS["lP"])
+    assert got == (ValueError, "index 1 escapes the quantified context (1 slots)")
+    assert _outcome(old.subst_well_typed, Substitution(qctx), qctx, PRESETS["lP"]) == (
+        ValueError,
+        "index 2 escapes the quantified context (1 slots)",
+    )
 
 
 # ------------- the walks dispatch on type(t) -------------
@@ -696,7 +808,7 @@ WALKS = [
     reduction._nf,
     typecheck._infer,
     typecheck._abstraction,
-    problems.apply_subst_in_prefix,
+    problems.apply_subst,
     problems._order,
     search.decision_size,
     search.enumerate_candidates,
