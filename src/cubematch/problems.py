@@ -11,14 +11,17 @@ under an environment that binds each bound slot to its replacement
 (`replacement_entry`), in one of two numberings.  `comparison_env` reads
 in the problem's own numbering: a kept slot reads back as its own index,
 so a side that is normal and mentions no bound slot reads back as
-itself.  `is_solution` and `search` compare two sides under it; since the
-numbering is injective, their verdicts are those of the image copies.
+itself.  `is_solution` and `search` compare two sides under it with
+`sides_convert`; since the numbering is injective, their verdicts are
+those of the image copies.  A matching problem's right side mentions no
+unknown, so `sides_convert` compares it as written with the left side's
+normal form and normalizes it only when the two differ.
 A typing scope over the image needs the image's numbering instead: a
 kept slot is its position in the image, 0 the outermost, and a type is
 read back at the depth of the image built so far.  Such an environment
 only grows as the image does, so `subst_well_typed` keeps one for a
 whole call, and `search.solve_bounded` one per branch of its walk;
-neither copies a declared type.
+neither copies a declared type, and neither normalizes one twice.
 """
 
 from __future__ import annotations
@@ -333,7 +336,9 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
     context, and its replacement must check against the instantiated type
     over the image so far plus that local context.  One typing scope
     follows the image as it grows, so each image type is sorted and
-    normalized once.
+    normalized once: a kept slot's type, read normal, is sort-checked and
+    pushed with its sort as it is (`Scope.push`), not normalized again by
+    `Scope.declare`.
 
     No declared type is copied.  Each is normalized under one environment
     kept for the whole call, in the image's numbering, in the steps and
@@ -362,7 +367,7 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
         if tr is None:
             ty_img = normalize_under(d.ty, env, len(image))
             try:
-                scope.declare(ty_img)
+                scope.push(ty_img, scope.sort(ty_img))
             except TypingError as e:
                 raise SubstitutionError(
                     f"declaration {q}: instantiated type is ill-sorted: {e.message}",
@@ -536,9 +541,11 @@ def is_solution(s: Substitution, p: Problem, spec: CubeSpec) -> bool:
     each is normalized under `comparison_env(s)`, which binds every bound
     slot to its replacement, in the steps and fuel of normalizing the
     copies.  It reads in the problem's own numbering, not the image's, so
-    a side that is normal and mentions no bound slot, such as a matching
-    problem's right side, reads back as the same object; the verdict is
-    the copies', since the renumbering is injective.  The well-typedness
+    a side that is normal and mentions no bound slot reads back as the
+    same object; the verdict is the copies', since the renumbering is
+    injective.  A matching problem's right side, which mentions no bound
+    slot, is compared as written and normalized only if the left side's
+    normal form differs from it (`sides_convert`).  The well-typedness
     check reads in the image's numbering.
     """
     if s.qctx != p.qctx:
@@ -547,8 +554,28 @@ def is_solution(s: Substitution, p: Problem, spec: CubeSpec) -> bool:
         subst_well_typed(s, p.qctx, spec)
     except SubstitutionError:
         return False
-    env = comparison_env(s)
-    return normalize_under(p.lhs, env) == normalize_under(p.rhs, env)
+    return sides_convert(p, comparison_env(s))
+
+
+def sides_convert(p: Problem, env: tuple) -> bool:
+    """p's two sides have one normal form when read under env, an
+    environment in the problem's own numbering (`comparison_env`).
+
+    A matching problem's right side mentions only kept slots, which env
+    reads back as their own indices, so a normal right side reads back as
+    itself, in no steps.  It is compared as written with the left side's
+    normal form first: equal to a normal form, it is normal.  Only when
+    the two differ is it normalized, since it may hold a redex; a right
+    side handed back as itself then already differs.  So the verdict and
+    the fuel are those of normalizing both sides.
+    """
+    lhs = normalize_under(p.lhs, env)
+    if p.kind is ProblemKind.MATCHING:
+        if lhs == p.rhs:
+            return True
+        rhs = normalize_under(p.rhs, env)
+        return rhs is not p.rhs and lhs == rhs
+    return lhs == normalize_under(p.rhs, env)
 
 
 def _base_chain(ctx_len: int, arity: int) -> Term:

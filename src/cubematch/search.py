@@ -21,7 +21,9 @@ assignment's largest candidate, and stops after the first level that
 fills `max_solutions`.  A leaf is never a copy of the problem:
 its two sides are read under an environment that binds each unknown to
 its candidate, in the problem's own numbering (`problems.comparison_env`),
-so a side that is normal and mentions no unknown reads back as itself.
+so a side that is normal and mentions no unknown reads back as itself,
+and a matching problem's right side is compared as written first
+(`problems.sides_convert`).
 Before conversion under that environment, a leaf goes through
 `reduction.rigid_clash`, a cheap rigid-spine refutation of its two sides
 on the normalizer's own machine.
@@ -41,10 +43,11 @@ from .problems import (
     comparison_levels,
     is_solution,
     replacement_entry,
+    sides_convert,
 )
 from .record import Record
 from .reduction import beta_eta_normalize, instantiate, normalize_under, rigid_clash
-from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe
+from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, lower
 from .typecheck import CubeSpec, Scope
 
 __all__ = ["SearchBudget", "decision_size", "enumerate_candidates", "solve_bounded"]
@@ -102,8 +105,11 @@ def _inhabitants(
     eta-long domain such as (P [x:U](h x)) holds an eta redex, so it is
     normalized before it enters the scope.  Past an argument, a codomain
     that ignores its binder is lowered, which keeps it normal; only a
-    dependent one is instantiated and normalized.  gen and spines return
-    whole lists, so each pops every binder it pushes before returning.
+    dependent one is instantiated and normalized.  A product keeps its
+    lowered codomain in the node (`terms.lower`), so this call holds no
+    memo of them, and nothing of one outlives the types it was read
+    from.  gen and spines return whole lists, so each pops every binder
+    it pushes before returning.
 
     gen is memoised for the duration of this call.  Its key is the size
     and the ids of the target and of the binder types pushed above the
@@ -126,7 +132,10 @@ def _inhabitants(
         while ty != tn:
             if type(ty) is not Pi:
                 return False
-            ty = scope.lower(ty)
+            try:
+                ty = ty._low
+            except AttributeError:
+                ty = lower(ty)
             if ty is None:
                 return True
         return True
@@ -178,7 +187,10 @@ def _inhabitants(
             return
         if type(head_ty) is not Pi:
             return
-        lowered = scope.lower(head_ty)
+        try:
+            lowered = head_ty._low
+        except AttributeError:
+            lowered = lower(head_ty)
         for arg_size in range(1, size):
             for arg in gen(head_ty.dom, arg_size):
                 rest = lowered
@@ -190,9 +202,6 @@ def _inhabitants(
     for size in range(1, budget.max_term_size + 1):
         batch = sorted(gen(target, size), key=describe)
         found.extend(cand for cand in batch if scope.check(cand, target))
-    # lower's memo keeps alive every binder type it saw pushed and popped
-    # here; a scope that outlives this call, as a search's does, drops them
-    scope.lowered.clear()
     return found
 
 
@@ -256,7 +265,7 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     def test(env: tuple, chosen: tuple[Term, ...]) -> None:
         if rigid_clash(p.lhs, p.rhs, env):
             return
-        if normalize_under(p.lhs, env) != normalize_under(p.rhs, env):
+        if not sides_convert(p, env):
             return
         s = substitution(chosen)
         if is_solution(s, p, spec):

@@ -9,12 +9,17 @@ equality or hashing.
 Terms are plain `__slots__` objects.  They are immutable: the one
 constructor of each class checks its fields (a `Var` index is never
 negative, a `Sort` tag is "Prop" or "Type") and assignment or deletion
-raises `AttributeError`.  A node's hash is computed on first use and kept
-in the node.  `==` returns at once for the same object, so subterms
-shared between two terms are never walked, and both `==` and `hash` run
-on an explicit stack, so the depth of a term is not limited by Python's
-recursion limit.  `copy`, `deepcopy` and `pickle` rebuild a node through
-its constructor, without the cached hash.
+raises `AttributeError`.  Two facts about a node are computed on first
+use and kept in it, in slots that are not fields: its hash, and for a
+product its lowered codomain (`lower`: the codomain moved out from under
+its binder, or None when it uses the binder), which typing an
+application and search's head chains read at every product they pass.
+Neither takes part in `==`, `hash` or the `repr`.  `==` returns at once
+for the same object, so subterms shared between two terms are never
+walked, and both `==` and `hash` run on an explicit stack, so the depth
+of a term is not limited by Python's recursion limit.  `copy`, `deepcopy`
+and `pickle` rebuild a node through its constructor, without the cached
+data.
 
 The leaves are interned: there is one `Var` node per index and one `Sort`
 node per tag in the process, so `Var(k) is Var(k)`, `Sort("Prop") is
@@ -37,9 +42,10 @@ a normal term allocates nothing.
 
 `map_free(t, on_var)` is the one rebuild walk: `subst`, `free_indices`
 and `problems.apply_subst` are each a variable rule passed to it.  It
-is public, outside `__all__` like `VARS`, for `problems`.  Only `shift`
-keeps a specialised walk, `_shift`: it is the hottest walk, and a call
-per variable through a callback slows it measurably.
+is public, outside `__all__` like `VARS`, for `problems`; so is `lower`,
+for `typecheck` and `search`.  Only `shift` keeps a specialised walk,
+`_shift`: it is the hottest walk, and a call per variable through a
+callback slows it measurably.
 """
 
 from __future__ import annotations
@@ -195,10 +201,12 @@ class Lam(_Node):
 
 
 class Pi(_Node):
-    """Product (x:dom)cod; prints as dom -> cod when cod ignores the binder."""
+    """Product (x:dom)cod; prints as dom -> cod when cod ignores the binder.
 
-    __slots__ = ("dom", "cod", "hint")
-    __match_args__ = __slots__
+    `_low` caches `lower(self)` once it is asked for; it is not a field."""
+
+    __slots__ = ("dom", "cod", "hint", "_low")
+    __match_args__ = ("dom", "cod", "hint")
     dom: Term
     cod: Term
     hint: str | None
@@ -215,6 +223,7 @@ class Pi(_Node):
 _set_fn, _set_arg = slot_setters(App)
 _set_lam_dom, _set_body, _set_lam_hint = slot_setters(Lam)
 _set_pi_dom, _set_cod, _set_pi_hint = slot_setters(Pi)
+(_set_low,) = slot_setters(Pi, "_low")
 
 VARS: dict[int, Var] = {}
 _SORTS: dict[str, Sort] = {}
@@ -272,9 +281,9 @@ def shift(t: Term, d: int, cutoff: int = 0) -> Term:
 
 
 def _shift(t: Term, d: int, cutoff: int) -> Term:
-    # map_free with the shift rule written in: `Scope.lookup`,
-    # `Scope.lower` and the eta step make this the hottest walk, and
-    # map_free's callback slowed `verify-large` measurably (ROADMAP.md).
+    # map_free with the shift rule written in: `Scope.lookup`, `lower`
+    # and the eta step make this the hottest walk, and map_free's
+    # callback slowed `verify-large` measurably (ROADMAP.md).
     tt = type(t)
     if tt is Var:
         k = t.index
@@ -370,6 +379,21 @@ def free_indices(t: Term) -> set[int]:
 
     map_free(t, on_var)
     return out
+
+
+def lower(pi: Pi) -> Term | None:
+    """pi's codomain moved out from under its binder; None when it uses it.
+
+    A normal codomain that ignores its binder stays normal when lowered.
+    The answer is computed on first use and kept in the node; a hot walk
+    reads `pi._low` itself and calls this only when that slot is empty."""
+    try:
+        return pi._low
+    except AttributeError:
+        cod = pi.cod
+        low = None if 0 in free_indices(cod) else _shift(cod, -1, 0)
+        _set_low(pi, low)
+        return low
 
 
 def arrow(dom: Term, cod: Term, hint: str | None = None) -> Pi:

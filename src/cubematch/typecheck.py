@@ -35,7 +35,7 @@ from .errors import (
 )
 from .record import Record
 from .reduction import beta_eta_normalize, instantiate
-from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, free_indices, shift
+from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, lower, shift
 
 __all__ = [
     "SortPair",
@@ -217,23 +217,25 @@ class Scope:
 
     Every slot holds a normal type: the constructor normalizes the caller's
     trusted types, and every later slot is pushed normal.  A slot entered
-    by `declare` also keeps the sort that declare found for its type; a
-    trusted slot, from the constructor or from `push`, keeps None until an
+    by `declare` also keeps the sort that declare found for its type, and
+    one pushed with its sort keeps that; a trusted slot, from the
+    constructor or from `push` without a sort, keeps None until an
     abstraction whose body it heads finds its sort, and then keeps that.
     Each slot memoises the shifted copies lookup hands out, keyed by
-    distance, and lower memoises lowered codomains.  A typing error
-    abandons the scope, so pushes need no matching pop then.  Its
-    normalizations draw on the enclosing `with Fuel(...)` budget; a scope
-    holds no budget of its own.
+    distance, and `_infer` reads a variable's type from that memo in place
+    when it is there.  A product's lowered codomain is kept in the product
+    node itself (`terms.lower`), not here.  A typing error abandons the
+    scope, so pushes need no matching pop then.  Its normalizations draw
+    on the enclosing `with Fuel(...)` budget; a scope holds no budget of
+    its own.
     """
 
-    __slots__ = ("tys", "sorts", "shifted", "lowered", "spec")
+    __slots__ = ("tys", "sorts", "shifted", "spec")
 
     def __init__(self, decls: tuple[Decl, ...], spec: CubeSpec):
         self.tys: list[Term] = [beta_eta_normalize(d.ty) for d in decls]
         self.sorts: list[Sort | None] = [None] * len(decls)
         self.shifted: list[dict[int, Term] | None] = [None] * len(decls)
-        self.lowered: dict[int, tuple[Pi, Term | None]] = {}
         self.spec = spec
 
     def declare(self, ty: Term) -> Sort:
@@ -259,11 +261,12 @@ class Scope:
             raise NotAType(f"{describe(T)} has type {describe(ty)}, not a sort")
         return ty
 
-    def push(self, nf: Term) -> None:
-        """Enter a binder or declaration whose type nf is already normal and
-        trusted; its sort is not known."""
+    def push(self, nf: Term, sort: Sort | None = None) -> None:
+        """Enter a binder or declaration whose type nf is already normal:
+        sort is its sort when the caller has checked it, and None for a
+        trusted type whose sort is not known."""
         self.tys.append(nf)
-        self.sorts.append(None)
+        self.sorts.append(sort)
         self.shifted.append(None)
 
     def pop(self) -> None:
@@ -286,47 +289,48 @@ class Scope:
         ty = memo[k] = shift(self.tys[pos], k + 1, 0)
         return ty
 
-    def lower(self, pi: Pi) -> Term | None:
-        """pi's codomain moved out from under its binder; None when it uses it.
-
-        A normal codomain that ignores its binder stays normal when lowered.
-        Memoised by identity, since lookup and lower hand out the same
-        objects again along a spine such as (g a b); each entry keeps pi
-        alive, so its id cannot be reused while the entry lives.
-        """
-        hit = self.lowered.get(id(pi))
-        if hit is None:
-            cod = pi.cod
-            low = None if 0 in free_indices(cod) else shift(cod, -1, 0)
-            hit = self.lowered[id(pi)] = (pi, low)
-        return hit[1]
-
 
 def _infer(scope: Scope, t: Term) -> Term:
-    """t's normal-form type.  A variable function or argument has its type
-    read from the scope in place."""
+    """t's normal-form type.  A variable as an application's function or
+    argument has its type read from its slot's memo in place, or from
+    `Scope.lookup` when the memo holds none yet; a product's lowered
+    codomain is read from the product node, or filled by `terms.lower`."""
     tt = type(t)
     if tt is Var:
         return scope.lookup(t.index)
     if tt is App:
+        shifted = scope.shifted
         fn = t.fn
-        fn_ty = scope.lookup(fn.index) if type(fn) is Var else _infer(scope, fn)
+        if type(fn) is Var:
+            k = fn.index
+            memo = shifted[-1 - k] if k < len(shifted) else None
+            fn_ty = (memo.get(k) if memo else None) or scope.lookup(k)
+        else:
+            fn_ty = _infer(scope, fn)
         if type(fn_ty) is not Pi:
             raise NoRuleApplies(
                 f"cannot apply {describe(fn)}: its type {describe(fn_ty)}"
                 " is not a product"
             )
         arg = t.arg
-        arg_ty = scope.lookup(arg.index) if type(arg) is Var else _infer(scope, arg)
+        if type(arg) is Var:
+            k = arg.index
+            memo = shifted[-1 - k] if k < len(shifted) else None
+            arg_ty = (memo.get(k) if memo else None) or scope.lookup(k)
+        else:
+            arg_ty = _infer(scope, arg)
         if arg_ty is not fn_ty.dom and arg_ty != fn_ty.dom:
             raise NoRuleApplies(
                 f"argument {describe(arg)} has type {describe(arg_ty)},"
                 f" but {describe(fn_ty.dom)} is expected"
             )
-        lowered = scope.lower(fn_ty)
-        if lowered is None:
+        try:
+            low = fn_ty._low
+        except AttributeError:
+            low = lower(fn_ty)
+        if low is None:
             return instantiate(fn_ty.cod, arg)
-        return lowered
+        return low
     if tt is Lam:
         return _abstraction(scope, t)[0]
     if tt is Pi:

@@ -8,7 +8,10 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import match_walks as old
+from cubematch import problems, typecheck
 from cubematch.errors import (
+    CubeError,
     FuelExhausted,
     NotAType,
     OrderUndefined,
@@ -35,9 +38,10 @@ from cubematch.problems import (
     subst_well_typed,
 )
 from cubematch.encodings import GoldfarbShapes, goldfarb_numeral
-from cubematch.reduction import Fuel, normalize_under
-from cubematch.syntax import parse_term
-from cubematch.terms import PROP, TYPE, App, Lam, Pi, Term, Var, app, arrow, shift
+from cubematch.reduction import Fuel, beta_eta_normalize, normalize_under
+from cubematch.search import SearchBudget, enumerate_candidates, solve_bounded
+from cubematch.syntax import parse_problem, parse_substitution, parse_term
+from cubematch.terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, app, arrow, shift
 from cubematch.typecheck import cube_spec, infer_type, wf_context
 from termgen import random_elementary_problem
 
@@ -413,6 +417,163 @@ def test_a_closed_normal_side_reads_back_as_itself(n) -> None:
     assert normalize_under(p.rhs, env) is p.rhs
     assert normalize_under(p.lhs, env) == p.rhs
     assert is_solution(s, p, stlc)
+
+
+# ------------- a matching right side compared as written -------------
+
+_UABH = "calculus lP\nforall U : Prop\nforall a : U\nforall b : U\nforall h : U -> U\n"
+# problem text -> substitutions to verify, each with its verdict
+SHORTCUT = {
+    "normal": (
+        _UABH + "exists F : U -> U\nmatch F a = h b\n",
+        [("F := [x:U]h b", True), ("F := [x:U]h x", False), ("F := [x:U]([y:U]y) (h b)", True)],
+    ),
+    "beta-redex": (
+        _UABH + "exists F : U -> U\nmatch F a = ([y:U]y) b\n",
+        [("F := [x:U]b", True), ("F := [x:U]x", False), ("F := [x:U]([y:U]y) b", True)],
+    ),
+    "eta-redex": (
+        _UABH + "exists F : U -> U -> U\nmatch F a = [y:U]h y\n",
+        [
+            ("F := [x:U][y:U]h y", True),
+            ("F := [x:U][y:U]y", False),
+            ("F := [x:U]h", True),
+            ("F := [x:U]([z:U -> U]z) h", True),
+        ],
+    ),
+    "unification": (
+        _UABH + "exists F : U -> U\nunify F a = F b\n",
+        [("F := [x:U]b", True), ("F := [x:U]x", False), ("F := [x:U]([y:U]y) a", True)],
+    ),
+}
+
+
+def _outcome(call, steps: int) -> tuple:
+    """call's result, or its error's class and message, with the fuel left
+    of one `with Fuel(steps)` block around it."""
+    fuel = Fuel(steps)
+    try:
+        with fuel:
+            out = repr(call())
+    except CubeError as e:
+        out = (type(e), str(e))
+    return out, fuel.left
+
+
+@pytest.mark.parametrize("name", list(SHORTCUT))
+def test_is_solution_spends_as_the_copying_oracle(name) -> None:
+    text, substs = SHORTCUT[name]
+    spec, p = parse_problem(text)
+    assert (p.kind is ProblemKind.MATCHING) is (name != "unification")
+    for line, verdict in substs:
+        s = parse_substitution(line + "\n", p.qctx)
+        assert is_solution(s, p, spec) is verdict
+        for steps in (*range(1, 13), 10**6):
+            got = _outcome(lambda: is_solution(s, p, spec), steps)
+            assert got == _outcome(lambda: old.is_solution(s, p, spec), steps), (line, steps)
+
+
+@pytest.mark.parametrize("name", list(SHORTCUT))
+def test_solve_bounded_spends_as_the_copying_oracle(name) -> None:
+    spec, p = parse_problem(SHORTCUT[name][0])
+    for size in (3, 5):
+        for max_solutions in (1, 16):
+            budget = SearchBudget(size, max_solutions)
+            for steps in (1, 3, 10, 10**6):
+                got = _outcome(lambda: solve_bounded(p, budget, spec), steps)
+                want = _outcome(lambda: old.solve_bounded(p, budget, spec), steps)
+                assert got == want, (size, max_solutions, steps)
+
+
+@pytest.mark.parametrize(
+    "name, line, rhs_reads",
+    [
+        ("normal", "F := [x:U]h b", 0),  # equal as written: never read
+        ("normal", "F := [x:U]h x", 1),  # differs: read, and handed back as is
+        ("beta-redex", "F := [x:U]b", 1),  # differs from the redex as written
+        ("eta-redex", "F := [x:U][y:U]h y", 1),
+        ("unification", "F := [x:U]b", 1),  # no shortcut
+    ],
+)
+def test_a_matching_right_side_is_normalized_only_when_the_left_differs(
+    monkeypatch, name, line, rhs_reads
+) -> None:
+    spec, p = parse_problem(SHORTCUT[name][0])
+    s = parse_substitution(line + "\n", p.qctx)
+    read: list[Term] = []
+
+    def spy(t, env, depth=0):
+        read.append(t)
+        return normalize_under(t, env, depth)
+
+    monkeypatch.setattr(problems, "normalize_under", spy)
+    is_solution(s, p, spec)
+    assert sum(t is p.rhs for t in read) == rhs_reads
+
+
+def _eta_expanded(t: Term, n: int, rng: Random) -> Term:
+    """t, over a context of length n whose slot 0 is the base type U, with
+    some function heads h of an application h s replaced by the eta redex
+    [x:U](h x); in an elementary problem every domain is U."""
+    if isinstance(t, App):
+        fn, arg = _eta_expanded(t.fn, n, rng), _eta_expanded(t.arg, n, rng)
+        if rng.random() < 0.5:
+            fn = Lam(Var(n - 1), App(shift(fn, 1, 0), Var(0)), "x")
+        return App(fn, arg)
+    return t
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.randoms(use_true_random=False), st.sampled_from([1, 2, 3, 5, 8, 10**6]))
+def test_the_shortcut_spends_as_the_copying_oracle_on_random_problems(rng, steps) -> None:
+    # random elementary problems, about half of them matching, with the
+    # right side often beta- or eta-expanded; assignments of small
+    # candidates, solutions or not
+    lp = cube_spec("lP")
+    p = random_elementary_problem(rng)
+    n = len(p.qctx)
+    rhs = p.rhs
+    if rng.random() < 0.3:
+        rhs = _beta_expanded(rhs, n, rng)
+    elif rng.random() < 0.5:
+        rhs = _eta_expanded(rhs, n, rng)
+    p = make_problem(p.qctx, p.lhs, rhs, lp)
+    triples = []
+    for q in p.qctx.existential_positions():
+        cands = enumerate_candidates(p.qctx.prefix(q), p.qctx.decls[q].ty, SearchBudget(3, 1), lp)
+        triples.append(SubstTriple(q, QContext(), rng.choice(cands)))
+    s = Substitution(p.qctx, tuple(triples))
+    got = _outcome(lambda: is_solution(s, p, lp), steps)
+    assert got == _outcome(lambda: old.is_solution(s, p, lp), steps)
+    budget = SearchBudget(4, rng.choice([1, 3]))
+    got = _outcome(lambda: solve_bounded(p, budget, lp), steps)
+    assert got == _outcome(lambda: old.solve_bounded(p, budget, lp), steps)
+
+
+# ------------- a kept slot's type normalized once -------------
+
+
+def test_a_kept_slots_type_is_normalized_once(monkeypatch) -> None:
+    # the kept types are read normal under the environment, then only
+    # sort-checked: no normalization receives one again, while the product
+    # domains met in sorting them still are normalized
+    spec, p = parse_problem(
+        "calculus lP\nforall U : Prop\nforall P : U -> Prop\nforall a : U\n"
+        "forall h : U -> U\nexists X : U\nforall c : P X\n"
+        "forall k : (y:U) P y -> P (h X)\nexists F : P X -> U\nunify F c = h X\n"
+    )
+    s = parse_substitution("X := h a\nF := [x:P (h a)]a\n", p.qctx)
+    seen: list[Term] = []
+
+    def spy(t):
+        seen.append(t)
+        return beta_eta_normalize(t)
+
+    monkeypatch.setattr(typecheck, "beta_eta_normalize", spy)
+    image = subst_well_typed(s, p.qctx, spec)
+    kept = [d.ty for d in image if not isinstance(d.ty, (Var, Sort))]
+    assert len(kept) == 4  # P, h, c and k
+    assert seen and not [t for t in seen if any(t is ty for ty in kept)]
 
 
 # ------------- elementarity -------------

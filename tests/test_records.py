@@ -37,6 +37,7 @@ from cubematch.cli import Verdict
 from cubematch.encodings import ArtifactKind
 from cubematch.record import Record
 from cubematch.syntax import parse_problem_file
+from cubematch.terms import Pi, lower
 from cubematch.typecheck import PP, PT, TT
 from match_walks import Abstraction, Atomic, Product
 
@@ -184,6 +185,22 @@ def test_substitution_rebuilds_its_tables_and_does_not_pickle_them() -> None:
         assert c._by_pos is not s._by_pos
         assert c.triple_at(1) == TRIPLE and c.triple_at(0) is None
         assert [c.slots_before(q) for q in range(3)] == [0, 1, 1] and c.image_len == 1
+
+
+def test_a_kept_lowered_codomain_changes_no_record() -> None:
+    # g : U -> U -> U; lowering its type's products fills a slot in each,
+    # which no record shows, compares, hashes or pickles
+    fresh, filled = GoldfarbShapes.standard(), copy.deepcopy(GoldfarbShapes.standard())
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    ty = filled.qctx.decls[2].ty
+    while type(ty) is Pi:
+        lower(ty)
+        ty = ty.cod
+    assert hasattr(filled.qctx.decls[2].ty, "_low")
+    assert repr(filled) == repr(fresh) and filled == fresh and hash(filled) == hash(fresh)
+    assert [pickle.dumps(filled, p) for p in protocols] == [pickle.dumps(fresh, p) for p in protocols]
+    for c in (copy.deepcopy(filled), *(pickle.loads(pickle.dumps(filled, p)) for p in protocols)):
+        assert c == fresh and not hasattr(c.qctx.decls[2].ty, "_low")
 
 
 def test_eq_and_hash_ignore_display_names() -> None:

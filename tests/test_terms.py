@@ -25,6 +25,7 @@ from cubematch.terms import (
     app,
     arrow,
     free_indices,
+    lower,
     node_count,
     pick_fresh,
     shift,
@@ -289,12 +290,16 @@ def test_repr_is_pinned() -> None:
 @pytest.mark.parametrize("t", NODES, ids=lambda t: type(t).__name__)
 def test_fields_cannot_be_assigned_or_deleted(t) -> None:
     before, h = repr(t), hash(t)
-    for name in (*t.__match_args__, "_hash", "extra"):
+    if type(t) is Pi:
+        low = lower(t)
+    for name in (*t.__match_args__, "_hash", "_low", "extra"):
         with pytest.raises(AttributeError):
             setattr(t, name, PROP)
         with pytest.raises(AttributeError):
             delattr(t, name)
     assert repr(t) == before and hash(t) == h
+    if type(t) is Pi:
+        assert t._low is low
 
 
 def test_constructors_check_index_and_tag() -> None:
@@ -339,6 +344,59 @@ def test_copy_deepcopy_and_pickle_round_trip(t) -> None:
         assert repr(u) == repr(t)
         assert u == t and hash(u) == hash(t)
         assert _leaves(u) == _leaves(t)
+
+
+def test_a_lowered_codomain_is_computed_on_first_use_and_kept() -> None:
+    t = arrow(Var(1), App(Var(2), Var(0)))
+    dependent = Pi(PROP, App(Var(0), Var(3)))
+    assert not hasattr(t, "_low") and not hasattr(dependent, "_low")
+    low = lower(t)
+    assert low == App(Var(2), Var(0)) and t._low is low and lower(t) is low
+    assert lower(dependent) is None and dependent._low is None
+    # a codomain with no free index is handed back as itself
+    closed = Pi(Var(0), Lam(PROP, Var(0)))
+    assert lower(closed) is closed.cod
+
+
+_LOWERED = [
+    arrow(Var(1), App(Var(2), Var(0)), "x"),
+    Pi(PROP, App(Var(0), Var(3)), "p"),
+    Lam(Pi(PROP, Var(0), "p"), arrow(Var(0), Var(1)), "f"),
+]
+
+
+@pytest.mark.parametrize("build", range(len(_LOWERED)))
+def test_a_filled_lowered_codomain_is_invisible(build) -> None:
+    """A product whose lowered codomain is kept behaves as a fresh one:
+    the same repr, ==, hash and pickled bytes, and no copy carries it."""
+    fresh, filled = _LOWERED[build], copy.deepcopy(_LOWERED[build])
+    products = [u for u in _nodes(filled) if type(u) is Pi]
+    assert products
+    for u in products:
+        lower(u)
+        assert hasattr(u, "_low")
+    assert repr(filled) == repr(fresh)
+    assert filled == fresh and fresh == filled and hash(filled) == hash(fresh)
+    for p in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(filled, p) == pickle.dumps(fresh, p)
+    # copy.copy rebuilds the root alone and shares its fields; the others
+    # rebuild every node
+    shallow = copy.copy(filled)
+    deep = [copy.deepcopy(filled)]
+    deep += [pickle.loads(pickle.dumps(filled, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    kept = {id(u) for u in products}
+    for u in [shallow, *deep]:
+        assert repr(u) == repr(fresh) and u == fresh and hash(u) == hash(fresh)
+        rebuilt = [v for v in _nodes(u) if type(v) is Pi and id(v) not in kept]
+        assert all(not hasattr(v, "_low") for v in rebuilt)
+        assert len(rebuilt) == (len(products) if u is not shallow else type(u) is Pi)
+
+
+def _nodes(t: Term) -> list[Term]:
+    match t:
+        case App(a, b) | Lam(a, b) | Pi(a, b):
+            return [t, *_nodes(a), *_nodes(b)]
+    return [t]
 
 
 def _leaves(t: Term) -> list[int]:
