@@ -22,13 +22,22 @@ read back at the depth of the image built so far.  Such an environment
 only grows as the image does, so `subst_well_typed` keeps one for a
 whole call, and `search.solve_bounded` one per branch of its walk;
 neither copies a declared type, and neither normalizes one twice.
+
+`subst_well_typed` walks in two parts that share one slot loop: the
+part that depends on the context alone, which escape-checks every
+declared type and walks the universal slots before the first unknown,
+and the rest, which goes on from it with the substitution.
+`solution_check(p, spec)` keeps the first part for one problem, so a
+caller that verifies many substitutions of it (`search.solve_bounded`)
+checks the problem's own facts once; `is_solution` is one call of a
+fresh checker.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import reduce
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .errors import (
     NotAType,
@@ -350,20 +359,66 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
     scope sort-checks and the image holds, which on a well-formed qctx is
     the verdict on the copy: a well-typed substitution keeps a type's
     sort, and so does normalizing.  A declared type with a free index
-    past its prefix raises ValueError.
+    past its prefix raises ValueError when the walk reaches its slot.
+
+    The walk runs in two parts: `_checked_prefix`, which depends on qctx
+    alone, and the rest of the slots, walked on from it with s; the same
+    parts serve `solution_check`, which runs the first once per problem.
     """
     if s.qctx != qctx:
         raise ValueError("substitution was built for a different context")
-    scope = Scope((), spec)
-    image: list[QDecl] = []
-    env: tuple = ()  # one entry per slot before q, innermost first
-    for q, d in enumerate(qctx.decls):
+    scope, image, env, first, end, escape = _checked_prefix(qctx, spec)
+    image = list(image)
+    _walk_slots(qctx, s._by_pos, scope, image, env, first, end)
+    if escape is not None:
+        raise ValueError(escape)
+    return QContext(tuple(image))
+
+
+def _checked_prefix(qctx: QContext, spec: CubeSpec) -> tuple:
+    """The part of `subst_well_typed`'s walk that no substitution changes.
+
+    Every declared type is checked for a free index past its prefix; the
+    first slot that has one ends the walk, which raises its message there.
+    The universal slots before the first existential one are walked as
+    `_walk_slots` walks any kept slot: no substitution binds them or a
+    slot before them.  Returns (scope, image, env, first, end, escape):
+    the typing scope, image and environment after those slots, the first
+    slot left to walk, the slot the walk ends before, and the escape
+    message there, or None.  An ill-sorted slot among them raises the
+    SubstitutionError that every substitution meets.
+    """
+    decls = qctx.decls
+    end, escape = len(decls), None
+    for q, d in enumerate(decls):
         escaping = [i for i in free_indices(d.ty) if i >= q]
         if escaping:
-            raise ValueError(
-                f"index {max(escaping)} escapes the quantified context ({q} slots)"
-            )
-        tr = s.triple_at(q)
+            end = q
+            escape = f"index {max(escaping)} escapes the quantified context ({q} slots)"
+            break
+    first = next((q for q in range(end) if decls[q].quant is Quant.EXISTS), end)
+    scope = Scope((), spec)
+    image: list[QDecl] = []
+    env = _walk_slots(qctx, {}, scope, image, (), 0, first)
+    return scope, tuple(image), env, first, end, escape
+
+
+def _walk_slots(
+    qctx: QContext,
+    bound: dict[int, SubstTriple],
+    scope: Scope,
+    image: list[QDecl],
+    env: tuple,
+    start: int,
+    stop: int,
+) -> tuple:
+    """Walk qctx's slots start..stop-1, each bound one to its triple in
+    bound, growing scope and image; env binds the slots before start,
+    innermost first, and the one binding the slots before stop is
+    returned."""
+    for q in range(start, stop):
+        d = qctx.decls[q]
+        tr = bound.get(q)
         if tr is None:
             ty_img = normalize_under(d.ty, env, len(image))
             try:
@@ -406,7 +461,7 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
                 check="instantiation",
             )
         env = (replacement_entry(tr.term, tuple(range(img - 1, -1, -1))),) + env
-    return QContext(tuple(image))
+    return env
 
 
 class OrderValue(Record):
@@ -546,15 +601,56 @@ def is_solution(s: Substitution, p: Problem, spec: CubeSpec) -> bool:
     injective.  A matching problem's right side, which mentions no bound
     slot, is compared as written and normalized only if the left side's
     normal form differs from it (`sides_convert`).  The well-typedness
-    check reads in the image's numbering.
+    check reads in the image's numbering.  This is one call of a fresh
+    `solution_check(p, spec)`; a caller that checks many substitutions
+    for one problem keeps the checker instead.
     """
-    if s.qctx != p.qctx:
-        raise ValueError("substitution was built for a different context")
-    try:
-        subst_well_typed(s, p.qctx, spec)
-    except SubstitutionError:
-        return False
-    return sides_convert(p, comparison_env(s))
+    return solution_check(p, spec)(s)
+
+
+def solution_check(p: Problem, spec: CubeSpec) -> Callable[[Substitution], bool]:
+    """`is_solution` for p under spec, as a function of the substitution
+    that checks p's own facts once.
+
+    Its first call walks the part of `subst_well_typed` that depends on
+    p.qctx alone (`_checked_prefix`: the escape check of every declared
+    type, and the universal slots before the first unknown, normalized
+    and sorted) and keeps the outcome: the prefix, which every later call
+    goes on from, or the SubstitutionError that makes every check False.
+    Each call still types each replacement against its target, sorts the
+    kept slots after the prefix, raises an escaping index when the walk
+    reaches its slot, and converts the sides under `comparison_env`.
+    The prefix's fuel is spent once, by the first call, not once per
+    call.
+    """
+    prefix: tuple | None = None
+
+    def check(s: Substitution) -> bool:
+        nonlocal prefix
+        if s.qctx != p.qctx:
+            raise ValueError("substitution was built for a different context")
+        if prefix is None:
+            try:
+                prefix = _checked_prefix(p.qctx, spec)
+            except SubstitutionError:
+                prefix = ()  # ill-sorted under spec, whatever s binds
+        if not prefix:
+            return False
+        # walk on from the prefix in its scope, and leave that as found
+        scope, image, env, first, end, escape = prefix
+        depth = len(scope.tys)
+        try:
+            _walk_slots(p.qctx, s._by_pos, scope, list(image), env, first, end)
+        except SubstitutionError:
+            return False
+        finally:
+            while len(scope.tys) > depth:
+                scope.pop()
+        if escape is not None:
+            raise ValueError(escape)
+        return sides_convert(p, comparison_env(s))
+
+    return check
 
 
 def sides_convert(p: Problem, env: tuple) -> bool:

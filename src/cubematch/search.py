@@ -26,7 +26,9 @@ and a matching problem's right side is compared as written first
 (`problems.sides_convert`).
 Before conversion under that environment, a leaf goes through
 `reduction.rigid_clash`, a cheap rigid-spine refutation of its two sides
-on the normalizer's own machine.
+on the normalizer's own machine.  A leaf whose sides convert is verified
+with one `problems.solution_check` per call, which checks the problem's
+own facts once, not once per found solution.
 
 Size here counts choice nodes: abstraction domains are dictated by the
 target type and cost nothing, everything else costs one node.
@@ -41,9 +43,9 @@ from .problems import (
     Substitution,
     comparison_env,
     comparison_levels,
-    is_solution,
     replacement_entry,
     sides_convert,
+    solution_check,
 )
 from .record import Record
 from .reduction import beta_eta_normalize, instantiate, normalize_under, rigid_clash
@@ -238,10 +240,15 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     rigid-spine refutation that rejects most leaves without normalizing
     them, then through conversion; both draw on the same `with Fuel(...)`
     budget and spend what they would on substituted copies.  Only a leaf
-    whose sides convert becomes a Substitution, verified in full with
-    is_solution, so every returned solution is re-verified.  Testing
-    conversion first drops no solution: each candidate was checked against
-    its slot's instantiated type, so every assignment is well-typed.
+    whose sides convert becomes a Substitution, verified with the call's
+    `solution_check`, so every returned solution is re-verified: the
+    problem's own facts, the escape check of every declared type and the
+    universal slots before the first unknown, once per call, and every
+    check that depends on the assignment once per solution.  So a redex in
+    the type of such a slot spends its fuel once in the check, not once
+    per found solution.  Testing conversion first drops no solution: each
+    candidate was checked against its slot's instantiated type, so every
+    assignment is well-typed.
 
     Sound but deliberately incomplete beyond the budget.  The result order
     sorts by largest component first, so enlarging the size budget only
@@ -251,6 +258,7 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     ex_positions = p.qctx.existential_positions()
     last = len(ex_positions) - 1
     found: list[Substitution] = []
+    is_solution = solution_check(p, spec)
     scope = Scope((), spec)
     cand_cache: dict[tuple[tuple[Term, ...], Term], list[tuple[Term, int]]] = {}
     # level -> leaves: (the entries inside and outside the last unknown's,
@@ -268,7 +276,7 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
         if not sides_convert(p, env):
             return
         s = substitution(chosen)
-        if is_solution(s, p, spec):
+        if is_solution(s):
             found.append(s)
 
     def walk(walked: tuple, chosen: tuple[Term, ...], level: int) -> None:

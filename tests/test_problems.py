@@ -445,6 +445,11 @@ SHORTCUT = {
         _UABH + "exists F : U -> U\nunify F a = F b\n",
         [("F := [x:U]b", True), ("F := [x:U]x", False), ("F := [x:U]([y:U]y) a", True)],
     ),
+    # a universal slot before the unknown whose type holds a redex
+    "redex-typed": (
+        _UABH.replace("h : U -> U", "h : ([x:U]U -> U) a") + "exists F : U -> U\nmatch F a = h a\n",
+        [("F := [x:U]h a", True), ("F := [x:U]h x", True), ("F := [x:U]a", False)],
+    ),
 }
 
 
@@ -473,16 +478,33 @@ def test_is_solution_spends_as_the_copying_oracle(name) -> None:
             assert got == _outcome(lambda: old.is_solution(s, p, spec), steps), (line, steps)
 
 
+# (name, size, max_solutions) -> the steps the oracle and solve_bounded
+# spend of 10**6, where the two differ.  The oracle verifies each found
+# solution in full, so it reads the redex in h's type once per found
+# solution; solve_bounded reads it once per call (`solution_check`).
+FEWER_STEPS = {
+    ("redex-typed", 5, 1): (13, 12),
+    ("redex-typed", 5, 16): (13, 12),
+    ("redex-typed", 6, 1): (13, 12),
+    ("redex-typed", 6, 16): (16, 15),
+}
+
+
 @pytest.mark.parametrize("name", list(SHORTCUT))
 def test_solve_bounded_spends_as_the_copying_oracle(name) -> None:
     spec, p = parse_problem(SHORTCUT[name][0])
-    for size in (3, 5):
+    for size in (3, 5, 6):
         for max_solutions in (1, 16):
             budget = SearchBudget(size, max_solutions)
+            fewer = FEWER_STEPS.get((name, size, max_solutions))
             for steps in (1, 3, 10, 10**6):
                 got = _outcome(lambda: solve_bounded(p, budget, spec), steps)
                 want = _outcome(lambda: old.solve_bounded(p, budget, spec), steps)
-                assert got == want, (size, max_solutions, steps)
+                if fewer is None or steps < fewer[1]:
+                    assert got == want, (size, max_solutions, steps)
+                else:
+                    assert got[0] == want[0], (size, max_solutions, steps)
+                    assert (steps - want[1], steps - got[1]) == fewer
 
 
 @pytest.mark.parametrize(
@@ -574,6 +596,70 @@ def test_a_kept_slots_type_is_normalized_once(monkeypatch) -> None:
     kept = [d.ty for d in image if not isinstance(d.ty, (Var, Sort))]
     assert len(kept) == 4  # P, h, c and k
     assert seen and not [t for t in seen if any(t is ty for ty in kept)]
+
+
+# ------------- a problem's own facts checked once per solve call -------------
+
+
+def test_a_problems_own_facts_are_checked_once_per_solve_call(monkeypatch) -> None:
+    # U, a, b and h come before the unknown: whatever F is bound to, their
+    # types read the same, so one solve_bounded call sorts each of them once
+    # and escape-checks each declared type once, however many solutions it
+    # verifies
+    spec, p = parse_problem(
+        _UABH.replace("h : U -> U", "h : ([x:U]U -> U) a") + "exists F : U -> U\nunify F a = F b\n"
+    )
+    first = p.qctx.existential_positions()[0]
+    prefix = [beta_eta_normalize(d.ty) for d in p.qctx.decls[:first]]
+    sorted_at: list[int] = []
+    checked: list[Term] = []
+    real_sort, real_free = typecheck.Scope.sort, problems.free_indices
+
+    def sort_spy(scope, T):
+        depth = len(scope.tys)
+        if depth < first and T == prefix[depth]:
+            sorted_at.append(depth)
+        return real_sort(scope, T)
+
+    def free_spy(t):
+        checked.append(t)
+        return real_free(t)
+
+    monkeypatch.setattr(typecheck.Scope, "sort", sort_spy)
+    monkeypatch.setattr(problems, "free_indices", free_spy)
+    found = solve_bounded(p, SearchBudget(5, 16), spec)
+    assert len(found) >= 3
+    assert sorted(sorted_at) == list(range(first))
+    assert [sum(t is d.ty for t in checked) for d in p.qctx.decls] == [1] * len(p.qctx)
+
+
+def test_a_context_ill_sorted_under_the_calculus_has_no_solutions(lp, stlc) -> None:
+    # P : U -> Prop needs lP's rule (Prop, Type); under stlc the search
+    # still reaches the leaf X := a, whose check rejects the context
+    spec, p = parse_problem(
+        "calculus lP\nforall U : Prop\nforall P : U -> Prop\nforall a : U\n"
+        "exists X : U\nmatch X = a\n"
+    )
+    assert [repr(s) for s in solve_bounded(p, SearchBudget(3, 4), lp)] == [
+        repr(parse_substitution("X := a\n", p.qctx))
+    ]
+    assert solve_bounded(p, SearchBudget(3, 4), stlc) == []
+    assert not is_solution(parse_substitution("X := a\n", p.qctx), p, stlc)
+
+
+def test_an_index_escaping_after_the_unknown_raises_from_the_search(lp) -> None:
+    # built directly, past make_problem: c : #3 over a three-slot prefix;
+    # the leaf X := a converts, and its check reaches c
+    qctx = _q(
+        (Quant.FORALL, PROP, "U"),
+        (Quant.FORALL, Var(0), "a"),
+        (Quant.EXISTS, Var(1), "X"),
+        (Quant.FORALL, Var(3), "c"),
+    )
+    p = problems.Problem(qctx, Var(1), Var(2), ProblemKind.MATCHING, Var(3), INFINITE)
+    with pytest.raises(ValueError) as e:
+        solve_bounded(p, SearchBudget(3, 4), lp)
+    assert str(e.value) == "index 3 escapes the quantified context (3 slots)"
 
 
 # ------------- elementarity -------------
