@@ -57,7 +57,6 @@ from .typecheck import (
     check_type,
     cube_spec,
     infer_type,
-    sort_of,
     wf_context,
 )
 from .problems import (

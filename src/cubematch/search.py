@@ -9,8 +9,8 @@ at its exact size.  Generation is goal-directed and memoised: a head is
 expanded only if its product chain can end in the target, and each
 sub-enumeration runs once per generation, keyed by the identities of its
 target and of the binder types pushed above the declared ones.  Every
-result is re-verified with the typechecker before being returned, and
-the output order is deterministic: size first, then the printed form.
+result is well typed by construction, so none is typed again, and the
+output order is deterministic: size first, then the printed form.
 
 `solve_bounded` walks the declarations in one typing scope over the image
 of the assignment so far and copies none of them: an unknown's target
@@ -83,10 +83,11 @@ def enumerate_candidates(
     qctx: QContext, T: Term, budget: SearchBudget, spec: CubeSpec
 ) -> list[Term]:
     """All eta-long beta-normal inhabitants of T over the universal slots,
-    within the size budget, verified, in deterministic order.
+    within the size budget, in deterministic order.
 
-    Builds a typing scope over qctx, which holds the declared types
-    normalized, normalizes T, and generates in them with `_inhabitants`.
+    qctx and T are trusted, as `check_type` trusts its T.  Builds a scope
+    over qctx, which holds the declared types normalized, normalizes T,
+    and generates in them with `_inhabitants`.
     """
     target = beta_eta_normalize(T)
     scope = Scope(qctx.plain().decls, spec)
@@ -100,8 +101,9 @@ def _inhabitants(
     but for the positions in unknowns; the scope's slots are left as found.
 
     Generation runs size by size and builds each candidate once, at its
-    exact size, in scope, which then typechecks every candidate against
-    target; each size's batch is sorted by its printed form.  Generation
+    exact size, in scope; each size's batch is sorted by its printed form.
+    Each candidate is well typed by construction, so none is typed again:
+    a property test types them, with the typechecker as oracle.  Generation
     trusts every target and head type derived from the scope's types and
     target to be normal.  A generated product domain is the exception: an
     eta-long domain such as (P [x:U](h x)) holds an eta redex, so it is
@@ -202,8 +204,7 @@ def _inhabitants(
 
     found: list[Term] = []
     for size in range(1, budget.max_term_size + 1):
-        batch = sorted(gen(target, size), key=describe)
-        found.extend(cand for cand in batch if scope.check(cand, target))
+        found.extend(sorted(gen(target, size), key=describe))
     return found
 
 
@@ -247,8 +248,8 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     check that depends on the assignment once per solution.  So a redex in
     the type of such a slot spends its fuel once in the check, not once
     per found solution.  Testing conversion first drops no solution: each
-    candidate was checked against its slot's instantiated type, so every
-    assignment is well-typed.
+    candidate is well typed by construction against its slot's
+    instantiated type, so every assignment is well-typed.
 
     Sound but deliberately incomplete beyond the budget.  The result order
     sorts by largest component first, so enlarging the size budget only

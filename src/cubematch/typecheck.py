@@ -14,10 +14,10 @@ abstraction passes its own up, and the type Prop of a product or of Prop
 has sort Type.  It falls back to `Scope.sort` on the body's type only
 where that sort is not known: for a spine headed by an abstraction, a
 redex, for a body whose type is Type, which has none and so fails there,
-and for a spine headed by a trusted slot (one a `Scope` is built over, or
-a binder or declared slot `search` enters with `Scope.push`) that keeps
-no sort yet.  That sort is then kept in the trusted slot, so it is found
-at most once per slot.  Every other subterm is typed without its sort.
+and for a spine headed by a trusted slot (one a `Scope` is built over)
+that keeps no sort yet.  That sort is then kept in the trusted slot, so
+it is found at most once per slot.  Every other subterm is typed without
+its sort.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "wf_context",
     "infer_type",
     "check_type",
-    "sort_of",
 ]
 
 SortPair = tuple[str, str]
@@ -155,11 +154,6 @@ class Context(Record):
         return Context(self.decls + (Decl(ty, name),))
 
 
-def sort_of(ctx: Context, T: Term, spec: CubeSpec) -> Sort:
-    """The sort of T (Prop or Type); errors when T is not a type."""
-    return Scope(ctx.decls, spec).sort(T)
-
-
 def wf_context(ctx: Context, spec: CubeSpec) -> Scope:
     """Every declared type must be well-sorted in its prefix.
 
@@ -207,13 +201,13 @@ def check_type(ctx: Context, t: Term, T: Term, spec: CubeSpec) -> bool:
 class Scope:
     """One typing context, grown by declaring types, and the queries on it.
 
-    The package does its typing in these.  `sort_of`, `infer_type` and
-    `check_type` use one per call; `wf_context`, `make_problem`,
-    `subst_well_typed`, `enumerate_candidates` and `solve_bounded` keep one
-    for a whole walk over many declarations, sides or candidates, so each
-    declared type is normalized once however often it is looked up.  The
-    operations are `declare` (sort check, then push the normal form),
-    `infer` and `check`.
+    The package does its typing in these.  `infer_type` and `check_type`
+    use one per call; `wf_context`, `make_problem` and `subst_well_typed`
+    keep one for a whole walk over many declarations or sides, so each
+    declared type is normalized once however often it is looked up.
+    `search` generates its candidates over one, reading its slots' types
+    with `lookup`, and types nothing in it.  The operations are `declare`
+    (sort check, then push the normal form), `sort`, `infer` and `check`.
 
     Every slot holds a normal type: the constructor normalizes the caller's
     trusted types, and every later slot is pushed normal.  A slot entered

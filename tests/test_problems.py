@@ -645,6 +645,18 @@ def test_a_context_ill_sorted_under_the_calculus_has_no_solutions(lp, stlc) -> N
     ]
     assert solve_bounded(p, SearchBudget(3, 4), stlc) == []
     assert not is_solution(parse_substitution("X := a\n", p.qctx), p, stlc)
+    # F : Prop -> Prop needs lw's rule (Type, Type); under stlc its
+    # candidates are still generated, none is typed, and the check of
+    # every leaf that converts rejects it
+    spec, p = parse_problem(
+        "calculus lw\nforall A : Prop\nexists F : Prop -> Prop\nmatch F A = A\n"
+    )
+    found = ["F := [x:Prop]x\n", "F := [x:Prop]A\n"]
+    assert solve_bounded(p, SearchBudget(3, 4), spec) == [
+        parse_substitution(text, p.qctx) for text in found
+    ]
+    assert solve_bounded(p, SearchBudget(3, 4), stlc) == []
+    assert not is_solution(parse_substitution(found[0], p.qctx), p, stlc)
 
 
 def test_an_index_escaping_after_the_unknown_raises_from_the_search(lp) -> None:

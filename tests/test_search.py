@@ -26,7 +26,7 @@ from cubematch.reduction import Fuel, beta_eta_normalize
 from cubematch.search import SearchBudget, decision_size, enumerate_candidates, solve_bounded
 from cubematch.terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, arrow, describe, shift, subst
 from cubematch.syntax import parse_problem, parse_term, print_substitution
-from cubematch.typecheck import check_type, cube_spec, sort_of, wf_context
+from cubematch.typecheck import PRESETS, Scope, check_type, cube_spec, wf_context
 from conftest import FIXTURES
 from termgen import random_elementary_problem
 
@@ -203,8 +203,10 @@ def test_dependent_head_codomains_match_normalizing_every_codomain(lp) -> None:
 # Optional declarations after U : Prop, in context order, in surface syntax.
 # F is an unknown and never a head; p is a dependent head; k takes a product
 # argument before another argument; m and n take arguments whose types
-# differ only in their binder hints; in lw the declarations over P are
-# ill-formed and dropped.
+# differ only in their binder hints; i and t take a type argument, and r a
+# type and a term its codomain depends on; T and R are type constructors.
+# A declaration ill-formed in the drawn calculus is dropped, such as those
+# over P in lw, and those over Prop in lP.
 SIGNATURE_POOL = (
     (Quant.FORALL, "a", "U"),
     (Quant.EXISTS, "F", "U -> U"),
@@ -216,8 +218,25 @@ SIGNATURE_POOL = (
     (Quant.FORALL, "c", "P a"),
     (Quant.FORALL, "m", "((u:U) U) -> U"),
     (Quant.FORALL, "n", "((v:U) U) -> U"),
+    (Quant.FORALL, "i", "(X:Prop) X -> X"),
+    (Quant.FORALL, "T", "Prop -> Prop"),
+    (Quant.FORALL, "t", "(X:Prop) T X"),
+    (Quant.FORALL, "R", "(X:Prop) X -> Prop"),
+    (Quant.FORALL, "r", "(X:Prop)(x:X) R X x"),
 )
-TARGETS = ("U", "U -> U", "(U -> U) -> U", "P a", "(x:U) P (f x)", "Prop", "Prop -> Prop")
+TARGETS = (
+    "U",
+    "U -> U",
+    "(U -> U) -> U",
+    "P a",
+    "(x:U) P (f x)",
+    "Prop",
+    "Prop -> Prop",
+    "T U",
+    "(X:Prop) X -> X",
+    "R U a",
+    "(X:Prop) T X",
+)
 
 
 def _signature(picks: list[bool], spec) -> QContext:
@@ -238,7 +257,7 @@ def _signature(picks: list[bool], spec) -> QContext:
 @settings(deadline=None)
 @given(
     picks=st.lists(st.booleans(), min_size=len(SIGNATURE_POOL), max_size=len(SIGNATURE_POOL)),
-    calculus=st.sampled_from(("lP", "lw", "coc")),
+    calculus=st.sampled_from(tuple(PRESETS)),
     target=st.sampled_from(TARGETS),
     size=st.integers(1, 6),
 )
@@ -251,20 +270,23 @@ def test_exact_size_enumeration_matches_normalizing_every_codomain(
     picks: list[bool], calculus: str, target: str, size: int
 ) -> None:
     """Generation by exact size gives the reference's list, order and hints
-    included.  The first example catches a term yielded while its binder is
-    still pushed: k's argument [x:U]... then reaches a caller that builds
-    k's next argument under x, and only a of the three candidates is left.
+    included, and every candidate is well typed: the typechecker is the
+    oracle, since generation does not type its candidates.  The first
+    example catches a term yielded while its binder is still pushed: k's
+    argument [x:U]... then reaches a caller that builds k's next argument
+    under x, and only a of the three candidates is left.
     The last catches a memo blind to hints: n's argument [v:U]... must not
     be handed m's [u:U]..., which `==` does not tell apart."""
     spec = cube_spec(calculus)
     q = _signature(picks, spec)
     try:
         T = parse_term(target, [d.name for d in q])
-        sort_of(q.plain(), T, spec)
+        Scope(q.plain().decls, spec).sort(T)
     except CubeError:
         assume(False)
     budget = SearchBudget(size, 8)
     got = enumerate_candidates(q, T, budget, spec)
+    assert all(check_type(q.plain(), c, T, spec) for c in got)
     assert repr(got) == repr(_enumerate_normalizing_every_codomain(q, T, budget, spec))
 
 
@@ -565,8 +587,18 @@ def test_leaves_spend_as_the_copying_path_on_random_problems() -> None:
                 6: [(10, 8), (57, 55), (57, 55)],
             },
         ),
+        # t's codomain depends on its argument: generation instantiates it
+        # at [x:U]x and at [x:U]a, one beta step each at every size from 4
+        # on, and the one solution's check spends one more; neither
+        # candidate is typed again, which would spend one step each (5, 7
+        # and 9 steps at sizes 4, 5 and 6)
+        (
+            "calculus lP\nforall U : Prop\nforall a : U\nforall P : U -> Prop\n"
+            "forall t : (F:U -> U) P (F a)\nexists X : P a\nmatch X = t ([x:U]x)\n",
+            {3: [(0, 0)] * 3, 4: [(3, 3)] * 3, 5: [(5, 5)] * 3, 6: [(7, 7)] * 3},
+        ),
     ],
-    ids=["type-mentions-an-unknown", "redex-between-unknowns"],
+    ids=["type-mentions-an-unknown", "redex-between-unknowns", "dependent-head"],
 )
 def test_the_walk_finds_what_the_copying_path_finds(text, spent) -> None:
     # the same solutions in the same order at every size and max_solutions;

@@ -35,7 +35,6 @@ from cubematch.typecheck import (
     check_type,
     cube_spec,
     infer_type,
-    sort_of,
     wf_context,
 )
 from termgen import base_context, random_well_typed
@@ -58,7 +57,7 @@ def test_prop_prop_is_mandatory() -> None:
 
 def test_axiom_prop_in_type() -> None:
     assert infer_type(Context(), PROP, cube_spec("stlc")) == TYPE
-    assert sort_of(Context(), PROP, cube_spec("stlc")) == TYPE
+    assert Scope((), cube_spec("stlc")).sort(PROP) == TYPE
 
 
 def test_type_has_no_type() -> None:
@@ -102,7 +101,7 @@ def test_application_types_by_substitution(lp) -> None:
         .extended(Var(0), "a")
         .extended(arrow(Var(1), PROP), "P")
     )
-    assert sort_of(ctx, App(Var(0), Var(1)), lp) == PROP
+    assert Scope(ctx.decls, lp).sort(App(Var(0), Var(1))) == PROP
 
 
 def test_infer_the_constructed_unknown_type(lp) -> None:
@@ -133,7 +132,7 @@ def test_check_type_converts(lp) -> None:
 def test_sort_of_rejects_plain_terms(lp) -> None:
     ctx = Context().extended(PROP, "U").extended(Var(0), "a")
     with pytest.raises(NotAType):
-        sort_of(ctx, Var(0), lp)
+        Scope(ctx.decls, lp).sort(Var(0))
 
 
 def test_application_argument_mismatch(lp) -> None:

@@ -43,7 +43,7 @@ from cubematch.reduction import (
 )
 from cubematch.terms import PROP, TYPE, App, Lam, Pi, Term, Var, app, arrow, free_indices, shift, subst
 from cubematch.syntax import parse_problem, parse_term
-from cubematch.typecheck import PRESETS, check_type, infer_type, sort_of, wf_context
+from cubematch.typecheck import PRESETS, Scope, check_type, infer_type, wf_context
 from conftest import FIXTURES
 from termgen import base_context, random_elementary_problem, random_well_typed
 from test_kernel_invariants import _expand_domains, _expanded_context, _swap_argument
@@ -412,7 +412,7 @@ def _nested_abstraction(rng: Random) -> Term:
 @settings(deadline=None, max_examples=500)
 @given(randoms, specs)
 def test_typing_nested_abstractions_agrees_with_the_oracle(rng, spec_name) -> None:
-    """infer_type, check_type and sort_of give the oracle's type, or raise
+    """infer_type, check_type and Scope.sort give the oracle's type, or raise
     its error, where the abstractions take their bodies' sorts from
     synthesis and the oracle sorts each body's type again."""
     ctx, spec = _expanded_context(rng), PRESETS[spec_name]
@@ -421,7 +421,7 @@ def test_typing_nested_abstractions_agrees_with_the_oracle(rng, spec_name) -> No
         t = _expand_domains(t, BASE, rng)
     want = _outcome(old.infer_type, ctx, t, spec)
     assert _outcome(infer_type, ctx, t, spec) == want
-    assert _outcome(sort_of, ctx, t, spec) == _outcome(old._Scope(ctx, spec, None).sort, t)
+    assert _outcome(Scope(ctx.decls, spec).sort, t) == _outcome(old._Scope(ctx, spec, None).sort, t)
     if isinstance(want, str):
         ty = old.infer_type(ctx, t, spec)
         assert check_type(ctx, t, ty, spec)
