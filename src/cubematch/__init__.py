@@ -70,7 +70,6 @@ from .problems import (
     SubstTriple,
     Substitution,
     apply_subst,
-    is_closed,
     is_solution,
     is_term_elementary,
     is_type_elementary,
@@ -85,7 +84,6 @@ from .encodings import (
     build_erratum,
     build_thm1,
     build_thm2_invalid,
-    erratum_witness,
     goldfarb_numeral,
     goldfarb_solution_shapes,
     goldfarb_tpl,

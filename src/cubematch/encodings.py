@@ -64,7 +64,6 @@ __all__ = [
     "thm1_witness",
     "thm1_extract",
     "build_erratum",
-    "erratum_witness",
     "build_thm2_invalid",
     "goldfarb_numeral",
     "goldfarb_tpl",
@@ -293,7 +292,7 @@ def thm1_witness(tau: Substitution, art: ReductionArtifact) -> Substitution:
     return _transport_witness(tau, art)
 
 
-def erratum_witness(tau: Substitution, art: ReductionArtifact) -> Substitution:
+def _erratum_witness(tau: Substitution, art: ReductionArtifact) -> Substitution:
     """Same transport for the corrected polymorphic encoding."""
     if art.kind is not ArtifactKind.ERRATUM_THM2:
         raise ValueError("artifact was not built by build_erratum")

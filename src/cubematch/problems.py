@@ -9,19 +9,21 @@ substituted terms live in the image context.
 The reduction machine reads a substitution's effect without a copy,
 under an environment that binds each bound slot to its replacement
 (`replacement_entry`), in one of two numberings.  `comparison_env` reads
-in the problem's own numbering: a kept slot reads back as its own index,
-so a side that is normal and mentions no bound slot reads back as
-itself.  `is_solution` and `search` compare two sides under it with
-`sides_convert`; since the numbering is injective, their verdicts are
-those of the image copies.  A matching problem's right side mentions no
-unknown, so `sides_convert` compares it as written with the left side's
-normal form and normalizes it only when the two differ.
+in the problem's own numbering: a kept slot q of L is the level q - L,
+which reads back as its own index, so a side that is normal and mentions
+no bound slot reads back as itself.  `is_solution` compares two sides
+under it with `sides_convert`; since the numbering is injective, its
+verdicts are those of the image copies.  `search.solve_bounded` builds
+no substitution to get that environment: it walks in the problem's own
+numbering, and each leaf's environment is `comparison_env` of the leaf's
+assignment.  A matching problem's right side mentions no unknown, so
+`sides_convert` compares it as written with the left side's normal form
+and normalizes it only when the two differ.
 A typing scope over the image needs the image's numbering instead: a
 kept slot is its position in the image, 0 the outermost, and a type is
 read back at the depth of the image built so far.  Such an environment
 only grows as the image does, so `subst_well_typed` keeps one for a
-whole call, and `search.solve_bounded` one per branch of its walk;
-neither copies a declared type, and neither normalizes one twice.
+whole call and neither copies a declared type nor normalizes one twice.
 
 `subst_well_typed` walks in two parts that share one slot loop: the
 part that depends on the context alone, which escape-checks every
@@ -82,7 +84,6 @@ __all__ = [
     "INFINITE",
     "ProblemKind",
     "Problem",
-    "is_closed",
     "apply_subst",
     "subst_well_typed",
     "order",
@@ -253,14 +254,14 @@ def apply_subst(s: Substitution, t: Term) -> Term:
     return map_free(t, on_var)
 
 
-def replacement_entry(term: Term, levels: tuple[int, ...]) -> tuple | int:
+def replacement_entry(term: Term, env: tuple) -> tuple | int:
     """The environment entry that binds a slot to term, which lives over
-    the slots whose levels are `levels`, innermost first: a bare variable
-    is the level of the slot it names, so that no closure holds one, and
-    anything else the closure of the term over those levels."""
+    the slots that the environment env binds, innermost first: a bare
+    variable is what env binds it to, so that no closure holds one, and
+    anything else the closure of the term under env."""
     if type(term) is Var:
-        return levels[term.index]
-    return term, levels, len(levels)
+        return env[term.index]
+    return term, env, len(env)
 
 
 def comparison_levels(s: Substitution) -> dict[int, tuple[int, ...]]:
@@ -295,19 +296,16 @@ def comparison_levels(s: Substitution) -> dict[int, tuple[int, ...]]:
     return out
 
 
-def comparison_env(
-    s: Substitution, levels: dict[int, tuple[int, ...]] | None = None
-) -> tuple:
+def comparison_env(s: Substitution) -> tuple:
     """The environment that reads a term over s.qctx as its image under s,
     in the problem's own numbering, innermost first: a kept slot q is the
     level q - L, a bound slot the `replacement_entry` of its replacement
-    over its `comparison_levels`, which a caller that needs them too may
-    pass in.  Normalizing t under it takes the steps, and spends the fuel,
-    that normalizing apply_subst(s, t) does, and gives that normal form
-    with each image slot renumbered injectively; a normal t that mentions
-    no bound slot reads back as t itself, with nothing allocated."""
-    if levels is None:
-        levels = comparison_levels(s)
+    over its `comparison_levels`.  Normalizing t under it takes the steps,
+    and spends the fuel, that normalizing apply_subst(s, t) does, and gives
+    that normal form with each image slot renumbered injectively; a normal
+    t that mentions no bound slot reads back as t itself, with nothing
+    allocated."""
+    levels = comparison_levels(s)
     length = len(s.qctx)
     by_pos = s._by_pos
     return tuple(
@@ -316,7 +314,7 @@ def comparison_env(
     )
 
 
-def is_closed(t: Term, qctx: QContext) -> bool:
+def _is_closed(t: Term, qctx: QContext) -> bool:
     """Free slots all universal, with recursively closed declared types."""
     length = len(qctx)
     memo: dict[int, bool] = {}
@@ -572,7 +570,7 @@ def make_problem(qctx: QContext, a: Term, b: Term, spec: CubeSpec) -> Problem:
         raise ProblemError(
             f"sides have different types: {describe(ta)} vs {describe(tb)}"
         )
-    kind = ProblemKind.MATCHING if is_closed(b, qctx) else ProblemKind.UNIFICATION
+    kind = ProblemKind.MATCHING if _is_closed(b, qctx) else ProblemKind.UNIFICATION
     orders = [
         _order(scope.tys[q], qctx.prefix(q))
         for q, d in enumerate(qctx.decls)

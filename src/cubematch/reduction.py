@@ -41,17 +41,20 @@ replaced slot is bound to the closure of its replacement and each kept
 slot to a level.  It takes the steps of normalizing the copy.  The levels
 may number the image's slots by position, 0 the outermost, read back at
 a depth of the image's length, so that the result lives over the image:
-`problems.subst_well_typed` and `search.solve_bounded` read an
-instantiated declared type this way, for a typing scope over the image,
-under one environment that grows by an entry per slot and serves every
-prefix.  Or they may number the slots any other way that gives no two
-image slots one level: the readback then differs only by that
-renumbering, and `==` and `rigid_clash` give the same verdicts.
-`search` converts each leaf, and `problems.is_solution` a substitution's
-two sides, under `problems.comparison_env`, which gives a kept slot the
-level that reads back as its own index in the problem, so a normal side
-that mentions no replaced slot is handed back as it is.  `instantiate`
-binds one slot.
+`problems.subst_well_typed` reads an instantiated declared type this way,
+for a typing scope over the image, under one environment that grows by
+an entry per slot and serves every prefix.  Or they may number the slots
+any other way that gives no two image slots one level: the readback then
+differs only by that renumbering, and `==` and `rigid_clash` give the
+same verdicts.  `problems.comparison_env` gives a kept slot q of a
+problem's L slots the level q - L, which reads back at depth 0 as its own
+index in the problem, so a normal side that mentions no replaced slot is
+handed back as it is; `problems.is_solution` converts a substitution's
+two sides under it.  `search.solve_bounded` walks in that numbering: it
+reads a declared type over the problem's first q slots at the negative
+depth q - L, and converts each leaf under the same environment that
+`comparison_env` builds for the leaf's assignment.  `instantiate` binds
+one slot.
 
 `rigid_clash`, the test `search` puts each leaf through before conversion,
 compares two terms' rigid heads on the same machine, with the same steps
@@ -226,6 +229,9 @@ def normalize_under(t: Term, env: tuple, depth: int = 0) -> Term:
     default depth 0, a level -1 - j stands for slot j of the outer
     context; an environment whose levels are the positions of a context
     of k slots, 0 the outermost, reads back over that context at depth k.
+    Depth may be negative: `search.solve_bounded` binds a problem's slot
+    p of L to the level p - L and reads a type over its first q slots at
+    depth q - L, so that slot p reads back as the index q - 1 - p.
     No closure may hold a bare variable; bind its level instead.  The same
     steps are taken, and the same fuel spent, as in normalizing t with
     every bound index replaced by what it is bound to.

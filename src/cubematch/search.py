@@ -12,18 +12,19 @@ target and of the binder types pushed above the declared ones.  Every
 result is well typed by construction, so none is typed again, and the
 output order is deterministic: size first, then the printed form.
 
-`solve_bounded` walks the declarations in one typing scope over the image
-of the assignment so far and copies none of them: an unknown's target
-and a universal slot's type are read under an environment that binds the
-earlier unknowns to their candidates (`reduction.normalize_under`).  It
-tests the assignments level by level, a level being the size of an
+`solve_bounded` walks the declarations in one typing scope in the
+problem's own numbering and copies none of them: each unknown keeps a
+slot, which heads no candidate, and an unknown's target and a universal
+slot's type are read under an environment that binds the earlier
+unknowns to their candidates (`reduction.normalize_under`).  It tests
+the assignments level by level, a level being the size of an
 assignment's largest candidate, and stops after the first level that
-fills `max_solutions`.  A leaf is never a copy of the problem:
-its two sides are read under an environment that binds each unknown to
-its candidate, in the problem's own numbering (`problems.comparison_env`),
-so a side that is normal and mentions no unknown reads back as itself,
-and a matching problem's right side is compared as written first
-(`problems.sides_convert`).
+fills `max_solutions`.  A leaf is never a copy of the problem: its two
+sides are read under the walk's environment completed by the last
+unknown's candidate, which is the comparison environment of its
+assignment (`problems.comparison_env`), so a side that is normal and
+mentions no unknown reads back as itself, and a matching problem's
+right side is compared as written first (`problems.sides_convert`).
 Before conversion under that environment, a leaf goes through
 `reduction.rigid_clash`, a cheap rigid-spine refutation of its two sides
 on the normalizer's own machine.  A leaf whose sides convert is verified
@@ -41,8 +42,7 @@ from .problems import (
     QContext,
     SubstTriple,
     Substitution,
-    comparison_env,
-    comparison_levels,
+    apply_subst,
     replacement_entry,
     sides_convert,
     solution_check,
@@ -212,36 +212,35 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     """Assign enumerated candidates to the unknowns in declaration order
     and keep the assignments that verify as solutions.
 
-    The declarations are walked in order in one typing scope over the
-    image of the assignment so far: the universal slots, since each
-    unknown's slot is dropped.  Nothing is copied.  A declared type is read
-    under an environment that binds each earlier unknown to its
-    candidate's `replacement_entry` and each universal slot to its image
-    position, and read back over the image (`normalize_under` at the
-    image's depth).  A universal slot's type is pushed on the scope; an
-    unknown's is its target, whose candidates are generated in the scope
-    and cached by the scope's types and the target.  A type is read at
-    each walk node that reaches it, so a universal slot's type holding a
-    redex spends its fuel once per assignment of the unknowns before it.
-    At the last unknown, the comparison environment of the assignment so
-    far, completed by its first candidate, is built once per node, in the
-    problem's own numbering (`problems.comparison_env`), together with the
-    machine levels the last unknown's candidates are read over
-    (`problems.comparison_levels`); each candidate then makes one leaf,
-    that environment with the last unknown's entry bound to it over those
-    machine levels.  So every leaf's environment is the comparison
-    environment of its own assignment.  A leaf is recorded under its
-    level, the largest candidate size in its assignment.  The levels are
-    then tested in ascending order, and the search stops after the first
-    level at which max_solutions have been found; every solution of a
-    higher level would sort after them.
+    The declarations are walked in order in one typing scope in the
+    problem's own numbering, and nothing is copied.  Of the problem's L
+    slots, a universal slot q is bound to the level q - L and an earlier
+    unknown to its candidate's `replacement_entry`, whose closure is the
+    walk's own environment; a declared type over the first q slots is
+    read under that environment and read back at depth q - L
+    (`normalize_under`).  A universal slot's type is pushed on the scope.
+    An unknown's slot holds Prop, a constant that nothing reads: the slot
+    heads no candidate, and every type reads it as its candidate.  An
+    unknown's target is read the same way; its candidates are generated
+    in the scope and cached by the scope's types and the target.  A type
+    is read at each walk node that reaches it, so a universal slot's type
+    holding a redex spends its fuel once per assignment of the unknowns
+    before it.  A leaf's environment is the levels of the universal slots
+    after the last unknown, then the entry of the last unknown's
+    candidate, then the walk's environment: the comparison environment
+    of its own assignment (`problems.comparison_env`).  A leaf is
+    recorded under its level, the largest candidate size in its
+    assignment.  The levels are then tested in ascending order, and the
+    search stops after the first level at which max_solutions have been
+    found; every solution of a higher level would sort after them.
 
     A leaf reads both sides under its environment, as their images under
     the assignment, without copying them.  It goes first through a
     rigid-spine refutation that rejects most leaves without normalizing
     them, then through conversion; both draw on the same `with Fuel(...)`
     budget and spend what they would on substituted copies.  Only a leaf
-    whose sides convert becomes a Substitution, verified with the call's
+    whose sides convert becomes a Substitution, its candidates read over
+    the image with `apply_subst`, and is verified with the call's
     `solution_check`, so every returned solution is re-verified: the
     problem's own facts, the escape check of every declared type and the
     universal slots before the first unknown, once per call, and every
@@ -256,27 +255,28 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     appends; the list is cut at max_solutions.
     """
     decls = p.qctx.decls
+    length = len(decls)
     ex_positions = p.qctx.existential_positions()
     last = len(ex_positions) - 1
     found: list[Substitution] = []
     is_solution = solution_check(p, spec)
     scope = Scope((), spec)
     cand_cache: dict[tuple[tuple[Term, ...], Term], list[tuple[Term, int]]] = {}
-    # level -> leaves: (the entries inside and outside the last unknown's,
-    # the machine levels its candidates are read over, the earlier
-    # candidates), candidate
-    leaves: dict[int, list[tuple[tuple, Term]]] = {}
-
-    def substitution(chosen: tuple[Term, ...]) -> Substitution:
-        triples = (SubstTriple(q, QContext(), c) for q, c in zip(ex_positions, chosen))
-        return Substitution(p.qctx, tuple(triples))
+    # level -> leaves: (the environment of the slots before the last
+    # unknown, the earlier candidates, the last unknown's candidate)
+    leaves: dict[int, list[tuple[tuple, tuple[Term, ...], Term]]] = {}
 
     def test(env: tuple, chosen: tuple[Term, ...]) -> None:
         if rigid_clash(p.lhs, p.rhs, env):
             return
         if not sides_convert(p, env):
             return
-        s = substitution(chosen)
+        triples: list[SubstTriple] = []
+        for q, c in zip(ex_positions, chosen):
+            if triples:  # no unknown comes before the first one
+                c = apply_subst(Substitution(p.qctx.prefix(q), tuple(triples)), c)
+            triples.append(SubstTriple(q, QContext(), c))
+        s = Substitution(p.qctx, tuple(triples))
         if is_solution(s):
             found.append(s)
 
@@ -284,42 +284,42 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
         """Push the universal slots up to the next unknown and try its
         candidates; walked binds each slot before them, innermost first."""
         i = len(chosen)
-        start = img = len(scope.tys)
-        for q in range(len(walked), ex_positions[i]):
-            scope.push(normalize_under(decls[q].ty, walked, img))
-            walked = (img,) + walked
-            img += 1
-        target = normalize_under(decls[ex_positions[i]].ty, walked, img)
+        start, e = len(walked), ex_positions[i]
+        for q in range(start, e):
+            scope.push(normalize_under(decls[q].ty, walked, q - length))
+            walked = (q - length,) + walked
+        target = normalize_under(decls[e].ty, walked, e - length)
         key = (tuple(scope.tys), target)
         cands = cand_cache.get(key)
         if cands is None:
             cands = cand_cache[key] = [
-                (c, decision_size(c)) for c in _inhabitants(scope, target, budget)
+                (c, decision_size(c))
+                for c in _inhabitants(scope, target, budget, frozenset(ex_positions[:i]))
             ]
-        if cands and i == last:
-            s = substitution(chosen + (cands[0][0],))
-            over = comparison_levels(s)
-            env = comparison_env(s, over)
-            k = len(env) - 1 - ex_positions[i]
-            node = (env[:k], env[k + 1 :], over[ex_positions[i]], chosen)
+        if i == last:
             for cand, size in cands:
-                leaves.setdefault(max(level, size), []).append((node, cand))
-        elif cands:
-            levels = tuple(range(img - 1, -1, -1))
+                leaves.setdefault(max(level, size), []).append((walked, chosen, cand))
+        else:
+            # the unknown's slot heads no candidate, and every type reads it
+            # as its candidate; it holds a constant, not its target, so that
+            # the cache keys do not vary with the earlier candidates
+            scope.push(PROP)
             for cand, size in cands:
-                entry = replacement_entry(cand, levels)
+                entry = replacement_entry(cand, walked)
                 walk((entry,) + walked, chosen + (cand,), max(level, size))
-        for _ in range(start, img):
+            scope.pop()
+        for _ in range(start, e):
             scope.pop()
 
     if last < 0:
         test((), ())
     else:
         walk((), (), 0)
+        # the slots after the last unknown are universal: each is its level
+        tail = tuple(range(-1, ex_positions[last] - length, -1))
         for level in sorted(leaves):
-            for (inner, outer, over, chosen), cand in leaves[level]:
-                entry = replacement_entry(cand, over)
-                test(inner + (entry,) + outer, chosen + (cand,))
+            for walked, chosen, cand in leaves[level]:
+                test(tail + (replacement_entry(cand, walked),) + walked, chosen + (cand,))
             if len(found) >= budget.max_solutions:
                 break
 

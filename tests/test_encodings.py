@@ -10,12 +10,12 @@ from cubematch.encodings import (
     build_erratum,
     build_thm1,
     build_thm2_invalid,
-    erratum_witness,
     goldfarb_numeral,
     goldfarb_solution_shapes,
     goldfarb_tpl,
     thm1_extract,
     thm1_witness,
+    _erratum_witness,
 )
 from cubematch.errors import CapabilityError, ElementarityError, WitnessError
 from cubematch.problems import (
@@ -28,9 +28,9 @@ from cubematch.problems import (
     SubstTriple,
     Substitution,
     apply_subst,
-    is_closed,
     is_solution,
     make_problem,
+    _is_closed,
 )
 from cubematch.reduction import beta_eta_normalize, equivalent
 from cubematch.search import SearchBudget, solve_bounded
@@ -69,7 +69,7 @@ def test_thm1_metadata(lp, term_source) -> None:
     art = build_thm1(term_source, lp)
     assert art.kind is ArtifactKind.THM1
     assert art.target.kind is ProblemKind.MATCHING
-    assert is_closed(art.target.rhs, art.target.qctx)
+    assert _is_closed(art.target.rhs, art.target.qctx)
     assert art.f_order == OrderValue.finite(3)
     assert art.target.max_existential_order == OrderValue.finite(3)
     assert art.required_pairs == frozenset({PT})
@@ -114,7 +114,7 @@ def test_thm1_witness_rejects_non_solutions(lp, term_source) -> None:
     with pytest.raises(WitnessError):
         thm1_witness(Substitution(term_source.qctx), art)
     with pytest.raises(ValueError, match="build_erratum"):
-        erratum_witness(_identity_binding(term_source), art)
+        _erratum_witness(_identity_binding(term_source), art)
 
 
 def test_thm1_extract_round_trip(lp, term_source) -> None:
@@ -201,7 +201,7 @@ def test_erratum_witness_verifies(lw, type_source) -> None:
         type_source.qctx, (SubstTriple(1, QContext(), Var(0)),)
     )  # X := A
     art = build_erratum(type_source, lw)
-    sigma = erratum_witness(tau, art)
+    sigma = _erratum_witness(tau, art)
     assert is_solution(sigma, art.target, lw)
 
 
@@ -209,19 +209,19 @@ def test_erratum_witness_on_trivially_equal_sides(lw) -> None:
     q = QContext((QDecl(Quant.FORALL, PROP, "A"), QDecl(Quant.EXISTS, PROP, "X")))
     p = make_problem(q, Var(1), Var(1), lw)
     art = build_erratum(p, lw)
-    sigma = erratum_witness(Substitution(q), art)  # empty tau already solves
+    sigma = _erratum_witness(Substitution(q), art)  # empty tau already solves
     assert is_solution(sigma, art.target, lw)
 
 
 def test_erratum_witness_rejects_non_solutions(lw, type_source) -> None:
     art = build_erratum(type_source, lw)
     with pytest.raises(WitnessError):
-        erratum_witness(Substitution(type_source.qctx), art)
+        _erratum_witness(Substitution(type_source.qctx), art)
     tau = Substitution(type_source.qctx, (SubstTriple(1, QContext(), Var(0)),))
     with pytest.raises(ValueError, match="build_thm1"):
         thm1_witness(tau, art)
     with pytest.raises(ValueError, match="build_thm1"):
-        thm1_extract(erratum_witness(tau, art), art)
+        thm1_extract(_erratum_witness(tau, art), art)
 
 
 def test_erratum_round_trip_by_restriction(lw, type_source) -> None:
@@ -229,7 +229,7 @@ def test_erratum_round_trip_by_restriction(lw, type_source) -> None:
     # solves the source, mirroring the first encoding's extraction
     tau = Substitution(type_source.qctx, (SubstTriple(1, QContext(), Var(0)),))
     art = build_erratum(type_source, lw)
-    sigma = erratum_witness(tau, art)
+    sigma = _erratum_witness(tau, art)
     g = len(type_source.qctx)
     back = Substitution(
         type_source.qctx, tuple(tr for tr in sigma.triples if tr.pos < g)

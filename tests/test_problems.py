@@ -29,13 +29,13 @@ from cubematch.problems import (
     Substitution,
     apply_subst,
     comparison_env,
-    is_closed,
     is_solution,
     is_term_elementary,
     is_type_elementary,
     make_problem,
     order,
     subst_well_typed,
+    _is_closed,
 )
 from cubematch.encodings import GoldfarbShapes, goldfarb_numeral
 from cubematch.reduction import Fuel, beta_eta_normalize, normalize_under
@@ -65,20 +65,20 @@ def test_closed_universal_spine(lp, term_source) -> None:
     from cubematch.encodings import build_thm1
 
     art = build_thm1(term_source, lp)
-    assert is_closed(art.target.rhs, art.target.qctx)  # (G c d)
-    assert not is_closed(art.target.lhs, art.target.qctx)  # mentions f, F
+    assert _is_closed(art.target.rhs, art.target.qctx)  # (G c d)
+    assert not _is_closed(art.target.lhs, art.target.qctx)  # mentions f, F
 
 
 def test_existential_head_is_open() -> None:
     q = goal_ctx()
-    assert not is_closed(App(Var(0), Var(1)), q)  # (F a)
-    assert is_closed(Var(1), q)  # a
+    assert not _is_closed(App(Var(0), Var(1)), q)  # (F a)
+    assert _is_closed(Var(1), q)  # a
 
 
 def test_closedness_recurses_into_declared_types() -> None:
     # a is universal but its type is the existential U, so a is not closed
     q = _q((Quant.EXISTS, PROP, "U"), (Quant.FORALL, Var(0), "a"))
-    assert not is_closed(Var(0), q)
+    assert not _is_closed(Var(0), q)
 
 
 # ------------- substitution application -------------
@@ -374,7 +374,7 @@ def test_make_problem_agrees_with_its_public_pieces(rng) -> None:
         return
     got = make_problem(qctx, lhs, rhs, lp)
     orders = [order(d.ty, qctx.prefix(q)) for q, d in enumerate(qctx) if d.quant is Quant.EXISTS]
-    assert got.kind is (ProblemKind.MATCHING if is_closed(rhs, qctx) else ProblemKind.UNIFICATION)
+    assert got.kind is (ProblemKind.MATCHING if _is_closed(rhs, qctx) else ProblemKind.UNIFICATION)
     assert got.common_type == ta
     assert got.max_existential_order == (reduce(OrderValue.max, orders) if orders else None)
 

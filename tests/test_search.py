@@ -5,7 +5,7 @@ from __future__ import annotations
 from random import Random
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import match_walks as old
 from cubematch import search
@@ -18,11 +18,12 @@ from cubematch.problems import (
     Quant,
     SubstTriple,
     Substitution,
+    apply_subst,
     comparison_env,
     is_solution,
     make_problem,
 )
-from cubematch.reduction import Fuel, beta_eta_normalize
+from cubematch.reduction import Fuel, beta_eta_normalize, normalize_under
 from cubematch.search import SearchBudget, decision_size, enumerate_candidates, solve_bounded
 from cubematch.terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, arrow, describe, shift, subst
 from cubematch.syntax import parse_problem, parse_term, print_substitution
@@ -254,20 +255,38 @@ def _signature(picks: list[bool], spec) -> QContext:
     return q
 
 
+def _a_type(q: QContext, text: str, spec) -> Term | None:
+    """text parsed over q, if it is a type there in spec."""
+    try:
+        T = parse_term(text, [d.name for d in q])
+        Scope(q.plain().decls, spec).sort(T)
+    except CubeError:
+        return None
+    return T
+
+
+@st.composite
+def _signature_and_target(draw) -> tuple[list[bool], str, str]:
+    """Picks and a calculus, and a target that is a type over the
+    signature they make: U always is."""
+    n = len(SIGNATURE_POOL)
+    picks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    calculus = draw(st.sampled_from(tuple(PRESETS)))
+    spec = cube_spec(calculus)
+    q = _signature(picks, spec)
+    target = draw(st.sampled_from([t for t in TARGETS if _a_type(q, t, spec) is not None]))
+    return picks, calculus, target
+
+
 @settings(deadline=None)
-@given(
-    picks=st.lists(st.booleans(), min_size=len(SIGNATURE_POOL), max_size=len(SIGNATURE_POOL)),
-    calculus=st.sampled_from(tuple(PRESETS)),
-    target=st.sampled_from(TARGETS),
-    size=st.integers(1, 6),
-)
-@example(picks=[True, False, False, True, False, False, False, False], calculus="lP", target="U", size=6)
-@example(picks=[True] * len(SIGNATURE_POOL), calculus="lP", target="P a", size=5)
-@example(picks=[True] * len(SIGNATURE_POOL), calculus="coc", target="Prop", size=5)
-@example(picks=[True] * len(SIGNATURE_POOL), calculus="lw", target="Prop -> Prop", size=5)
-@example(picks=[True] + [False] * 7 + [True, True], calculus="lP", target="U", size=4)
+@given(case=_signature_and_target(), size=st.integers(1, 6))
+@example(case=([True, False, False, True, False, False, False, False], "lP", "U"), size=6)
+@example(case=([True] * len(SIGNATURE_POOL), "lP", "P a"), size=5)
+@example(case=([True] * len(SIGNATURE_POOL), "coc", "Prop"), size=5)
+@example(case=([True] * len(SIGNATURE_POOL), "lw", "Prop -> Prop"), size=5)
+@example(case=([True] + [False] * 7 + [True, True], "lP", "U"), size=4)
 def test_exact_size_enumeration_matches_normalizing_every_codomain(
-    picks: list[bool], calculus: str, target: str, size: int
+    case: tuple[list[bool], str, str], size: int
 ) -> None:
     """Generation by exact size gives the reference's list, order and hints
     included, and every candidate is well typed: the typechecker is the
@@ -277,13 +296,11 @@ def test_exact_size_enumeration_matches_normalizing_every_codomain(
     under x, and only a of the three candidates is left.
     The last catches a memo blind to hints: n's argument [v:U]... must not
     be handed m's [u:U]..., which `==` does not tell apart."""
+    picks, calculus, target = case
     spec = cube_spec(calculus)
     q = _signature(picks, spec)
-    try:
-        T = parse_term(target, [d.name for d in q])
-        Scope(q.plain().decls, spec).sort(T)
-    except CubeError:
-        assume(False)
+    T = _a_type(q, target, spec)
+    assert T is not None
     budget = SearchBudget(size, 8)
     got = enumerate_candidates(q, T, budget, spec)
     assert all(check_type(q.plain(), c, T, spec) for c in got)
@@ -597,8 +614,29 @@ def test_leaves_spend_as_the_copying_path_on_random_problems() -> None:
             "forall t : (F:U -> U) P (F a)\nexists X : P a\nmatch X = t ([x:U]x)\n",
             {3: [(0, 0)] * 3, 4: [(3, 3)] * 3, 5: [(5, 5)] * 3, 6: [(7, 7)] * 3},
         ),
+        # X's slot sits in the scope Y's candidates are generated in, and
+        # holds Prop, Y's target; it must not head one, or Y := X's
+        # candidate would be found twice, as X and as itself
+        (
+            "calculus lw\nforall U : Prop\nforall a : U\nexists X : Prop\nexists Y : Prop\n"
+            "unify X = Y\n",
+            {2: [(0, 0)] * 3, 3: [(0, 0)] * 3, 4: [(0, 0)] * 3, 5: [(0, 0)] * 3},
+        ),
+        # x's slot holds Prop, which F's body reaches: headed by it, F would
+        # make leaves that read F x as x's candidate, refuted for a step each
+        (
+            "calculus lP\nforall U : Prop\nforall a : U\nforall P : U -> Prop\nexists x : U\n"
+            "exists F : U -> Prop\nunify F x = P a\n",
+            {3: [(1, 1)] * 3, 4: [(8, 8)] * 3, 5: [(8, 8)] * 3, 6: [(8, 8), (15, 15), (15, 15)]},
+        ),
     ],
-    ids=["type-mentions-an-unknown", "redex-between-unknowns", "dependent-head"],
+    ids=[
+        "type-mentions-an-unknown",
+        "redex-between-unknowns",
+        "dependent-head",
+        "unknown-slot-of-the-target-type",
+        "unknown-slot-of-a-reached-type",
+    ],
 )
 def test_the_walk_finds_what_the_copying_path_finds(text, spent) -> None:
     # the same solutions in the same order at every size and max_solutions;
@@ -637,56 +675,49 @@ def test_a_bare_variable_candidate_is_bound_as_a_level(monkeypatch, lw, type_sou
     assert comparison_env(found[0]) == (-2, -2)
 
 
+def _read(f, *args) -> tuple:
+    """f's result, with the fuel left of a fresh budget around the call."""
+    fuel = Fuel(10**6)
+    with fuel:
+        out = f(*args)
+    return out, fuel.left
+
+
 def test_every_leaf_reads_under_its_assignments_comparison_env(monkeypatch) -> None:
-    # the last unknown's levels are cached per search node; each leaf's
-    # environment must still be the one is_solution builds for the leaf's
-    # assignment.  The last candidate is taken from the entry the leaf
-    # builds, the last one built before the leaf's refutation (the walk
-    # also builds entries for the earlier unknowns, which no leaf reads
-    # directly); an earlier one from its closure, or, bound to a level, as
-    # the variable that names that slot in the problem's own numbering.
+    # each leaf's environment must read both sides as the one is_solution
+    # builds for the leaf's assignment does: the same normal forms and
+    # rigid_clash verdicts, for the same fuel.  Each unknown's candidate is
+    # taken from the leaf's environment, in the problem's own numbering
+    # over the slots before it: the closure's term, or, bound to a level,
+    # the variable that names that slot; it is read over the image with
+    # apply_subst.
     lp = cube_spec("lP")
     rng = Random(21)
     problems = [random_elementary_problem(rng) for _ in range(40)]
     problems += [parse_problem(text)[1] for text in SCOPED]
-    leaves: list[tuple[tuple, Term | None]] = []
-    last: list = []
-    real_entry, real_clash = search.replacement_entry, search.rigid_clash
-
-    def entry_spy(term, levels):
-        last.append(term)
-        return real_entry(term, levels)
+    envs: list[tuple] = []
+    real_clash = search.rigid_clash
 
     def clash_spy(t1, t2, env=()):
-        leaves.append((env, last[-1] if last else None))
-        last.clear()
+        envs.append(env)
         return real_clash(t1, t2, env)
 
-    monkeypatch.setattr(search, "replacement_entry", entry_spy)
     monkeypatch.setattr(search, "rigid_clash", clash_spy)
     checked = 0
     for p in problems:
-        leaves.clear()
-        last.clear()
+        envs.clear()
         solve_bounded(p, SearchBudget(5, 64), lp)
         n = len(p.qctx)
-        unknowns = p.qctx.existential_positions()
-        if not unknowns:
-            assert [env for env, _ in leaves] == [()]
-            continue
-        for env, cand in leaves:
-            chosen = []
-            for q in unknowns[:-1]:
+        for env in envs:
+            triples: list[SubstTriple] = []
+            for q in p.qctx.existential_positions():
                 e = env[n - 1 - q]
-                if type(e) is int:
-                    # kept slot e + n, counted inward over the kept slots
-                    kept = [r for r in range(e + n + 1, q) if r not in unknowns]
-                    e = Var(len(kept))
-                else:
-                    e = e[0]
-                chosen.append(SubstTriple(q, QContext(), e))
-            chosen.append(SubstTriple(unknowns[-1], QContext(), cand))
-            s = Substitution(p.qctx, tuple(chosen))
-            assert env == comparison_env(s)
+                cand = Var(q - 1 - (e + n)) if type(e) is int else e[0]
+                cand = apply_subst(Substitution(p.qctx.prefix(q), tuple(triples)), cand)
+                triples.append(SubstTriple(q, QContext(), cand))
+            ref = comparison_env(Substitution(p.qctx, tuple(triples)))
+            for side in (p.lhs, p.rhs):
+                assert _read(normalize_under, side, env) == _read(normalize_under, side, ref)
+            assert _read(real_clash, p.lhs, p.rhs, env) == _read(real_clash, p.lhs, p.rhs, ref)
             checked += 1
     assert checked > 100
