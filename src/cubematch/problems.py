@@ -29,10 +29,14 @@ whole call and neither copies a declared type nor normalizes one twice.
 part that depends on the context alone, which escape-checks every
 declared type and walks the universal slots before the first unknown,
 and the rest, which goes on from it with the substitution.
-`solution_check(p, spec)` keeps the first part for one problem, so a
-caller that verifies many substitutions of it (`search.solve_bounded`)
-checks the problem's own facts once; `is_solution` is one call of a
-fresh checker.
+`well_typed_check(p, spec)` keeps the first part for one problem, so a
+caller that checks many substitutions of it (`search.solve_bounded`)
+checks the problem's own facts once.  It is the well-typedness half of
+`is_solution` alone: `is_solution` is one call of a fresh checker
+followed by `sides_convert` under `comparison_env`, and the search,
+which has converted a leaf's sides under that environment before it
+builds a substitution, calls the checker alone, so each side of a found
+leaf is converted once.
 """
 
 from __future__ import annotations
@@ -361,7 +365,7 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
 
     The walk runs in two parts: `_checked_prefix`, which depends on qctx
     alone, and the rest of the slots, walked on from it with s; the same
-    parts serve `solution_check`, which runs the first once per problem.
+    parts serve `well_typed_check`, which runs the first once per problem.
     """
     if s.qctx != qctx:
         raise ValueError("substitution was built for a different context")
@@ -590,25 +594,24 @@ def _infer_side(scope: Scope, t: Term, side: str) -> Term:
 def is_solution(s: Substitution, p: Problem, spec: CubeSpec) -> bool:
     """Well-typed for the problem's context, and the sides convert.
 
-    The sides are converted as their images under s without being copied:
-    each is normalized under `comparison_env(s)`, which binds every bound
-    slot to its replacement, in the steps and fuel of normalizing the
-    copies.  It reads in the problem's own numbering, not the image's, so
-    a side that is normal and mentions no bound slot reads back as the
-    same object; the verdict is the copies', since the renumbering is
-    injective.  A matching problem's right side, which mentions no bound
-    slot, is compared as written and normalized only if the left side's
-    normal form differs from it (`sides_convert`).  The well-typedness
-    check reads in the image's numbering.  This is one call of a fresh
-    `solution_check(p, spec)`; a caller that checks many substitutions
-    for one problem keeps the checker instead.
+    The well-typedness check is one call of a fresh
+    `well_typed_check(p, spec)`, which reads in the image's numbering.
+    Only a well-typed s has its sides converted, as their images under s
+    without being copied: each is normalized under `comparison_env(s)`,
+    which binds every bound slot to its replacement, in the steps and fuel
+    of normalizing the copies.  It reads in the problem's own numbering,
+    not the image's, so a side that is normal and mentions no bound slot
+    reads back as the same object; the verdict is the copies', since the
+    renumbering is injective.  A matching problem's right side, which
+    mentions no bound slot, is compared as written and normalized only if
+    the left side's normal form differs from it (`sides_convert`).
     """
-    return solution_check(p, spec)(s)
+    return well_typed_check(p, spec)(s) and sides_convert(p, comparison_env(s))
 
 
-def solution_check(p: Problem, spec: CubeSpec) -> Callable[[Substitution], bool]:
-    """`is_solution` for p under spec, as a function of the substitution
-    that checks p's own facts once.
+def well_typed_check(p: Problem, spec: CubeSpec) -> Callable[[Substitution], bool]:
+    """The well-typedness half of `is_solution` for p under spec, as a
+    function of the substitution that checks p's own facts once.
 
     Its first call walks the part of `subst_well_typed` that depends on
     p.qctx alone (`_checked_prefix`: the escape check of every declared
@@ -616,10 +619,11 @@ def solution_check(p: Problem, spec: CubeSpec) -> Callable[[Substitution], bool]
     and sorted) and keeps the outcome: the prefix, which every later call
     goes on from, or the SubstitutionError that makes every check False.
     Each call still types each replacement against its target, sorts the
-    kept slots after the prefix, raises an escaping index when the walk
-    reaches its slot, and converts the sides under `comparison_env`.
-    The prefix's fuel is spent once, by the first call, not once per
-    call.
+    kept slots after the prefix, and raises an escaping index when the
+    walk reaches its slot; it converts no side.  The prefix's fuel is
+    spent once, by the first call, not once per call.  A caller that has
+    converted the sides itself, under the same environment, keeps one
+    checker for many substitutions of p (`search.solve_bounded`).
     """
     prefix: tuple | None = None
 
@@ -646,7 +650,7 @@ def solution_check(p: Problem, spec: CubeSpec) -> Callable[[Substitution], bool]
                 scope.pop()
         if escape is not None:
             raise ValueError(escape)
-        return sides_convert(p, comparison_env(s))
+        return True
 
     return check
 

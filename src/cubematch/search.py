@@ -8,9 +8,11 @@ are enumerated in increasing order and each candidate is generated once,
 at its exact size.  Generation is goal-directed and memoised: a head is
 expanded only if its product chain can end in the target, and each
 sub-enumeration runs once per generation, keyed by the identities of its
-target and of the binder types pushed above the declared ones.  Every
-result is well typed by construction, so none is typed again, and the
-output order is deterministic: size first, then the printed form.
+target and of the binder types pushed above the declared ones.  The heads
+that reach an atomic target are found once per generation too, not once
+per size.  Every result is well typed by construction, so none is typed
+again, and the output order is deterministic: size first, then the
+printed form.
 
 `solve_bounded` walks the declarations in one typing scope in the
 problem's own numbering and copies none of them: each unknown keeps a
@@ -27,9 +29,9 @@ mentions no unknown reads back as itself, and a matching problem's
 right side is compared as written first (`problems.sides_convert`).
 Before conversion under that environment, a leaf goes through
 `reduction.rigid_clash`, a cheap rigid-spine refutation of its two sides
-on the normalizer's own machine.  A leaf whose sides convert is verified
-with one `problems.solution_check` per call, which checks the problem's
-own facts once, not once per found solution.
+on the normalizer's own machine.  A leaf whose sides convert is typed
+with one `problems.well_typed_check` per call, which checks the problem's
+own facts once, not once per found solution, and converts no side again.
 
 Size here counts choice nodes: abstraction domains are dictated by the
 target type and cost nothing, everything else costs one node.
@@ -45,7 +47,7 @@ from .problems import (
     apply_subst,
     replacement_entry,
     sides_convert,
-    solution_check,
+    well_typed_check,
 )
 from .record import Record
 from .reduction import beta_eta_normalize, instantiate, normalize_under, rigid_clash
@@ -123,13 +125,20 @@ def _inhabitants(
     while the memo lives.  A memoised list is shared by every caller and
     never mutated.  A head is expanded only if its product chain, lowered
     link by link, reaches the target; a dependent link keeps the head,
-    since its instances are not known in advance.
+    since its instances are not known in advance.  Which heads reach a
+    target does not depend on the size, so they are kept per key without
+    the size, each with its looked-up type, in position order, holding the
+    same objects as the memo's entry: an atomic target's miss at a further
+    size only builds the spines of that list.
     """
     spec = scope.spec
     base = len(scope.tys)  # binder types are pushed above the scope's slots
     # key -> (inhabitants, the objects whose ids the key holds); holding
     # them keeps every id in a key from being reused while the memo lives
     memo: dict[tuple[int, ...], tuple[list[Term], tuple[Term, ...]]] = {}
+    # the same key without the size -> (the heads that reach the target,
+    # each with its looked-up type, and the same objects)
+    heads: dict[tuple[int, ...], tuple[list[tuple[Var, Term]], tuple[Term, ...]]] = {}
 
     def reaches(ty: Term, tn: Term) -> bool:
         """ty's product chain can end in tn."""
@@ -160,14 +169,19 @@ def _inhabitants(
             out = [Lam(tn.dom, body, tn.hint) for body in bodies]
             memo[key] = out, held
             return out
+        hit = heads.get(key[1:])
+        if hit is None:
+            hit = heads[key[1:]] = [], held
+            depth = len(scope.tys)
+            for pos in range(depth):
+                if pos not in unknowns:
+                    k = depth - 1 - pos
+                    head_ty = scope.lookup(k)
+                    if reaches(head_ty, tn):
+                        hit[0].append((Var(k), head_ty))
         out = []
-        depth = len(scope.tys)
-        for pos in range(depth):
-            if pos not in unknowns:
-                k = depth - 1 - pos
-                head_ty = scope.lookup(k)
-                if reaches(head_ty, tn):
-                    spines(Var(k), head_ty, tn, size - 1, out)
+        for head, head_ty in hit[0]:
+            spines(head, head_ty, tn, size - 1, out)
         if type(tn) is Sort:
             if tn == TYPE and size == 1:
                 out.append(PROP)
@@ -240,15 +254,17 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     them, then through conversion; both draw on the same `with Fuel(...)`
     budget and spend what they would on substituted copies.  Only a leaf
     whose sides convert becomes a Substitution, its candidates read over
-    the image with `apply_subst`, and is verified with the call's
-    `solution_check`, so every returned solution is re-verified: the
-    problem's own facts, the escape check of every declared type and the
-    universal slots before the first unknown, once per call, and every
-    check that depends on the assignment once per solution.  So a redex in
-    the type of such a slot spends its fuel once in the check, not once
-    per found solution.  Testing conversion first drops no solution: each
-    candidate is well typed by construction against its slot's
-    instantiated type, so every assignment is well-typed.
+    the image with `apply_subst`, and is typed with the call's
+    `well_typed_check`, so every returned solution is typed by the kernel
+    and has its sides converted, once each: the problem's own facts, the
+    escape check of every declared type and the universal slots before
+    the first unknown, once per call, and every check that depends on the
+    assignment once per solution.  So a redex in the type of such a slot
+    spends its fuel once in the check, not once per found solution; the
+    sides are not converted again, since the leaf's environment is the
+    one `is_solution` converts them under.  Testing conversion first drops
+    no solution: each candidate is well typed by construction against its
+    slot's instantiated type, so every assignment is well-typed.
 
     Sound but deliberately incomplete beyond the budget.  The result order
     sorts by largest component first, so enlarging the size budget only
@@ -259,7 +275,7 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     ex_positions = p.qctx.existential_positions()
     last = len(ex_positions) - 1
     found: list[Substitution] = []
-    is_solution = solution_check(p, spec)
+    well_typed = well_typed_check(p, spec)
     scope = Scope((), spec)
     cand_cache: dict[tuple[tuple[Term, ...], Term], list[tuple[Term, int]]] = {}
     # level -> leaves: (the environment of the slots before the last
@@ -277,7 +293,7 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
                 c = apply_subst(Substitution(p.qctx.prefix(q), tuple(triples)), c)
             triples.append(SubstTriple(q, QContext(), c))
         s = Substitution(p.qctx, tuple(triples))
-        if is_solution(s):
+        if well_typed(s):
             found.append(s)
 
     def walk(walked: tuple, chosen: tuple[Term, ...], level: int) -> None:

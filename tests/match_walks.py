@@ -527,7 +527,9 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     Each chosen candidate is substituted into the later declared types and
     into both sides; the last unknown's candidates are substituted into the
     sides leaf by leaf, level by level, and each pair of copies is refuted
-    and converted on the package's machine before is_solution above.
+    and converted on the package's machine.  A leaf whose copies convert
+    is then typed by subst_well_typed above; its sides, already converted,
+    are not converted again.
     """
     ex_positions = p.qctx.existential_positions()
     last = len(ex_positions) - 1
@@ -540,8 +542,11 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
             return
         triples = (SubstTriple(q, QContext(), c) for q, c in zip(ex_positions, chosen))
         s = Substitution(p.qctx, tuple(triples))
-        if is_solution(s, p, spec):
-            found.append(s)
+        try:
+            subst_well_typed(s, p.qctx, spec)
+        except SubstitutionError:
+            return
+        found.append(s)
 
     def dfs(decls: tuple[QDecl, ...], lhs: Term, rhs: Term, chosen: tuple[Term, ...], level: int) -> None:
         i = len(chosen)

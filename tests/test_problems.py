@@ -479,14 +479,14 @@ def test_is_solution_spends_as_the_copying_oracle(name) -> None:
 
 
 # (name, size, max_solutions) -> the steps the oracle and solve_bounded
-# spend of 10**6, where the two differ.  The oracle verifies each found
+# spend of 10**6, where the two differ.  The oracle types each found
 # solution in full, so it reads the redex in h's type once per found
-# solution; solve_bounded reads it once per call (`solution_check`).
+# solution; solve_bounded reads it once per call (`well_typed_check`).
 FEWER_STEPS = {
-    ("redex-typed", 5, 1): (13, 12),
-    ("redex-typed", 5, 16): (13, 12),
-    ("redex-typed", 6, 1): (13, 12),
-    ("redex-typed", 6, 16): (16, 15),
+    ("redex-typed", 5, 1): (11, 10),
+    ("redex-typed", 5, 16): (11, 10),
+    ("redex-typed", 6, 1): (11, 10),
+    ("redex-typed", 6, 16): (14, 13),
 }
 
 
@@ -498,13 +498,15 @@ def test_solve_bounded_spends_as_the_copying_oracle(name) -> None:
             budget = SearchBudget(size, max_solutions)
             fewer = FEWER_STEPS.get((name, size, max_solutions))
             for steps in (1, 3, 10, 10**6):
+                # where the search gets that far, the oracle is given the
+                # steps it spends more, and ends as the search does, also
+                # where the search ends on its last step
+                more = 0 if fewer is None or steps < fewer[1] else fewer[0] - fewer[1]
                 got = _outcome(lambda: solve_bounded(p, budget, spec), steps)
-                want = _outcome(lambda: old.solve_bounded(p, budget, spec), steps)
-                if fewer is None or steps < fewer[1]:
-                    assert got == want, (size, max_solutions, steps)
-                else:
-                    assert got[0] == want[0], (size, max_solutions, steps)
-                    assert (steps - want[1], steps - got[1]) == fewer
+                want = _outcome(lambda: old.solve_bounded(p, budget, spec), steps + more)
+                assert got == want, (size, max_solutions, steps)
+                if more:
+                    assert steps - got[1] == fewer[1]
 
 
 @pytest.mark.parametrize(

@@ -105,6 +105,32 @@ def test_budget_growth_only_appends(lp) -> None:
     assert large[: len(small)] == small
 
 
+def test_the_heads_of_a_target_are_looked_up_once_per_generation(monkeypatch, lp) -> None:
+    # U -> U over [U, a, b, h : U -> U, g : U -> U -> U]: which slots head a
+    # spine of type U does not depend on the size, so a larger budget
+    # generates more candidates with no more lookups
+    spec, p = parse_problem(
+        "calculus lP\nforall U : Prop\nforall a : U\nforall b : U\nforall h : U -> U\n"
+        "forall g : U -> U -> U\nexists F : U -> U\nmatch F a = a\n"
+    )
+    q = p.qctx.prefix(5)
+    looked: list[int] = []
+    real = Scope.lookup
+
+    def spy(scope, k):
+        looked.append(k)
+        return real(scope, k)
+
+    monkeypatch.setattr(Scope, "lookup", spy)
+    counts = []
+    for size in (6, 9):
+        looked.clear()
+        got = enumerate_candidates(q, arrow(Var(4), Var(4)), SearchBudget(size, 64), lp)
+        counts.append((len(got), len(looked)))
+    assert [n for n, _ in counts] == [18, 48]
+    assert counts[0][1] == counts[1][1]
+
+
 def test_generated_product_domains_are_normalized_before_use() -> None:
     # [U:Prop, h:U->U, P:(U->U)->Prop, Q:(P h)->Prop]: the eta-long domain
     # (P [x:U](h x)) must count as (P h) for Q to accept its binder
@@ -372,6 +398,19 @@ def test_every_returned_solution_reverifies_on_random_problems() -> None:
             assert is_solution(s, p, lp)
 
 
+def test_a_found_leaf_is_still_typed(monkeypatch) -> None:
+    # both candidates make F a read back as a, but [x:P a]x is ill-typed:
+    # its domain is not U, F's domain; only its typing check rejects it
+    spec, p = parse_problem(
+        "calculus lP\nforall U : Prop\nforall P : U -> Prop\nforall a : U\n"
+        "exists F : U -> U\nmatch F a = a\n"
+    )
+    ill, good = Lam(App(Var(1), Var(0)), Var(0), "x"), Lam(Var(2), Var(0), "x")
+    monkeypatch.setattr(search, "_inhabitants", lambda *args: [ill, good])
+    found = solve_bounded(p, SearchBudget(4, 8), spec)
+    assert [print_substitution(s) for s in found] == ["F := [x:U]x\n"]
+
+
 def _solve_by_full_verification(p: Problem, budget: SearchBudget, spec) -> list[Substitution]:
     """is_solution on every leaf of the candidate product, then solve_bounded's
     sort and cut."""
@@ -585,9 +624,9 @@ def test_leaves_spend_as_the_copying_path_on_random_problems() -> None:
             "unify F c = h X\n",
             {
                 3: [(2, 2)] * 3,
-                4: [(6, 6)] * 3,
-                5: [(6, 6), (8, 8), (8, 8)],
-                6: [(6, 6), (13, 13), (13, 13)],
+                4: [(5, 5)] * 3,
+                5: [(5, 5), (7, 7), (7, 7)],
+                6: [(5, 5), (11, 11), (11, 11)],
             },
         ),
         # k's type holds a redex and ignores X: the walk reads it once per X
@@ -598,10 +637,10 @@ def test_leaves_spend_as_the_copying_path_on_random_problems() -> None:
             "calculus lP\nforall U : Prop\nforall a : U\nforall h : U -> U\nexists X : U\n"
             "forall k : ([y:U]U -> U) a\nexists F : U -> U\nunify F (k X) = k (h a)\n",
             {
-                3: [(9, 8)] * 3,
-                4: [(9, 8), (17, 16), (17, 16)],
-                5: [(10, 8), (24, 22), (24, 22)],
-                6: [(10, 8), (57, 55), (57, 55)],
+                3: [(8, 7)] * 3,
+                4: [(8, 7), (16, 15), (16, 15)],
+                5: [(9, 7), (23, 21), (23, 21)],
+                6: [(9, 7), (53, 51), (53, 51)],
             },
         ),
         # t's codomain depends on its argument: generation instantiates it
@@ -627,7 +666,7 @@ def test_leaves_spend_as_the_copying_path_on_random_problems() -> None:
         (
             "calculus lP\nforall U : Prop\nforall a : U\nforall P : U -> Prop\nexists x : U\n"
             "exists F : U -> Prop\nunify F x = P a\n",
-            {3: [(1, 1)] * 3, 4: [(8, 8)] * 3, 5: [(8, 8)] * 3, 6: [(8, 8), (15, 15), (15, 15)]},
+            {3: [(1, 1)] * 3, 4: [(6, 6)] * 3, 5: [(6, 6)] * 3, 6: [(6, 6), (13, 13), (13, 13)]},
         ),
     ],
     ids=[
