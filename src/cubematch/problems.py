@@ -11,14 +11,12 @@ under an environment that binds each bound slot to its replacement
 (`replacement_entry`), in one of two numberings.  `comparison_env` reads
 in the problem's own numbering: a kept slot q of L is the level q - L,
 which reads back as its own index, so a side that is normal and mentions
-no bound slot reads back as itself.  `is_solution` compares two sides
-under it with `sides_convert`; since the numbering is injective, its
-verdicts are those of the image copies.  `search.solve_bounded` builds
-no substitution to get that environment: it walks in the problem's own
-numbering, and each leaf's environment is `comparison_env` of the leaf's
-assignment.  A matching problem's right side mentions no unknown, so
-`sides_convert` compares it as written with the left side's normal form
-and normalizes it only when the two differ.
+no bound slot reads back as itself.  `is_solution` converts two sides
+under it with `reduction.converts`, which reads neither back; since the
+numbering is injective, its verdicts are those of the image copies.
+`search.solve_bounded` builds no substitution to get that environment:
+it walks in the problem's own numbering, and each leaf's environment is
+`comparison_env` of the leaf's assignment.
 A typing scope over the image needs the image's numbering instead: a
 kept slot is its position in the image, 0 the outermost, and a type is
 read back at the depth of the image built so far.  Such an environment
@@ -33,10 +31,10 @@ and the rest, which goes on from it with the substitution.
 caller that checks many substitutions of it (`search.solve_bounded`)
 checks the problem's own facts once.  It is the well-typedness half of
 `is_solution` alone: `is_solution` is one call of a fresh checker
-followed by `sides_convert` under `comparison_env`, and the search,
-which has converted a leaf's sides under that environment before it
-builds a substitution, calls the checker alone, so each side of a found
-leaf is converted once.
+followed by `converts` under `comparison_env`, and the search, which has
+converted a leaf's sides under that environment before it builds a
+substitution, calls the checker alone, so each side of a found leaf is
+converted once.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from .errors import (
     TypingError,
 )
 from .record import Record, slot_setters
-from .reduction import beta_eta_normalize, normalize_under
+from .reduction import beta_eta_normalize, converts, normalize_under
 from .terms import (
     PROP,
     Lam,
@@ -279,9 +277,9 @@ def comparison_levels(s: Substitution) -> dict[int, tuple[int, ...]]:
     is read over those image slots' levels.  The map from image slots to
     levels is injective, so two terms read under `comparison_env` are equal
     exactly when their images are.  Each image slot's level is computed
-    once.  Each bound slot gets a tuple of its own: `rigid_clash` skips a
-    pair that is one term under one environment object, so sharing one
-    between two slots could change its fuel.
+    once.  Each bound slot gets a tuple of its own: `converts` skips a pair
+    that is one term under one environment object, so sharing one between
+    two slots could change the fuel it spends.
     """
     length = len(s.qctx)
     by_pos = s._by_pos
@@ -597,16 +595,13 @@ def is_solution(s: Substitution, p: Problem, spec: CubeSpec) -> bool:
     The well-typedness check is one call of a fresh
     `well_typed_check(p, spec)`, which reads in the image's numbering.
     Only a well-typed s has its sides converted, as their images under s
-    without being copied: each is normalized under `comparison_env(s)`,
-    which binds every bound slot to its replacement, in the steps and fuel
-    of normalizing the copies.  It reads in the problem's own numbering,
-    not the image's, so a side that is normal and mentions no bound slot
-    reads back as the same object; the verdict is the copies', since the
-    renumbering is injective.  A matching problem's right side, which
-    mentions no bound slot, is compared as written and normalized only if
-    the left side's normal form differs from it (`sides_convert`).
+    without being copied: `reduction.converts` compares them under
+    `comparison_env(s)`, which binds every bound slot to its replacement,
+    and reads neither back.  It reads in the problem's own numbering, not
+    the image's; the verdict is the copies', since the renumbering is
+    injective, and the steps are at most those of normalizing the copies.
     """
-    return well_typed_check(p, spec)(s) and sides_convert(p, comparison_env(s))
+    return well_typed_check(p, spec)(s) and converts(p.lhs, p.rhs, comparison_env(s))
 
 
 def well_typed_check(p: Problem, spec: CubeSpec) -> Callable[[Substitution], bool]:
@@ -653,27 +648,6 @@ def well_typed_check(p: Problem, spec: CubeSpec) -> Callable[[Substitution], boo
         return True
 
     return check
-
-
-def sides_convert(p: Problem, env: tuple) -> bool:
-    """p's two sides have one normal form when read under env, an
-    environment in the problem's own numbering (`comparison_env`).
-
-    A matching problem's right side mentions only kept slots, which env
-    reads back as their own indices, so a normal right side reads back as
-    itself, in no steps.  It is compared as written with the left side's
-    normal form first: equal to a normal form, it is normal.  Only when
-    the two differ is it normalized, since it may hold a redex; a right
-    side handed back as itself then already differs.  So the verdict and
-    the fuel are those of normalizing both sides.
-    """
-    lhs = normalize_under(p.lhs, env)
-    if p.kind is ProblemKind.MATCHING:
-        if lhs == p.rhs:
-            return True
-        rhs = normalize_under(p.rhs, env)
-        return rhs is not p.rhs and lhs == rhs
-    return lhs == normalize_under(p.rhs, env)
 
 
 def _base_chain(ctx_len: int, arity: int) -> Term:

@@ -25,6 +25,8 @@ The machine contracts the redexes that normal-order substitution would,
 one for one: a closure is never shared or updated, so an argument bound
 to a variable used twice is reduced twice.  Each beta and each eta
 contraction spends one unit of fuel, and `--fuel` keeps its meaning.
+Conversion (`converts`) contracts no eta redex: it meets one by applying
+the other side to a fresh variable, so it spends beta steps only.
 An argument that is itself a variable is pushed as what the variable is
 bound to (its closure or its level), never as a new closure around it;
 otherwise a self-application such as (x x)[x := [x:U]x x] would build a
@@ -45,20 +47,24 @@ a depth of the image's length, so that the result lives over the image:
 for a typing scope over the image, under one environment that grows by
 an entry per slot and serves every prefix.  Or they may number the slots
 any other way that gives no two image slots one level: the readback then
-differs only by that renumbering, and `==` and `rigid_clash` give the
-same verdicts.  `problems.comparison_env` gives a kept slot q of a
+differs only by that renumbering, and `==` and `converts` give the same
+verdicts.  `problems.comparison_env` gives a kept slot q of a
 problem's L slots the level q - L, which reads back at depth 0 as its own
 index in the problem, so a normal side that mentions no replaced slot is
-handed back as it is; `problems.is_solution` converts a substitution's
-two sides under it.  `search.solve_bounded` walks in that numbering: it
+handed back as it is.  `search.solve_bounded` walks in that numbering: it
 reads a declared type over the problem's first q slots at the negative
-depth q - L, and converts each leaf under the same environment that
-`comparison_env` builds for the leaf's assignment.  `instantiate` binds
-one slot.
+depth q - L.  `instantiate` binds one slot.
 
-`rigid_clash`, the test `search` puts each leaf through before conversion,
-compares two terms' rigid heads on the same machine, with the same steps
-and fuel, without reading back, under an environment too.
+`converts(t1, t2, env)`, the one test of whether two sides convert, runs
+the same machine from the same kind of environment but reads neither
+side back: it runs both to weak head form and compares their heads, and
+goes on to the parts only while they agree (Coquand's algorithm, with
+eta met by applying the other side to a fresh variable).  So the first
+difference ends it, and a deep term costs no stack.  `problems.is_solution`
+converts a substitution's two sides under `comparison_env`, and
+`search.solve_bounded` converts each leaf under the same environment,
+built by its walk.  `equivalent` is the definition, the comparison of
+normal forms, against which the tests check `converts`.
 """
 
 from __future__ import annotations
@@ -101,15 +107,16 @@ class Fuel:
 _BUDGET: ContextVar[Fuel | None] = ContextVar("cubematch_fuel", default=None)
 
 
-def _apply(t: Term, env: tuple, n: int, args: list, fuel: Fuel) -> tuple[Term, tuple, int]:
+def _apply(t: Term, env: tuple, n: int, args: list, fuel: Fuel) -> tuple[Term | int, tuple, int]:
     """Run t under env, applied to the entries on args, to weak head form.
 
     args is a stack of environment entries whose last one is the next
     argument.  Each head redex is contracted by binding its argument, one
     step of fuel, and a variable bound to a closure continues as that
     closure.  Returns the head with its environment: not an application,
-    not an abstraction while args remain, not a variable bound to a
-    closure; the entries left on args are its arguments.
+    not an abstraction while args remain, and a variable as its level (the
+    level it is bound to, or n - 1 - i for a free index i); the entries
+    left on args are its arguments.
     """
     while True:
         tt = type(t)
@@ -130,10 +137,10 @@ def _apply(t: Term, env: tuple, n: int, args: list, fuel: Fuel) -> tuple[Term, t
         elif tt is Var and t.index < n:
             e = env[t.index]
             if type(e) is not tuple:
-                return t, env, n
+                return e, env, n
             t, env, n = e
         else:
-            return t, env, n
+            return (n - 1 - t.index if tt is Var else t), env, n
 
 
 def _nf(t: Term, env: tuple, n: int, d: int, fuel: Fuel) -> Term:
@@ -166,7 +173,10 @@ def _nf(t: Term, env: tuple, n: int, d: int, fuel: Fuel) -> Term:
         if th is Lam or (th is Var and head.index < n and type(env[head.index]) is tuple):
             args: list = []
             head, henv, hn = _apply(t, env, n, args, fuel)
-            out = _nf(head, henv, hn, d, fuel)
+            if type(head) is int:
+                out = VARS.get(d - 1 - head) or Var(d - 1 - head)
+            else:
+                out = _nf(head, henv, hn, d, fuel)
             for e in reversed(args):
                 if type(e) is int:
                     k = d - 1 - e
@@ -266,62 +276,89 @@ def instantiate(cod: Term, arg: Term) -> Term:
 
 
 def equivalent(t1: Term, t2: Term) -> bool:
-    """Beta-eta conversion: same normal form."""
+    """Beta-eta conversion by its definition: same normal form.
+
+    The package decides conversion with `converts`, which reads nothing
+    back; the tests check it against this definition.
+    """
     return beta_eta_normalize(t1) == beta_eta_normalize(t2)
 
 
-def _head(e: tuple | int, fuel: Fuel) -> tuple:
-    """Entry e in weak head form: head, env, n and arguments in application
-    order.  A variable head becomes its level, env[i] when bound and
-    n - 1 - i when free; a level entry is a variable head without arguments."""
-    if type(e) is int:
-        return e, (), 0, []
-    args: list = []
-    t, env, n = _apply(e[0], e[1], e[2], args, fuel)
-    if type(t) is Var:
-        i = t.index
-        t = env[i] if i < n else n - 1 - i
-    args.reverse()
-    return t, env, n, args
-
-
-def rigid_clash(t1: Term, t2: Term, env: tuple = ()) -> bool:
-    """True when t1 and t2, both read under env as `normalize_under` reads
-    a term, certainly have different beta-eta normal forms.
+def converts(t1: Term, t2: Term, env: tuple = ()) -> bool:
+    """t1 and t2, both read under env as `normalize_under` reads a term,
+    have one beta-eta normal form, decided by comparing their heads lazily,
+    without reading either back (Coquand, "An algorithm for type-checking
+    dependent types", SCP 26, 1996).
 
     A work item is a pair of environment entries and the number d of
-    products entered above them; both sides start as (t, env, len(env)) at
-    depth 0.
-    Each side's head is run to weak head form and the heads are compared:
-    class (variable, sort or product), level or tag, and the number of
-    arguments.  A product pushes its domains, then its codomains with the
-    binder bound to the same fresh level d on both sides; the arguments are
-    pushed next, in application order.  A pair headed by an abstraction
-    proves nothing, since eta may collapse it, and a pair of the same term
-    under the same environment cannot differ: both are skipped.  False
-    means only "not refuted".  The head steps spend the enclosing
-    `with Fuel(...)` budget, or a default Fuel of this call's own outside
-    any block.  Nothing recurses, so deep terms cost no stack.
+    binders entered above them; both sides start as (t, env, len(env)) at
+    depth 0.  Each side is run to weak head form and the heads are
+    compared: class (variable, sort or product), level or tag, and the
+    number of arguments.  A product pushes its domains, then its codomains
+    with the binder bound to the same fresh level d on both sides; the
+    arguments are pushed next, in application order.  A pair of the same
+    term under the same environment object is skipped, and so is a pair of
+    one level.  A pair headed by
+    an abstraction waits on a second list, read only when the first is
+    empty, so a pair of rigid heads that differ is found after the same
+    steps as if abstractions were not compared at all.  Two abstractions
+    compare their domains, then their bodies under d; an abstraction
+    against anything else compares its body under d with the other side,
+    as already run, applied to d (eta), so no redex is contracted twice.
+
+    On two terms of one type that normalize, the verdict is that of
+    `equivalent`, in no more steps: no eta redex is contracted, and the
+    first pair that differs ends the walk.  Domains are compared, so on
+    two abstractions of different types the verdict may differ.  The head
+    steps spend the enclosing `with Fuel(...)` budget, or a default Fuel
+    of this call's own outside any block.  Nothing recurses, so deep terms
+    cost no stack.
     """
     fuel = _BUDGET.get() or Fuel()
     n = len(env)
     todo: list = [((t1, env, n), (t2, env, n), 0)]
-    while todo:
-        a, b, d = todo.pop()
-        if type(a) is tuple and type(b) is tuple and a[0] is b[0] and a[1] is b[1]:
-            continue
-        ha, env_a, n_a, args_a = _head(a, fuel)
-        hb, env_b, n_b, args_b = _head(b, fuel)
-        th = type(ha)
-        if th is Lam or type(hb) is Lam:
-            continue
-        if th is not type(hb) or len(args_a) != len(args_b):
+    lams: list = []  # (abstraction, env, n, other head, env, n, other args, d)
+    while True:
+        if todo:
+            a, b, d = todo.pop()
+            if type(b) is int:
+                if type(a) is int and a == b:
+                    continue
+                hb, env_b, n_b, args_b = b, (), 0, ()
+            elif type(a) is tuple and a[0] is b[0] and a[1] is b[1]:
+                continue
+            else:
+                args_b = []
+                hb, env_b, n_b = _apply(b[0], b[1], b[2], args_b, fuel)
+        elif lams:
+            lam, env_a, n_a, hb, env_b, n_b, args_b, d = lams.pop()
+            if type(hb) is Lam:
+                todo.append(((lam.dom, env_a, n_a), (hb.dom, env_b, n_b), d))
+                todo.append(((lam.body, (d,) + env_a, n_a + 1), (hb.body, (d,) + env_b, n_b + 1), d + 1))
+                continue
+            # eta: the body under d against the other side applied to d, its
+            # last argument, so at the bottom of its stack
+            a = (lam.body, (d,) + env_a, n_a + 1)
+            args_b = [d, *args_b]
+            d += 1
+        else:
             return True
-        if th is Pi:
-            todo.append(((ha.dom, env_a, n_a), (hb.dom, env_b, n_b), d))
-            todo.append(((ha.cod, (d,) + env_a, n_a + 1), (hb.cod, (d,) + env_b, n_b + 1), d + 1))
-        elif ha != hb:
-            return True
-        todo.extend([(x, y, d) for x, y in zip(args_a, args_b)])
-    return False
-
+        if type(a) is int:
+            ha, env_a, n_a, args_a = a, (), 0, ()
+        else:
+            args_a = []
+            ha, env_a, n_a = _apply(a[0], a[1], a[2], args_a, fuel)
+        # a variable head is a level; args are stacks, the first argument last
+        if type(ha) is Lam:
+            lams.append((ha, env_a, n_a, hb, env_b, n_b, args_b, d))
+        elif type(hb) is Lam:
+            lams.append((hb, env_b, n_b, ha, env_a, n_a, args_a, d))
+        elif type(ha) is not type(hb) or len(args_a) != len(args_b):
+            return False
+        else:
+            if type(ha) is Pi:
+                todo.append(((ha.dom, env_a, n_a), (hb.dom, env_b, n_b), d))
+                todo.append(((ha.cod, (d,) + env_a, n_a + 1), (hb.cod, (d,) + env_b, n_b + 1), d + 1))
+            elif ha != hb:
+                return False
+            todo.extend(zip(reversed(args_a), reversed(args_b), [d] * len(args_a)))

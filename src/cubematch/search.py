@@ -22,16 +22,14 @@ unknowns to their candidates (`reduction.normalize_under`).  It tests
 the assignments level by level, a level being the size of an
 assignment's largest candidate, and stops after the first level that
 fills `max_solutions`.  A leaf is never a copy of the problem: its two
-sides are read under the walk's environment completed by the last
-unknown's candidate, which is the comparison environment of its
-assignment (`problems.comparison_env`), so a side that is normal and
-mentions no unknown reads back as itself, and a matching problem's
-right side is compared as written first (`problems.sides_convert`).
-Before conversion under that environment, a leaf goes through
-`reduction.rigid_clash`, a cheap rigid-spine refutation of its two sides
-on the normalizer's own machine.  A leaf whose sides convert is typed
-with one `problems.well_typed_check` per call, which checks the problem's
-own facts once, not once per found solution, and converts no side again.
+sides are converted by `reduction.converts` under the walk's environment
+completed by the last unknown's candidate, which is the comparison
+environment of its assignment (`problems.comparison_env`), on the
+normalizer's own machine and without reading either side back, so most
+leaves are refuted at their first rigid heads that differ.  A leaf whose
+sides convert is typed with one `problems.well_typed_check` per call,
+which checks the problem's own facts once, not once per found solution,
+and converts no side again.
 
 Size here counts choice nodes: abstraction domains are dictated by the
 target type and cost nothing, everything else costs one node.
@@ -46,11 +44,10 @@ from .problems import (
     Substitution,
     apply_subst,
     replacement_entry,
-    sides_convert,
     well_typed_check,
 )
 from .record import Record
-from .reduction import beta_eta_normalize, instantiate, normalize_under, rigid_clash
+from .reduction import beta_eta_normalize, converts, instantiate, normalize_under
 from .terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, lower
 from .typecheck import CubeSpec, Scope
 
@@ -248,23 +245,23 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     search stops after the first level at which max_solutions have been
     found; every solution of a higher level would sort after them.
 
-    A leaf reads both sides under its environment, as their images under
-    the assignment, without copying them.  It goes first through a
-    rigid-spine refutation that rejects most leaves without normalizing
-    them, then through conversion; both draw on the same `with Fuel(...)`
-    budget and spend what they would on substituted copies.  Only a leaf
-    whose sides convert becomes a Substitution, its candidates read over
-    the image with `apply_subst`, and is typed with the call's
-    `well_typed_check`, so every returned solution is typed by the kernel
-    and has its sides converted, once each: the problem's own facts, the
-    escape check of every declared type and the universal slots before
-    the first unknown, once per call, and every check that depends on the
-    assignment once per solution.  So a redex in the type of such a slot
-    spends its fuel once in the check, not once per found solution; the
-    sides are not converted again, since the leaf's environment is the
-    one `is_solution` converts them under.  Testing conversion first drops
-    no solution: each candidate is well typed by construction against its
-    slot's instantiated type, so every assignment is well-typed.
+    A leaf reads both sides under its environment, as their images under the
+    assignment, without copying them: `converts` compares them once, heads
+    first, and reads neither back, so it rejects most leaves at their first
+    rigid heads that differ.  It draws on the same `with Fuel(...)` budget
+    and spends what it would on substituted copies.  Only a leaf whose sides
+    convert becomes a Substitution, its candidates read over the image with
+    `apply_subst`, and is typed with the call's `well_typed_check`, so every
+    returned solution is typed by the kernel and has its sides converted,
+    once each: the problem's own facts, the escape check of every declared
+    type and the universal slots before the first unknown, once per call,
+    and every check that depends on the assignment once per solution.  So a
+    redex in the type of such a slot spends its fuel once in the check, not
+    once per found solution; the sides are not converted again, since the
+    leaf's environment is the one `is_solution` converts them under.  Testing
+    conversion first drops no solution: each candidate is well typed by
+    construction against its slot's instantiated type, so every assignment
+    is well-typed.
 
     Sound but deliberately incomplete beyond the budget.  The result order
     sorts by largest component first, so enlarging the size budget only
@@ -283,9 +280,7 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     leaves: dict[int, list[tuple[tuple, tuple[Term, ...], Term]]] = {}
 
     def test(env: tuple, chosen: tuple[Term, ...]) -> None:
-        if rigid_clash(p.lhs, p.rhs, env):
-            return
-        if not sides_convert(p, env):
+        if not converts(p.lhs, p.rhs, env):
             return
         triples: list[SubstTriple] = []
         for q, c in zip(ex_positions, chosen):

@@ -18,8 +18,8 @@ form is.
 The substitution check and the search oracle at the end keep the paths
 that copy: `subst_well_typed` builds each slot's instantiated type as a
 copy before normalizing it, and each chosen candidate is substituted into
-the later declared types and into both sides, and the copies are refuted
-and converted on the package's machine, so the two paths can be compared
+the later declared types and into both sides, and the copies are
+converted on the package's machine, so the two paths can be compared
 on results and on the fuel spent from one `with Fuel(...)` budget.
 """
 
@@ -43,11 +43,11 @@ from cubematch.problems import (
     SubstTriple,
     Substitution,
 )
-from cubematch.reduction import DEFAULT_MAX_STEPS, Fuel, equivalent, normalize_under
-from cubematch.reduction import rigid_clash as machine_rigid_clash
+from cubematch.reduction import DEFAULT_MAX_STEPS, Fuel, normalize_under
+from cubematch.reduction import converts as machine_converts
 from cubematch.record import Record
 from cubematch.search import SearchBudget, decision_size, enumerate_candidates
-from cubematch.terms import TYPE, App, Lam, Pi, Sort, Term, Var, spine
+from cubematch.terms import TYPE, App, Lam, Pi, Sort, Term, Var, app, spine
 from cubematch.typecheck import Context, CubeSpec, Scope, pair_text
 
 
@@ -177,23 +177,46 @@ def whnf(t: Term, tank: Tank) -> tuple[Term, list[Term]]:
                 return t, list(reversed(args))
 
 
-def rigid_clash(t1: Term, t2: Term, tank: Tank) -> bool:
-    """The leaf refutation on substituted terms: weak head forms compared by
-    head class, index or tag and arity; product parts, then arguments in
-    application order, pushed on a stack; a pair headed by an abstraction,
-    or of one object on both sides, skipped."""
-    todo = [(t1, t2)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        ha, args_a = whnf(a, tank)
-        hb, args_b = whnf(b, tank)
-        match ha, hb:
-            case (Lam(), _) | (_, Lam()):
+def converts(t1: Term, t2: Term, tank: Tank) -> bool:
+    """Conversion of substituted terms, compared lazily: weak head forms
+    compared by head class, index or tag and arity; product parts, then
+    arguments in application order, pushed on a stack; a pair of one
+    object on both sides skipped.  A pair headed by an abstraction waits
+    on a second stack, read only when the first is empty: two abstractions
+    push their domains, then their bodies; an abstraction against anything
+    else pushes its body against the other side, as left by whnf, shifted
+    and applied to the bound variable."""
+    todo: list = [(t1, t2)]
+    lams: list = []
+    while todo or lams:
+        if todo:
+            a, b = todo.pop()
+            if a is b:
                 continue
+            ha, args_a = whnf(a, tank)
+            hb, args_b = whnf(b, tank)
+            match ha, hb:
+                case (Lam(), _) | (_, Lam()):
+                    lams.append((ha, args_a, hb, args_b))
+                    continue
+        else:
+            ha, args_a, hb, args_b = lams.pop()
+            match ha, hb:
+                case Lam(dom_a, body_a), Lam(dom_b, body_b):
+                    todo += [(dom_a, dom_b), (body_a, body_b)]
+                    continue
+                case Lam(_, body), _:
+                    other = app(hb, *args_b)
+                case _, Lam(_, body):
+                    other = app(ha, *args_a)
+            ha, args_a = whnf(body, tank)
+            hb, args_b = whnf(App(shift(other, 1, 0), Var(0)), tank)
+            match ha:
+                case Lam():
+                    lams.append((ha, args_a, hb, args_b))
+                    continue
         if len(args_a) != len(args_b):
-            return True
+            return False
         match ha, hb:
             case Pi(dom_a, cod_a), Pi(dom_b, cod_b):
                 todo += [(dom_a, dom_b), (cod_a, cod_b)]
@@ -202,9 +225,9 @@ def rigid_clash(t1: Term, t2: Term, tank: Tank) -> bool:
             case Sort(x), Sort(y) if x == y:
                 pass
             case _:
-                return True
+                return False
         todo += zip(args_a, args_b)
-    return False
+    return True
 
 
 def beta(t: Term, tank: Tank) -> Term:
@@ -503,14 +526,14 @@ def subst_well_typed(s: Substitution, qctx: QContext, spec: CubeSpec) -> QContex
 
 def is_solution(s: Substitution, p: Problem, spec: CubeSpec) -> bool:
     """Well-typed by the copying check above, and the copied images of the
-    two sides convert."""
+    two sides convert on the package's machine."""
     if s.qctx != p.qctx:
         raise ValueError("substitution was built for a different context")
     try:
         subst_well_typed(s, p.qctx, spec)
     except SubstitutionError:
         return False
-    return equivalent(apply_subst(s, p.lhs), apply_subst(s, p.rhs))
+    return machine_converts(apply_subst(s, p.lhs), apply_subst(s, p.rhs))
 
 
 # -- search --------------------------------------------------------------------
@@ -526,8 +549,8 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
 
     Each chosen candidate is substituted into the later declared types and
     into both sides; the last unknown's candidates are substituted into the
-    sides leaf by leaf, level by level, and each pair of copies is refuted
-    and converted on the package's machine.  A leaf whose copies convert
+    sides leaf by leaf, level by level, and each pair of copies is converted
+    on the package's machine.  A leaf whose copies convert
     is then typed by subst_well_typed above; its sides, already converted,
     are not converted again.
     """
@@ -538,7 +561,7 @@ def solve_bounded(p: Problem, budget: SearchBudget, spec: CubeSpec) -> list[Subs
     leaves: dict[int, list] = {}
 
     def test(lhs: Term, rhs: Term, chosen: tuple[Term, ...]) -> None:
-        if machine_rigid_clash(lhs, rhs) or not equivalent(lhs, rhs):
+        if not machine_converts(lhs, rhs):
             return
         triples = (SubstTriple(q, QContext(), c) for q, c in zip(ex_positions, chosen))
         s = Substitution(p.qctx, tuple(triples))

@@ -22,9 +22,10 @@ from cubematch.errors import (
     SortPairMissing,
     TypeHasNoType,
 )
-from cubematch.reduction import beta_eta_normalize, equivalent
+from cubematch.reduction import Fuel, beta_eta_normalize, converts, equivalent
 from cubematch.terms import PROP, TYPE, App, Lam, Pi, Sort, Term, Var, describe, shift, subst
 from cubematch.typecheck import (
+    PRESETS,
     Context,
     CubeSpec,
     check_type,
@@ -256,6 +257,69 @@ def test_swapped_arguments_fail_as_the_reference_does(rng) -> None:
     ctx = base_context()
     t = _swap_argument(random_well_typed(rng, max_size=20), rng)
     assert _outcome(infer_type, ctx, t) == _outcome(reference_infer, ctx, t)
+
+
+# ------------- conversion against its definition -------------
+
+# base_context()'s function slots, by index at depth 0, and the index of
+# their first domain: f : U -> U, g : U -> U -> U, k : V -> U
+_FIRST_DOMAIN = {2: 6, 1: 6, 0: 5}
+
+
+def _eta_heads(t: Term, rng: Random, depth: int = 0) -> Term:
+    """t with some occurrences of f, g and k replaced by their eta
+    expansions [x:A](h x)."""
+    match t:
+        case Var(k) if k - depth in _FIRST_DOMAIN and rng.random() < 0.5:
+            return Lam(Var(_FIRST_DOMAIN[k - depth] + depth), App(Var(k + 1), Var(0)), "x")
+        case App(fn, arg):
+            return App(_eta_heads(fn, rng, depth), _eta_heads(arg, rng, depth))
+        case Lam(dom, body, hint):
+            return Lam(dom, _eta_heads(body, rng, depth + 1), hint)
+    return t
+
+
+def _variants(t: Term, rng: Random) -> list[Term]:
+    """t, its normal form, and terms around it: expanded domains, beta- and
+    eta-expanded sides, a swapped argument, and another random term."""
+    u, a = Var(BASE - 1), Var(BASE - 3)
+    out = [t, beta_eta_normalize(t), _expand_domains(t, BASE, rng), _eta_heads(t, rng)]
+    out.append(App(Lam(u, shift(_eta_heads(t, rng), 1, 0), "y"), a))
+    out.append(_swap_argument(t, rng))
+    out.append(random_well_typed(rng, max_size=12))
+    ty = infer_type(base_context(), t, LP)
+    if isinstance(ty, Pi):  # the whole side eta-expanded
+        out.append(Lam(ty.dom, App(shift(t, 1, 0), Var(0)), "z"))
+    return out
+
+
+def _spent(f, *args) -> tuple[bool, int]:
+    fuel = Fuel(10**6)
+    with fuel:
+        out = f(*args)
+    return out, 10**6 - fuel.left
+
+
+@props
+@given(randoms, st.sampled_from(sorted(PRESETS)))
+def test_converts_agrees_with_the_normal_forms(rng, spec_name) -> None:
+    """On every pair of one type in the calculus, `converts` gives the
+    verdict of `equivalent`, the definition, and spends no more steps."""
+    spec = PRESETS[spec_name]
+    ctx = base_context()
+    typed: list[tuple[Term, Term]] = []
+    for v in _variants(random_well_typed(rng, max_size=14), rng):
+        try:
+            typed.append((v, infer_type(ctx, v, spec)))
+        except CubeError:
+            continue
+    for t1, ty1 in typed:
+        for t2, ty2 in typed:
+            if ty1 == ty2:
+                got, steps = _spent(converts, t1, t2)
+                want, want_steps = _spent(equivalent, t1, t2)
+                assert got == want, (describe(t1), describe(t2))
+                assert steps <= want_steps
 
 
 # ------------- ill-typed domains are rejected before any normalization -------------

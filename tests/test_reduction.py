@@ -16,8 +16,8 @@ from cubematch.reduction import (
     DEFAULT_MAX_STEPS,
     Fuel,
     beta_eta_normalize,
+    converts,
     equivalent,
-    rigid_clash,
 )
 from cubematch.terms import PROP, App, Lam, Pi, Var, app
 from innermost import beta_eta_normalize_innermost
@@ -142,10 +142,10 @@ def _g_a_spine(depth: int, end: Var) -> App:
 def test_rigid_clash_refutes_deep_spines_behind_a_head_redex(depth) -> None:
     # ([x:U]([y:U]x) a) S_b against S_c, with b and c at #1 and #0: the head
     # steps bind S_b instead of copying it, and the spines are compared on
-    # a work list, so depth costs no stack
+    # a work list, so depth costs no stack; c against b is a rigid clash
     lhs = App(Lam(PROP, App(Lam(PROP, Var(1)), Var(3))), _g_a_spine(depth, Var(1)))
-    assert rigid_clash(lhs, _g_a_spine(depth, Var(0)))
-    assert not rigid_clash(lhs, _g_a_spine(depth, Var(1)))
+    assert not converts(lhs, _g_a_spine(depth, Var(0)))
+    assert converts(lhs, _g_a_spine(depth, Var(1)))
 
 
 def test_rigid_clash_skips_one_term_under_one_environment_only() -> None:
@@ -153,12 +153,39 @@ def test_rigid_clash_skips_one_term_under_one_environment_only() -> None:
     # term under the same (empty) environment, so no step is spent on them
     r = App(Lam(PROP, Var(0)), Var(1))
     with Fuel(1) as fuel:
-        assert not rigid_clash(App(Var(2), r), App(Var(2), r))
+        assert converts(App(Var(2), r), App(Var(2), r))
     assert fuel.left == 1
     # ([x:U] h (f x)) b against ([x:U] h (f x)) c, (f x) shared: the same
     # term under two environments, compared, and b is not c
     body = App(Var(3), App(Var(4), Var(0)))
-    assert rigid_clash(App(Lam(PROP, body), Var(1)), App(Lam(PROP, body), Var(0)))
+    assert not converts(App(Lam(PROP, body), Var(1)), App(Lam(PROP, body), Var(0)))
+
+
+def _lam_chain(depth: int, last: int) -> Lam:
+    """[x1:U]...[xdepth:U] f x1 ... x(depth-1) y, with U at #0 and f at #1
+    outside the chain and y the variable at index `last` inside it."""
+    t = app(Var(depth + 1), *(Var(depth - 1 - i) for i in range(depth - 1)), Var(last))
+    for i in reversed(range(depth)):
+        t = Lam(Var(i), t)
+    return t
+
+
+def test_converts_decides_deep_chains_and_spines() -> None:
+    # 10^4 binders, a spine of 10^4 arguments, and 10^4 nested arguments:
+    # every pair waits on a work list, not on the stack.  Reading back
+    # recurses once per level, so deciding conversion by normal forms
+    # (`equivalent`) raises FuelExhausted ("term nests too deeply to
+    # normalize") from about 1,000 levels on.
+    depth = 10_000
+    chain = _lam_chain(depth, 0)
+    assert converts(chain, _lam_chain(depth, 0))
+    assert not converts(chain, _lam_chain(depth, 1))
+    # the chain eta-contracts to f: 10^4 eta comparisons
+    assert converts(chain, Var(1))
+    assert not converts(_lam_chain(depth, 1), Var(1))
+    spine = _g_a_spine(depth, Var(1))
+    assert converts(spine, _g_a_spine(depth, Var(1)))
+    assert not converts(spine, _g_a_spine(depth, Var(0)))
 
 
 def test_classify_normal_cases() -> None:

@@ -624,9 +624,9 @@ def test_leaves_spend_as_the_copying_path_on_random_problems() -> None:
             "unify F c = h X\n",
             {
                 3: [(2, 2)] * 3,
-                4: [(5, 5)] * 3,
-                5: [(5, 5), (7, 7), (7, 7)],
-                6: [(5, 5), (11, 11), (11, 11)],
+                4: [(4, 4)] * 3,
+                5: [(4, 4), (6, 6), (6, 6)],
+                6: [(4, 4), (9, 9), (9, 9)],
             },
         ),
         # k's type holds a redex and ignores X: the walk reads it once per X
@@ -637,10 +637,10 @@ def test_leaves_spend_as_the_copying_path_on_random_problems() -> None:
             "calculus lP\nforall U : Prop\nforall a : U\nforall h : U -> U\nexists X : U\n"
             "forall k : ([y:U]U -> U) a\nexists F : U -> U\nunify F (k X) = k (h a)\n",
             {
-                3: [(8, 7)] * 3,
-                4: [(8, 7), (16, 15), (16, 15)],
-                5: [(9, 7), (23, 21), (23, 21)],
-                6: [(9, 7), (53, 51), (53, 51)],
+                3: [(7, 6)] * 3,
+                4: [(7, 6), (15, 14), (15, 14)],
+                5: [(8, 6), (22, 20), (22, 20)],
+                6: [(8, 6), (49, 47), (49, 47)],
             },
         ),
         # t's codomain depends on its argument: generation instantiates it
@@ -666,7 +666,7 @@ def test_leaves_spend_as_the_copying_path_on_random_problems() -> None:
         (
             "calculus lP\nforall U : Prop\nforall a : U\nforall P : U -> Prop\nexists x : U\n"
             "exists F : U -> Prop\nunify F x = P a\n",
-            {3: [(1, 1)] * 3, 4: [(6, 6)] * 3, 5: [(6, 6)] * 3, 6: [(6, 6), (13, 13), (13, 13)]},
+            {3: [(1, 1)] * 3, 4: [(4, 4)] * 3, 5: [(4, 4)] * 3, 6: [(4, 4), (11, 11), (11, 11)]},
         ),
     ],
     ids=[
@@ -698,13 +698,13 @@ def test_a_bare_variable_candidate_is_bound_as_a_level(monkeypatch, lw, type_sou
     # environment as A's level in the problem's own numbering, slot 0 of 2,
     # so -2, and never as a closure around Var(0)
     envs: list[tuple] = []
-    real = search.rigid_clash
+    real = search.converts
 
     def spy(t1, t2, env=()):
         envs.append(env)
         return real(t1, t2, env)
 
-    monkeypatch.setattr(search, "rigid_clash", spy)
+    monkeypatch.setattr(search, "converts", spy)
     found = solve_bounded(type_source, SearchBudget(3, 8), lw)
     assert [print_substitution(s) for s in found] == ["X := A\n"]
     assert (-2, -2) in envs
@@ -725,7 +725,7 @@ def _read(f, *args) -> tuple:
 def test_every_leaf_reads_under_its_assignments_comparison_env(monkeypatch) -> None:
     # each leaf's environment must read both sides as the one is_solution
     # builds for the leaf's assignment does: the same normal forms and
-    # rigid_clash verdicts, for the same fuel.  Each unknown's candidate is
+    # `converts` verdicts, for the same fuel.  Each unknown's candidate is
     # taken from the leaf's environment, in the problem's own numbering
     # over the slots before it: the closure's term, or, bound to a level,
     # the variable that names that slot; it is read over the image with
@@ -735,13 +735,13 @@ def test_every_leaf_reads_under_its_assignments_comparison_env(monkeypatch) -> N
     problems = [random_elementary_problem(rng) for _ in range(40)]
     problems += [parse_problem(text)[1] for text in SCOPED]
     envs: list[tuple] = []
-    real_clash = search.rigid_clash
+    real_converts = search.converts
 
-    def clash_spy(t1, t2, env=()):
+    def converts_spy(t1, t2, env=()):
         envs.append(env)
-        return real_clash(t1, t2, env)
+        return real_converts(t1, t2, env)
 
-    monkeypatch.setattr(search, "rigid_clash", clash_spy)
+    monkeypatch.setattr(search, "converts", converts_spy)
     checked = 0
     for p in problems:
         envs.clear()
@@ -757,6 +757,6 @@ def test_every_leaf_reads_under_its_assignments_comparison_env(monkeypatch) -> N
             ref = comparison_env(Substitution(p.qctx, tuple(triples)))
             for side in (p.lhs, p.rhs):
                 assert _read(normalize_under, side, env) == _read(normalize_under, side, ref)
-            assert _read(real_clash, p.lhs, p.rhs, env) == _read(real_clash, p.lhs, p.rhs, ref)
+            assert _read(real_converts, p.lhs, p.rhs, env) == _read(real_converts, p.lhs, p.rhs, ref)
             checked += 1
     assert checked > 100

@@ -36,10 +36,10 @@ from cubematch.problems import (
 from cubematch.reduction import (
     Fuel,
     beta_eta_normalize,
+    converts,
     equivalent,
     instantiate,
     normalize_under,
-    rigid_clash,
 )
 from cubematch.terms import PROP, TYPE, App, Lam, Pi, Term, Var, app, arrow, free_indices, shift, subst
 from cubematch.syntax import parse_problem, parse_term
@@ -245,7 +245,7 @@ _rigid_terms = st.recursive(
 
 @st.composite
 def clash_pairs(draw) -> tuple[Term, Term]:
-    """Two sides that agree in part, for the leaf refutation.
+    """Two sides that agree in part, for the conversion test.
 
     Each side is a copy of one term in which some subterms are replaced by
     fresh ones and others are wrapped in a head redex that contracts back
@@ -302,24 +302,28 @@ def clash_pairs(draw) -> tuple[Term, Term]:
 @props
 @given(clash_pairs(), st.integers(1, 60))
 def test_rigid_clash_spends_as_the_substitution_refutation(pair, steps) -> None:
-    """Same verdict or error and the same fuel left as refuting the
-    substituted terms; and a refuted pair that normalizes has two
-    different normal forms."""
+    """`converts` gives the verdict or error, and leaves the fuel, of the
+    copying conversion of the substituted terms; and a pair that converts
+    and normalizes has one normal form.  The pairs need not be typed, so a
+    pair that does not convert may still have one normal form: two
+    abstractions whose domains differ may eta-contract to one term.  On
+    typed pairs, test_converts_agrees_with_the_normal_forms in
+    test_kernel_invariants checks both verdicts."""
     fuel, tank = Fuel(steps), old.Tank(Fuel(steps))
 
     def within_the_budget() -> bool:
         with fuel:
-            return rigid_clash(*pair)
+            return converts(*pair)
 
     verdict = _outcome(within_the_budget)
-    assert verdict == _outcome(old.rigid_clash, *pair, tank)
+    assert verdict == _outcome(old.converts, *pair, tank)
     assert fuel.left == tank.left
     if verdict == "True":
         try:
             nf1, nf2 = (old.beta_eta_normalize(t, Fuel(100)) for t in pair)
         except FuelExhausted:
             return
-        assert not old.structural_eq(nf1, nf2)
+        assert old.structural_eq(nf1, nf2)
 
 
 # ------------- typing -------------
@@ -542,18 +546,18 @@ def _beta_normal(t: Term) -> bool:
 @props
 @given(randoms, st.data(), st.integers(1, 12))
 def test_reading_under_the_image_environment_spends_as_the_copies(rng, data, steps) -> None:
-    """Conversion and the leaf refutation of two sides read under
+    """Comparing the normal forms, and `converts`, of two sides read under
     comparison_env(s) give the verdict or error, and leave the fuel, of the
     same calls on the sides' copies apply_subst(s, ·) read under no
     environment.
 
     The environment numbers the image slots in the problem's own numbering,
     not the image's; the verdicts agree because no two image slots share a
-    level.  The refutation skips a pair that is one term under one
-    environment.  Under comparison_env(s) every occurrence of a slot reaches
-    its replacement as one such term, while the copies are separate
-    objects; comparing a replacement that is beta-normal spends nothing, so
-    the refutation is compared only when every replacement is.
+    level.  `converts` skips a pair that is one term under one environment.
+    Under comparison_env(s) every occurrence of a slot reaches its
+    replacement as one such term, while the copies are separate objects;
+    comparing a replacement that is beta-normal spends nothing, so
+    `converts` is compared only when every replacement is.
     """
     p = random_elementary_problem(rng)
     assume(p.qctx.existential_positions())
@@ -581,7 +585,7 @@ def test_reading_under_the_image_environment_spends_as_the_copies(rng, data, ste
             )
         ]
         if normal:
-            checks.append((lambda: rigid_clash(lhs, rhs, env), lambda: rigid_clash(*copies)))
+            checks.append((lambda: converts(lhs, rhs, env), lambda: converts(*copies)))
         for under_env, on_copies in checks:
             fuel, copy_fuel = Fuel(steps), Fuel(steps)
             assert _outcome(_within, under_env, fuel) == _outcome(_within, on_copies, copy_fuel)
@@ -803,9 +807,8 @@ WALKS = [
     terms.describe,
     terms.spine,
     reduction._apply,
-    reduction._head,
-    reduction.rigid_clash,
     reduction._nf,
+    reduction.converts,
     typecheck._infer,
     typecheck._abstraction,
     problems.apply_subst,
